@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 
+from .errors import FormatError
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
@@ -453,18 +455,14 @@ def zero_grads(params) -> None:
 # -- checkpoint file -----------------------------------------------------
 
 _CKPT_MAGIC = b"BFCK"
-_CKPT_VERSION = 1
-
-
-def config_digest(config_text: str) -> bytes:
-    return hashlib.sha256(config_text.encode("utf-8")).digest()
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> None:
     """Ordered (name, shape, float32 data) entries, little-endian.
 
-    Header carries the serialized config and its sha256 so loads can
-    reject mismatched model configs.
+    Header carries the serialized config and its sha256 so a damaged
+    header is caught on load.
     """
     cfg = config_text.encode("utf-8")
     with open(path, "wb") as fh:
@@ -472,7 +470,7 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
         fh.write(struct.pack("<I", _CKPT_VERSION))
         fh.write(struct.pack("<I", len(cfg)))
         fh.write(cfg)
-        fh.write(config_digest(config_text))
+        fh.write(hashlib.sha256(cfg).digest())
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries.items():
             nb = name.encode("utf-8")
@@ -485,32 +483,33 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
             fh.write(a.tobytes())
 
 
-def load_checkpoint(path, expected_config: str | None = None
-                    ) -> tuple[str, dict[str, np.ndarray]]:
-    """Read a checkpoint; expected_config, when given, must hash-match the
-    stored configuration or the load is refused."""
+def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
+    """Read a checkpoint; a foreign, outdated, damaged or truncated file
+    raises FormatError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        config_text = fh.read(cfg_len).decode("utf-8")
-        digest = fh.read(32)
-        if digest != config_digest(config_text):
-            raise ValueError(f"{path}: corrupt checkpoint (config digest mismatch)")
-        if expected_config is not None and config_digest(expected_config) != digest:
-            raise ValueError(
-                f"{path}: checkpoint was written under a different configuration")
-        (n,) = struct.unpack("<I", fh.read(4))
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(n):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-            entries[name] = arr.copy()
+            raise FormatError(f"{path}: not a checkpoint file")
+        # a short read surfaces as struct.error or a ValueError from numpy
+        try:
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != _CKPT_VERSION:
+                raise FormatError(f"{path}: unsupported checkpoint version {version} "
+                                  f"(expected {_CKPT_VERSION})")
+            (cfg_len,) = struct.unpack("<I", fh.read(4))
+            cfg = fh.read(cfg_len)
+            if fh.read(32) != hashlib.sha256(cfg).digest():
+                raise FormatError(f"{path}: corrupt checkpoint (config digest mismatch)")
+            (n,) = struct.unpack("<I", fh.read(4))
+            entries: dict[str, np.ndarray] = {}
+            for _ in range(n):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                (ndim,) = struct.unpack("<B", fh.read(1))
+                shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+                count = int(np.prod(shape)) if shape else 1
+                arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
+                entries[name] = arr.copy()
+            config_text = cfg.decode("utf-8")
+        except (struct.error, ValueError) as exc:
+            raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     return config_text, entries

@@ -12,7 +12,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class PipelineConfig:
     leads: list | None = None
     label_map: str | None = None
     manifest: str | None = None
-    val_manifest: str | None = None
     out_dir: str = "out"
     seed: int = 0
     workers: int = 1
@@ -47,55 +46,10 @@ class PipelineConfig:
     highpass_hz: float = 0.5
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_optional_int(raw: str):
-    return None if raw.strip().lower() == "none" else int(raw)
-
-
-def _parse_leads(raw: str) -> list:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
-_MODEL_KEYS = {
-    "d_model": int, "n_encoders": int, "n_heads": int, "dff": int,
-    "d_qkv": _parse_optional_int, "max_pos": int, "d_class": int,
-    "dropout_rate": float, "head": str, "causal": _parse_bool,
-}
-_OPTIM_KEYS = {
-    "beta1": float, "beta2": float, "epsilon": float, "warmup_steps": int,
-    "d_model": int, "batch_size": int, "epochs": int, "threshold": float,
-}
-_DATA_KEYS = {
-    "detector": str, "lead": str, "leads": _parse_leads, "label_map": str,
-    "manifest": str, "val_manifest": str, "out_dir": str, "seed": int,
-    "workers": int, "target_fs": float, "highpass_hz": float,
-}
-
-
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; # starts a comment; keys carry their section prefix."""
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
-            values[key] = value.strip()
-    return values
+        return training.read_config_text(fh.read(), path)
 
 
 def build_config(file_values: dict | None = None,
@@ -105,20 +59,10 @@ def build_config(file_values: dict | None = None,
     Unknown or malformed keys raise ConfigError. optim.d_model follows
     model.d_model unless set explicitly.
     """
-    model_kwargs, optim_kwargs, data_kwargs = {}, {}, {}
-    for key, raw in (file_values or {}).items():
-        section, _, name = key.partition(".")
-        table = {"model": _MODEL_KEYS, "optim": _OPTIM_KEYS, "data": _DATA_KEYS}.get(section)
-        if table is None or name not in table:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            parsed = table[name](raw)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r}") from exc
-        {"model": model_kwargs, "optim": optim_kwargs, "data": data_kwargs}[section][name] = parsed
-
+    kwargs = training.parse_config(file_values or {}, {
+        "model": tf.ModelConfig, "optim": training.OptimizerConfig,
+        "data": PipelineConfig})
+    model_kwargs, optim_kwargs = kwargs["model"], kwargs["optim"]
     if "d_model" in model_kwargs and "d_model" not in optim_kwargs:
         optim_kwargs["d_model"] = model_kwargs["d_model"]
     try:
@@ -126,7 +70,7 @@ def build_config(file_values: dict | None = None,
         optim = training.OptimizerConfig(**optim_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = PipelineConfig(model=model, optim=optim, **data_kwargs)
+    cfg = PipelineConfig(model=model, optim=optim, **kwargs["data"])
 
     for name, value in (overrides or {}).items():
         if value is None:
@@ -314,9 +258,10 @@ def cmd_predict(args) -> int:
     if cfg.label_map:
         names = load_label_map(cfg.label_map).reverse()
     probs = training.forward_batches(params, mcfg, [s for s, _ in dataset])
+    preds = training.threshold_predict(probs, ocfg.threshold)
     lines = []
-    for (cache, _), row in zip(entries, probs):
-        positive = np.flatnonzero(row > ocfg.threshold)
+    for (cache, _), row in zip(entries, preds):
+        positive = np.flatnonzero(row)
         codes = [names[int(c)] if names else str(int(c)) for c in positive]
         lines.append(f"{os.path.basename(cache)}\t{','.join(codes)}")
     text = "\n".join(lines)
@@ -359,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_dir")
     common(p)
     p.add_argument("--detector", choices=sorted(DETECTORS), default=None)
-    p.add_argument("--leads", type=_parse_leads, default=None,
+    p.add_argument("--leads", type=training.parse_list, default=None,
                    help="comma-separated lead names to keep")
     p.add_argument("--label-map", dest="label_map", default=None)
     p.add_argument("--workers", type=int, default=None)

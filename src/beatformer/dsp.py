@@ -7,11 +7,11 @@ without the search-back pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDesignError
+from .errors import FilterDesignError, InvalidMetadataError
 
 REFRACTORY_S = 0.200
 
@@ -21,7 +21,6 @@ class IirFilter:
     """Normalized biquad: b feed-forward, a feedback with a[0] = 1."""
     b: np.ndarray
     a: np.ndarray
-    state: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64)
@@ -105,7 +104,6 @@ def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
         z1 = b1 * xn - a1 * yn + z2
         z2 = b2 * xn - a2 * yn
         y[n] = yn
-    f.state = np.array([z1, z2])
     return y
 
 
@@ -169,7 +167,7 @@ def detect_two_average(x, fs: float, cfg: DetectorConfig | None = None) -> PeakL
     the largest |filtered| sample in each block is the peak.
     """
     if fs < 100:
-        raise ValueError("detector needs fs >= 100 Hz")
+        raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
     cfg = cfg or DetectorConfig()
     x = np.asarray(x, dtype=np.float64)
     w1 = max(1, int(round(cfg.qrs_window_s * fs)))
@@ -209,7 +207,7 @@ def detect_pan_tompkins(x, fs: float, cfg: DetectorConfig | None = None) -> Peak
     and noise running estimates.
     """
     if fs < 100:
-        raise ValueError("detector needs fs >= 100 Hz")
+        raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
     cfg = cfg or DetectorConfig()
     x = np.asarray(x, dtype=np.float64)
     learn = int(round(cfg.learning_s * fs))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import time
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -14,7 +15,7 @@ from . import autodiff as ad
 from . import transformer as tf
 from .autodiff import Parameter, Tensor
 from .beat_tokenizer import BeatSequence, load_tokens
-from .errors import CheckpointMismatchError, FormatError
+from .errors import CheckpointMismatchError, ConfigError, FormatError
 
 PROB_CLAMP = 1e-7
 
@@ -182,7 +183,7 @@ def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
     sequences = [s for s, _ in dataset]
     labels = np.stack([np.asarray(y, dtype=np.int8) for _, y in dataset])
     probs = forward_batches(params, config, sequences, batch_size)
-    preds = (probs > threshold).astype(np.int8)
+    preds = threshold_predict(probs, threshold)
 
     tp = ((preds == 1) & (labels == 1)).sum(axis=0).astype(np.float64)
     fp = ((preds == 1) & (labels == 0)).sum(axis=0).astype(np.float64)
@@ -272,29 +273,73 @@ def load_dataset(manifest_path: str, d_class: int | None = None,
     return out
 
 
-def _config_text(mcfg: tf.ModelConfig, ocfg: OptimizerConfig) -> str:
-    lines = [f"model.{f.name}={getattr(mcfg, f.name)!r}" for f in fields(mcfg)]
-    lines += [f"optim.{f.name}={getattr(ocfg, f.name)!r}" for f in fields(ocfg)]
-    return "\n".join(sorted(lines))
+# -- config codec ---------------------------------------------------------
+# One key=value text format serves --config files and checkpoint headers:
+# "section.field=value" lines, each value parsed by its field's declared type.
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return low in ("true", "1", "yes")
 
 
-def _config_from_text(text: str):
-    import ast
+def parse_list(raw: str) -> list:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
-    model_kwargs, optim_kwargs = {}, {}
-    for line in text.splitlines():
-        if not line.strip():
+
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, list: parse_list}
+
+
+def read_config_text(text: str, source: str) -> dict:
+    """Flat key=value lines; # starts a comment; keys carry their section prefix."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        section, _, name = key.strip().partition(".")
-        parsed = ast.literal_eval(value.strip())
-        if section == "model":
-            model_kwargs[name] = parsed
-        elif section == "optim":
-            optim_kwargs[name] = parsed
-        else:
-            raise FormatError(f"unknown config section in checkpoint: {key!r}")
-    return tf.ModelConfig(**model_kwargs), OptimizerConfig(**optim_kwargs)
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key}")
+        values[key] = value.strip()
+    return values
+
+
+def parse_config(values: dict, sections: dict) -> dict:
+    """{"section.field": raw text} -> {section: {field: typed value}}.
+
+    sections maps each section name to its dataclass. A key is known when
+    it names a field typed int, float, str, bool or list (or one of those
+    `| None`). Unknown keys and unparsable values raise ConfigError.
+    """
+    hints = {section: typing.get_type_hints(cls) for section, cls in sections.items()}
+    kwargs = {section: {} for section in sections}
+    for key, raw in values.items():
+        section, _, name = key.partition(".")
+        tp = hints.get(section, {}).get(name)
+        tp = (typing.get_args(tp) or (tp,))[0]  # `X | None` parses as X
+        if tp not in _PARSERS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            kwargs[section][name] = _PARSERS[tp](raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r}") from exc
+    return kwargs
+
+
+def config_text(sections: dict) -> str:
+    """{section: dataclass instance} as the lines read_config_text reads."""
+    return "".join(f"{section}.{f.name}={getattr(obj, f.name)}\n"
+                   for section, obj in sections.items() for f in fields(obj))
+
+
+def config_diff(a, b, names) -> list:
+    """One "name: a != b" line per named field where two configs disagree."""
+    return [f"{name}: {getattr(a, name)!r} != {getattr(b, name)!r}"
+            for name in names if getattr(a, name) != getattr(b, name)]
 
 
 def save_training_checkpoint(path: str, params: dict, state: AdamState,
@@ -306,13 +351,19 @@ def save_training_checkpoint(path: str, params: dict, state: AdamState,
         entries[f"opt.v.{name}"] = state.v[name]
     entries["opt.step"] = np.array([state.step_num], dtype=np.float32)
     entries["meta.epoch"] = np.array([epoch], dtype=np.float32)
-    ad.save_checkpoint(path, entries, _config_text(mcfg, ocfg))
+    ad.save_checkpoint(path, entries, config_text({"model": mcfg, "optim": ocfg}))
 
 
 def load_training_checkpoint(path: str):
     """Returns (model cfg, optim cfg, param arrays, AdamState, epoch)."""
-    config_text, entries = ad.load_checkpoint(path)
-    mcfg, ocfg = _config_from_text(config_text)
+    header, entries = ad.load_checkpoint(path)
+    kwargs = parse_config(read_config_text(header, path),
+                          {"model": tf.ModelConfig, "optim": OptimizerConfig})
+    try:
+        mcfg = tf.ModelConfig(**kwargs["model"])
+        ocfg = OptimizerConfig(**kwargs["optim"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
     params = {}
     state = AdamState()
     epoch = 0
@@ -392,7 +443,11 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     start_epoch = 1
     if resume:
         ck_m, ck_o, arrays, state, epoch_done = load_training_checkpoint(resume)
-        diff = tf.config_diff(ck_m, config) + _optim_diff(ck_o, optim_config)
+        # epochs is the run-length target, not a trajectory parameter; a
+        # resumed run may extend it
+        diff = (config_diff(ck_m, config, [f.name for f in fields(config)])
+                + config_diff(ck_o, optim_config,
+                              [f.name for f in fields(ck_o) if f.name != "epochs"]))
         if diff:
             raise CheckpointMismatchError(
                 "checkpoint does not match the requested configuration:\n  "
@@ -401,7 +456,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         start_epoch = epoch_done + 1
     elif init_checkpoint:
         ck_m, _, arrays, _, _ = load_training_checkpoint(init_checkpoint)
-        diff = tf.trunk_compatible(ck_m, config)
+        diff = config_diff(ck_m, config, tf.TRUNK_FIELDS)
         if diff:
             raise CheckpointMismatchError(
                 "checkpoint trunk does not match the requested configuration:\n  "
@@ -475,14 +530,6 @@ def _trainable(params: dict, freeze_trunk: bool) -> dict:
     if not head:
         raise ValueError("freeze_trunk leaves nothing to train")
     return head
-
-
-def _optim_diff(a: OptimizerConfig, b: OptimizerConfig) -> list:
-    # epochs is the run-length target, not a trajectory parameter; a resumed
-    # run may extend it
-    return [f"optim.{f.name}: {getattr(a, f.name)!r} != {getattr(b, f.name)!r}"
-            for f in fields(OptimizerConfig)
-            if f.name != "epochs" and getattr(a, f.name) != getattr(b, f.name)]
 
 
 def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,

@@ -7,7 +7,7 @@ generation and a pooled sigmoid head for multi-label classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ CLASSIFIER = "classifier"
 
 # trunk fields must agree between a pre-training checkpoint and the
 # classifier that reuses it; the head (and its width) may differ
-TRUNK_FIELDS = ("d_model", "n_encoders", "n_heads", "dff", "d_qkv",
-                "max_pos", "dropout_rate", "causal")
+TRUNK_FIELDS = ("d_model", "n_encoders", "n_heads", "dff", "max_pos",
+                "dropout_rate", "causal")
 
 
 @dataclass
@@ -31,7 +31,6 @@ class ModelConfig:
     n_encoders: int = 5
     n_heads: int = 8
     dff: int = 2048
-    d_qkv: int | None = None  # derived as d_model // n_heads when omitted
     max_pos: int = 50
     d_class: int = 28
     dropout_rate: float = 0.1
@@ -39,41 +38,18 @@ class ModelConfig:
     causal: bool = True
 
     def __post_init__(self):
-        if self.d_qkv is None:
-            self.d_qkv = self.d_model // self.n_heads
-        for name in ("d_model", "n_encoders", "n_heads", "dff", "d_qkv",
-                     "max_pos", "d_class"):
+        for name in ("d_model", "n_encoders", "n_heads", "dff", "max_pos", "d_class"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
-        if self.d_qkv != self.d_model // self.n_heads:
-            raise ValueError(
-                f"d_qkv must be d_model // n_heads = "
-                f"{self.d_model // self.n_heads}, got {self.d_qkv}")
-        if self.n_heads * self.d_qkv > self.d_model:
-            raise ValueError("n_heads * d_qkv exceeds d_model")
+        if self.n_heads > self.d_model:
+            raise ValueError("n_heads exceeds d_model; heads would have width 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.head not in (GENERATIVE, CLASSIFIER):
             raise ValueError(f"unknown head {self.head!r}")
 
-    def canonical_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        return "\n".join(sorted(lines))
-
     def with_head(self, head: str) -> "ModelConfig":
         return replace(self, head=head)
-
-
-def config_from_text(text: str) -> ModelConfig:
-    import ast
-
-    kwargs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        kwargs[key.strip()] = ast.literal_eval(value.strip())
-    return ModelConfig(**kwargs)
 
 
 def positional_encoding(max_pos: int, d_model: int, dtype=np.float64) -> np.ndarray:
@@ -140,12 +116,12 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
     """Project to q/k/v, split across heads, attend, concatenate, project out.
 
     x: [..., seq, d_model]; q/k/v projections are d_model -> d_model and the
-    first n_heads*d_qkv columns are split into head slices of width d_qkv.
+    first n_heads*dk columns split into heads of width dk = d_model // n_heads.
     """
     seq = x.shape[-2]
     if seq > config.max_pos:
         raise ValueError(f"sequence length {seq} exceeds max_pos {config.max_pos}")
-    h, dk = config.n_heads, config.d_qkv
+    h, dk = config.n_heads, config.d_model // config.n_heads
     used = h * dk
     batch = x.shape[:-2]
 
@@ -233,7 +209,7 @@ def forward(tokens, n_real=None, config: ModelConfig = None, params: dict = None
 
 def param_shapes(config: ModelConfig):
     """Yield (name, shape, kind) for every trainable parameter, in registry order."""
-    d, used = config.d_model, config.n_heads * config.d_qkv
+    d, used = config.d_model, config.n_heads * (config.d_model // config.n_heads)
     for i in range(config.n_encoders):
         p = f"enc{i}"
         for proj in ("wq", "wk", "wv"):
@@ -272,10 +248,6 @@ def count_parameters(config: ModelConfig) -> int:
     return int(sum(int(np.prod(shape)) for _, shape, _ in param_shapes(config)))
 
 
-def params_to_arrays(params: dict[str, Parameter]) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in params.items()}
-
-
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
                        dtype=np.float32) -> dict[str, Parameter]:
     params: dict[str, Parameter] = {}
@@ -288,18 +260,3 @@ def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
                 f"parameter {name}: checkpoint shape {arr.shape} != expected {shape}")
         params[name] = Parameter(arr, name)
     return params
-
-
-def config_diff(a: ModelConfig, b: ModelConfig) -> list[str]:
-    out = []
-    for f in fields(ModelConfig):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va != vb:
-            out.append(f"{f.name}: {va!r} != {vb!r}")
-    return out
-
-
-def trunk_compatible(a: ModelConfig, b: ModelConfig) -> list[str]:
-    """Mismatched trunk fields between two configs (empty list = compatible)."""
-    return [f"{name}: {getattr(a, name)!r} != {getattr(b, name)!r}"
-            for name in TRUNK_FIELDS if getattr(a, name) != getattr(b, name)]

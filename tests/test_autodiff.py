@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from beatformer import autodiff as ad
 from beatformer.autodiff import Parameter, Tensor
+from beatformer.errors import FormatError
 
 H = 1e-5
 
@@ -390,17 +393,10 @@ class TestCheckpoint:
         for k, v in self.entries().items():
             assert np.array_equal(loaded[k], v)
 
-    def test_expected_config_enforced(self, tmp_path):
-        p = tmp_path / "m.ckpt"
-        ad.save_checkpoint(p, self.entries(), "d_model=8")
-        ad.load_checkpoint(p, expected_config="d_model=8")
-        with pytest.raises(ValueError):
-            ad.load_checkpoint(p, expected_config="d_model=16")
-
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk"
         p.write_bytes(b"whatever")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="not a checkpoint"):
             ad.load_checkpoint(p)
 
     def test_corrupt_config_detected(self, tmp_path):
@@ -409,7 +405,27 @@ class TestCheckpoint:
         blob = bytearray(p.read_bytes())
         blob[12] ^= 0xFF  # flip a config byte, digest no longer matches
         p.write_bytes(bytes(blob))
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="digest"):
+            ad.load_checkpoint(p)
+
+    def test_version_1_refused(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="version 1"):
+            ad.load_checkpoint(p)
+
+    @pytest.mark.parametrize("keep", [6, 10, 20, 50, 70, 78, 100, 106, -1])
+    def test_truncated_refused(self, tmp_path, keep):
+        # cuts inside the version, the config length, the config, the
+        # digest, an entry name, a shape, a payload, at an entry boundary,
+        # and one byte short of the end
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(FormatError):
             ad.load_checkpoint(p)
 
     def test_byte_determinism(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_config_file(str(p))
 
+    def test_checkpoint_header_is_a_config_file(self, tmp_path):
+        mcfg = tfm.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16,
+                               d_class=3, dropout_rate=0.25, causal=False,
+                               head=tfm.CLASSIFIER)
+        ocfg = tr.OptimizerConfig(d_model=8, epsilon=1e-9, beta2=0.999,
+                                  warmup_steps=8, batch_size=4, epochs=3,
+                                  threshold=0.3)
+        params = tfm.init_params(mcfg, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        tr.save_training_checkpoint(str(ckpt), params,
+                                    tr.AdamState.for_params(params),
+                                    mcfg, ocfg, 0)
+        header, _ = ad.load_checkpoint(str(ckpt))
+        (tmp_path / "c.cfg").write_text(header)
+        cfg = build_config(read_config_file(str(tmp_path / "c.cfg")))
+        assert cfg.model == mcfg
+        assert cfg.optim == ocfg
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -58,8 +77,11 @@ class TestBuildConfig:
         assert cfg.target_fs == 500.0
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config({"model.hidden": "8"})
+        # removed knobs, and a nested config object, are not settable keys
+        for key in ("model.hidden", "model.d_qkv", "data.val_manifest",
+                    "data.model"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                build_config({key: "8"})
         with pytest.raises(ConfigError):
             build_config({"misc.x": "1"})
 
@@ -96,10 +118,10 @@ class TestBuildConfig:
         cfg = build_config({"data.leads": "I, II ,V1"})
         assert cfg.leads == ["I", "II", "V1"]
 
-    def test_bool_and_optional_int(self):
-        cfg = build_config({"model.causal": "false", "model.d_qkv": "none"})
-        assert cfg.model.causal is False
-        assert cfg.model.d_qkv == 1000 // 8
+    def test_bool_values(self):
+        for raw, value in [("true", True), ("1", True), ("yes", True),
+                           ("False", False), ("0", False), ("no", False)]:
+            assert build_config({"model.causal": raw}).model.causal is value
 
 
 @pytest.fixture
@@ -183,6 +205,18 @@ class TestPreprocess:
         skips = (out / "skip_report.txt").read_text()
         assert "bad.csv" in skips and "gain" in skips
         assert "r1.tokens" in (out / "manifest.tsv").read_text()
+
+    def test_low_rate_record_skipped(self, tmp_path):
+        d = tmp_path / "records"
+        d.mkdir()
+        synth.wavelet_csv(d / "slow.csv", fs=90.0)
+        synth.wavelet_csv(d / "good.csv")
+        out = tmp_path / "out"
+        rc = main(["preprocess", str(d), "--out", str(out)])
+        assert rc == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        assert len(skips) == 1 and "slow.csv" in skips[0] and "100 Hz" in skips[0]
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
 
     def test_lead_selection(self, record_dir, tmp_path):
         out = tmp_path / "out"
@@ -375,6 +409,32 @@ class TestEvaluatePredictInspect:
         assert any(code in out for code in ("AF", "PVC", "SB"))
         assert not any(ch.isdigit() for line in out.splitlines()
                        for ch in line.split("\t")[1])
+
+    @pytest.mark.parametrize("damage", ["version_1", "truncated"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "resume"])
+    def test_damaged_checkpoint_is_an_error_line(self, token_workspace, capsys,
+                                                 command, damage):
+        ws = token_workspace
+        ckpt = ws / "pre" / "model.ckpt"
+        assert main(["pretrain", "--config", str(ws / "model.cfg"),
+                     "--manifest", str(ws / "manifest.tsv"),
+                     "--out", str(ws / "pre")]) == 0
+        blob = bytearray(ckpt.read_bytes())
+        if damage == "version_1":
+            blob[4:8] = struct.pack("<I", 1)
+        else:
+            del blob[len(blob) // 2:]
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        common = ["--manifest", str(ws / "manifest.tsv")]
+        argv = {"evaluate": ["evaluate", "--checkpoint", str(ckpt)] + common,
+                "predict": ["predict", "--checkpoint", str(ckpt)] + common,
+                "resume": ["train", "--config", str(ws / "model.cfg"),
+                           "--resume", str(ckpt), "--out", str(ws / "r")] + common}
+        assert main(argv[command]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0]
 
     def test_inspect(self, token_workspace, capsys):
         ws = token_workspace

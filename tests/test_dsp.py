@@ -3,7 +3,7 @@ import pytest
 
 import synth
 from beatformer import dsp
-from beatformer.errors import FilterDesignError
+from beatformer.errors import FilterDesignError, InvalidMetadataError
 
 scipy_signal = pytest.importorskip("scipy.signal")
 
@@ -215,7 +215,7 @@ class TestDetectors:
 
     @pytest.mark.parametrize("name", list(dsp.DETECTORS))
     def test_low_sample_rate_rejected(self, name):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidMetadataError):
             dsp.DETECTORS[name](np.zeros(1000), 50.0)
 
     def test_two_average_window_override(self):

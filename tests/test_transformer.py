@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from beatformer import autodiff as ad
+from beatformer import training as tr
 from beatformer import transformer as tfm
 from beatformer.autodiff import Tensor
 
@@ -18,13 +21,17 @@ class TestModelConfig:
         cfg = tfm.ModelConfig()
         assert cfg.d_model == 1000 and cfg.n_encoders == 5
         assert cfg.n_heads == 8 and cfg.dff == 2048
-        assert cfg.d_qkv == 125 and cfg.max_pos == 50
+        assert cfg.max_pos == 50
         assert cfg.d_class == 28 and cfg.dropout_rate == 0.1
         assert cfg.head == tfm.GENERATIVE and cfg.causal
 
-    def test_d_qkv_derived(self):
-        assert small_config().d_qkv == 4
-        assert tfm.ModelConfig(d_model=12, n_heads=3).d_qkv == 4
+    def test_head_width_derived(self):
+        # heads are d_model // n_heads wide; wo maps their concatenation back
+        shapes = {n: s for n, s, _ in tfm.param_shapes(small_config())}
+        assert shapes["enc0.attn.wo.w"] == (8, 8)
+        cfg = tfm.ModelConfig(d_model=12, n_heads=5, n_encoders=1)
+        shapes = {n: s for n, s, _ in tfm.param_shapes(cfg)}
+        assert shapes["enc0.attn.wo.w"] == (10, 12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,20 +45,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             tfm.ModelConfig(head="regressor")
         with pytest.raises(ValueError):
-            tfm.ModelConfig(d_model=8, n_heads=2, d_qkv=5)
-
-    def test_canonical_text_round_trip(self):
-        cfg = small_config(head=tfm.CLASSIFIER, causal=False)
-        again = tfm.config_from_text(cfg.canonical_text())
-        assert again == cfg
-        assert again.canonical_text() == cfg.canonical_text()
+            tfm.ModelConfig(d_model=4, n_heads=8)  # heads of width 0
 
     def test_with_head(self):
         cfg = small_config()
         clf = cfg.with_head(tfm.CLASSIFIER)
         assert clf.head == tfm.CLASSIFIER
         assert cfg.head == tfm.GENERATIVE  # original untouched
-        assert tfm.trunk_compatible(cfg, clf) == []
+        assert tr.config_diff(cfg, clf, tfm.TRUNK_FIELDS) == []
 
 
 class TestPositionalEncoding:
@@ -372,22 +373,23 @@ class TestConfigCompat:
     def test_diff_lists_changed_fields(self):
         a = small_config()
         b = small_config(dff=32, d_class=5)
-        diff = tfm.config_diff(a, b)
+        names = [f.name for f in fields(tfm.ModelConfig)]
+        diff = tr.config_diff(a, b, names)
         assert any("dff" in d for d in diff)
         assert any("d_class" in d for d in diff)
-        assert tfm.config_diff(a, a) == []
+        assert tr.config_diff(a, a, names) == []
 
     def test_trunk_compatible_ignores_head_fields(self):
         a = small_config(head=tfm.GENERATIVE, d_class=3)
         b = small_config(head=tfm.CLASSIFIER, d_class=7)
-        assert tfm.trunk_compatible(a, b) == []
+        assert tr.config_diff(a, b, tfm.TRUNK_FIELDS) == []
         c = small_config(dff=32)
-        assert tfm.trunk_compatible(a, c) != []
+        assert tr.config_diff(a, c, tfm.TRUNK_FIELDS) != []
 
     def test_arrays_round_trip(self):
         cfg = small_config()
         params = tfm.init_params(cfg, seed=20)
-        arrays = tfm.params_to_arrays(params)
+        arrays = {name: p.data for name, p in params.items()}
         back = tfm.params_from_arrays(arrays, cfg)
         for k in params:
             assert np.array_equal(back[k].data, params[k].data)
@@ -395,7 +397,7 @@ class TestConfigCompat:
 
     def test_arrays_shape_mismatch_rejected(self):
         cfg = small_config()
-        arrays = tfm.params_to_arrays(tfm.init_params(cfg, seed=21))
+        arrays = {name: p.data for name, p in tfm.init_params(cfg, seed=21).items()}
         arrays["head.w"] = arrays["head.w"][:, :4]
         with pytest.raises(ValueError):
             tfm.params_from_arrays(arrays, cfg)
