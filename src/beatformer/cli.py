@@ -21,6 +21,7 @@ from . import transformer as tf
 from .beat_tokenizer import build_sequence, fuse_rms, load_tokens, save_tokens
 from .dsp import DETECTORS, apply_filter, design_highpass
 from .ecg_io import (
+    LabelMap,
     filter_labels,
     load_label_map,
     load_record,
@@ -92,23 +93,24 @@ def _config_from_args(args) -> PipelineConfig:
     return build_config(file_values, overrides)
 
 
-def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str):
-    """Returns ("ok", cache_name, indices|None) or ("skip", reason)."""
+def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
+                    lmap: LabelMap | None):
+    """Returns ("ok", cache_name, indices|None) or ("skip", reason).
+
+    lmap is the run's parsed label map; without one every record is kept.
+    """
     rec = load_record(record_path)
     if cfg.leads:
         rec = rec.select_leads(cfg.leads)
 
     label_indices = None
-    if cfg.label_map:
-        lmap = load_label_map(cfg.label_map)
+    if lmap is not None:
         label_indices = filter_labels(rec, lmap)
         if label_indices is None:
             return ("skip", "no scored labels")
 
     hp = design_highpass(cfg.highpass_hz, rec.fs)
-    filtered = np.stack([apply_filter(hp, lead, step_init=True)
-                         for lead in rec.leads])
-    rec = replace(rec, leads=filtered)
+    rec = replace(rec, leads=apply_filter(hp, rec.leads, step_init=True))
 
     det_idx = 0
     if cfg.lead:
@@ -142,22 +144,25 @@ def cmd_preprocess(args) -> int:
         print(f"no .csv or .hea records in {args.input_dir}", file=sys.stderr)
         return 1
 
+    lmap = load_label_map(cfg.label_map) if cfg.label_map else None
+
+    # a record that cannot be read or parsed is a skip line, not the end of the run
     results = {}
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-            futures = {pool.submit(_preprocess_one, p, cfg, out_dir): p
+            futures = {pool.submit(_preprocess_one, p, cfg, out_dir, lmap): p
                        for p in records}
             for fut in concurrent.futures.as_completed(futures):
                 path = futures[fut]
                 try:
                     results[path] = fut.result()
-                except BeatformerError as exc:
+                except (BeatformerError, OSError) as exc:
                     results[path] = ("error", str(exc))
     else:
         for path in records:
             try:
-                results[path] = _preprocess_one(path, cfg, out_dir)
-            except BeatformerError as exc:
+                results[path] = _preprocess_one(path, cfg, out_dir, lmap)
+            except (BeatformerError, OSError) as exc:
                 results[path] = ("error", str(exc))
 
     manifest_lines = []
@@ -351,7 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BeatformerError as exc:
+    except (BeatformerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

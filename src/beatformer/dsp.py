@@ -1,13 +1,15 @@
 """IIR filtering and single-lead R-peak detection.
 
 Second-order Butterworth designs (bilinear transform with frequency
-prewarping), causal direct-form-II-transposed application, and two QRS
+prewarping), causal application as a blocked linear-recurrence scan along
+the last axis (the direct-form-II-transposed result), and two QRS
 detectors: a two-moving-average method and a Pan-Tompkins variant
 without the search-back pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,34 +79,119 @@ def filter_gain(f: IirFilter, freq: float, fs: float) -> float:
     return float(np.abs(np.dot(f.b, zs) / np.dot(f.a, zs)))
 
 
-def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
-    """Causal direct-form-II-transposed pass over one record.
+BLOCK = 128         # samples per scan block
+CHUNK = 1 << 15     # samples per row filtered at a time; a multiple of BLOCK
 
-    Delay registers start at zero on every call, so repeated calls on
-    different records never leak state. With step_init they instead start
-    at the steady state for a constant input equal to the first sample,
-    which removes the onset transient a DC offset would otherwise cause.
+
+def _matrix_powers(m: np.ndarray, n: int) -> np.ndarray:
+    """m^0 .. m^(n-1) as an [n, 2, 2] array, by repeated doubling."""
+    powers = np.eye(2)[None]
+    step = m
+    while powers.shape[0] < n:
+        powers = np.concatenate([powers, powers @ step])
+        step = step @ step
+    return powers[:n]
+
+
+@lru_cache(maxsize=64)
+def _block_operators(b: tuple, a: tuple):
+    """Matrices of the blocked scan for one biquad (read-only, cached).
+
+    The biquad runs as a state-space system s' = A s + B x, y = C s + D x.
+    Over a block of BLOCK samples entering with state s, the outputs are
+    x @ toeplitz.T + s @ phi.T and the leaving state is s @ carry.T +
+    x @ gain; `doubling` holds carry^(2^k), enough to scan the carry
+    across the blocks of one chunk.
+
+    The realization is not the direct form's companion matrix: a low
+    cutoff puts the poles close together near z = 1, where the companion
+    matrix's powers grow a hundredfold before they decay and repeated
+    squaring loses about nine digits. Here A = [[sigma, w], [-disc/w,
+    sigma]] has the same characteristic polynomial and is a scaled
+    rotation (or, for real poles, symmetric), so its powers stay accurate;
+    B and C are chosen to match the direct form's first two Markov
+    parameters, which fixes the whole impulse response.
+    """
+    b0, b1, b2 = b
+    _, a1, a2 = a
+    sigma = -0.5 * a1
+    disc = a2 - sigma * sigma
+    w = np.sqrt(abs(disc)) or 1.0
+    A = np.array([[sigma, w], [-disc / w, sigma]])
+    B = np.array([0.0, 1.0])
+    h1 = b1 - a1 * b0                     # impulse response at lags 1, 2
+    h2 = b2 - a2 * b0 - a1 * h1
+    C = np.array([(h2 - sigma * h1) / w, h1])
+    powers = _matrix_powers(A, BLOCK + 1)
+    phi = C @ powers[:BLOCK]                             # C A^j
+    impulse = np.concatenate([[b0], phi[:-1] @ B])       # D, C A^(j-1) B
+    lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    gain = (powers[:BLOCK] @ B)[::-1]                    # A^(BLOCK-1-k) B
+    doubling = [powers[BLOCK]]
+    while len(doubling) < (CHUNK // BLOCK).bit_length():
+        doubling.append(doubling[-1] @ doubling[-1])
+    ops = (np.ascontiguousarray(toeplitz.T), np.ascontiguousarray(phi.T),
+           np.ascontiguousarray(gain), np.stack(doubling))
+    for arr in ops:
+        arr.flags.writeable = False
+    return ops
+
+
+def _scan_states(first: np.ndarray, inputs: np.ndarray, doubling) -> np.ndarray:
+    """States entering each block: s[0] = first, s[m+1] = carry s[m] + inputs[m].
+
+    first: [rows, 2]; inputs: [rows, blocks, 2]. A log-depth inclusive
+    scan (Hillis-Steele doubling) of the affine carry maps.
+    """
+    s = np.concatenate([first[:, None, :], inputs], axis=1)
+    for k, carry in enumerate(doubling):
+        d = 1 << k
+        if d >= s.shape[1]:
+            break
+        s[:, d:] = s[:, d:] + s[:, :-d] @ carry.T
+    return s
+
+
+def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
+    """Causal direct-form-II-transposed pass along the last axis.
+
+    Accepts one lead [n] or several [leads, n]; each row is filtered on
+    its own. The recurrence runs as a blocked linear-recurrence scan
+    (BLOCK-sample blocks, CHUNK samples per row at a time), so memory
+    beyond the output stays bounded. Delay registers start at zero on
+    every call, so repeated calls on different records never leak state.
+    With step_init they instead start at the steady state for a constant
+    input equal to the first sample, which removes the onset transient a
+    DC offset would otherwise cause: the row minus its first sample is
+    filtered from rest and the DC response to the first sample added.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("apply_filter expects a 1-D sample vector")
-    b0, b1, b2 = f.b
-    _, a1, a2 = f.a
-    y = np.empty_like(x)
-    z1 = 0.0
-    z2 = 0.0
-    if step_init and x.size:
-        x0 = x[0]
-        dc = (b0 + b1 + b2) / (1.0 + a1 + a2)
-        z2 = (b2 - a2 * dc) * x0
-        z1 = (b1 + b2 - (a1 + a2) * dc) * x0
-    for n in range(x.size):
-        xn = x[n]
-        yn = b0 * xn + z1
-        z1 = b1 * xn - a1 * yn + z2
-        z2 = b2 * xn - a2 * yn
-        y[n] = yn
-    return y
+    if x.ndim == 0:
+        raise ValueError("apply_filter expects samples along the last axis")
+    n = x.shape[-1]
+    if n == 0:
+        return x.copy()
+    rows = x.reshape(-1, n)
+    y = np.empty(rows.shape)
+    toeplitz_t, phi_t, gain, doubling = _block_operators(tuple(f.b), tuple(f.a))
+    x0 = rows[:, :1] if step_init else np.zeros((rows.shape[0], 1))
+    state = np.zeros((rows.shape[0], 2))
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        blocks = -(-(stop - start) // BLOCK)
+        buf = np.zeros((rows.shape[0], blocks * BLOCK))
+        np.subtract(rows[:, start:stop], x0, out=buf[:, : stop - start])
+        buf = buf.reshape(rows.shape[0], blocks, BLOCK)
+        states = _scan_states(state, buf @ gain, doubling)
+        out = buf @ toeplitz_t + states[:, :-1] @ phi_t
+        y[:, start:stop] = out.reshape(rows.shape[0], -1)[:, : stop - start]
+        state = states[:, -1]
+    if step_init:
+        b0, b1, b2 = f.b
+        _, a1, a2 = f.a
+        y += (b0 + b1 + b2) / (1.0 + a1 + a2) * x0
+    return y.reshape(x.shape)
 
 
 def bandpass(x, fs: float, low: float, high: float,

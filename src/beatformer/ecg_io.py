@@ -138,7 +138,8 @@ def _load_csv(path: str) -> EcgRecord:
     gains = None
     labels = set()
     header = None
-    rows = []
+    body = []           # sample rows, parsed together after the loop
+    body_lines = []     # their line numbers, for error messages
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -161,10 +162,8 @@ def _load_csv(path: str) -> EcgRecord:
             if header is None:
                 header = [tok.strip() for tok in line.split(",")]
                 continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
+            body.append(line)
+            body_lines.append(lineno)
 
     if fs is None:
         raise FormatError(f"{path}: missing #fs= metadata line")
@@ -172,22 +171,46 @@ def _load_csv(path: str) -> EcgRecord:
         raise InvalidMetadataError(f"{path}: fs must be positive, got {fs}")
     if gains is None:
         raise FormatError(f"{path}: missing #gain= metadata line")
-    if header is None or not rows:
+    if header is None or not body:
         raise FormatError(f"{path}: no lead header or no sample rows")
     width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise InconsistencyError(
-                f"{path}: sample row has {len(row)} values for {width} leads")
+    raw = _parse_rows(path, body, body_lines, width)
     if len(gains) == 1:
         gains = gains * width
     if len(gains) != width:
         raise InconsistencyError(f"{path}: {len(gains)} gains for {width} leads")
 
-    raw = np.asarray(rows, dtype=np.float64).T
-    leads = raw / np.asarray(gains, dtype=np.float64)[:, None]
+    leads = raw.T / np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, header, labels,
                      os.path.splitext(os.path.basename(path))[0])
+
+
+def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarray:
+    """[rows, width] float64 from comma-separated sample rows, in one call.
+
+    When the bulk parse fails, the rows are parsed one at a time to report
+    the fault: FormatError for the first row that is not all numbers,
+    else InconsistencyError for the first row of the wrong width.
+    """
+    try:
+        raw = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
+                         ndmin=2)
+    except ValueError:
+        rows = []
+        for line, lineno in zip(body, body_lines):
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
+        for row in rows:
+            if len(row) != width:
+                raise InconsistencyError(
+                    f"{path}: sample row has {len(row)} values for {width} leads")
+        raw = np.asarray(rows, dtype=np.float64)
+    if raw.shape[1] != width:
+        raise InconsistencyError(
+            f"{path}: sample row has {raw.shape[1]} values for {width} leads")
+    return raw
 
 
 def _load_wfdb(header_path: str) -> EcgRecord:

@@ -206,6 +206,40 @@ class TestPreprocess:
         assert "bad.csv" in skips and "gain" in skips
         assert "r1.tokens" in (out / "manifest.tsv").read_text()
 
+    def test_unreadable_record_reported_run_continues(self, record_dir, tmp_path):
+        (record_dir / "folder.csv").mkdir()  # listed as a record, cannot be read
+        out = tmp_path / "out"
+        rc = main(["preprocess", str(record_dir), "--out", str(out)])
+        assert rc == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        assert any("folder.csv" in line for line in skips)
+        assert "r1.tokens" in (out / "manifest.tsv").read_text()
+
+    def test_label_map_loaded_once(self, record_dir, tmp_path, label_map,
+                                   monkeypatch):
+        calls = []
+        load = cli.load_label_map
+        monkeypatch.setattr(cli, "load_label_map",
+                            lambda path: calls.append(path) or load(path))
+        assert main(["preprocess", str(record_dir), "--out", str(tmp_path / "o"),
+                     "--label-map", label_map]) == 0
+        assert calls == [label_map]
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    def test_bad_label_map_is_an_error_line(self, record_dir, tmp_path, capsys,
+                                            damage):
+        lmap = tmp_path / "labels.txt"
+        if damage == "malformed":
+            lmap.write_text("AF,0\nnot a label line\n")
+        rc = main(["preprocess", str(record_dir), "--out", str(tmp_path / "o"),
+                   "--label-map", str(lmap)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(lmap) in err[0]
+        assert captured.out == ""
+
     def test_low_rate_record_skipped(self, tmp_path):
         d = tmp_path / "records"
         d.mkdir()
@@ -435,6 +469,19 @@ class TestEvaluatePredictInspect:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "inspect"])
+    def test_missing_file_is_an_error_line(self, token_workspace, tmp_path,
+                                           capsys, command):
+        missing = str(tmp_path / "nonexistent")
+        manifest = ["--manifest", str(token_workspace / "manifest.tsv")]
+        argv = {"evaluate": ["evaluate", "--checkpoint", missing] + manifest,
+                "predict": ["predict", "--checkpoint", missing] + manifest,
+                "inspect": ["inspect", missing]}
+        assert main(argv[command]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert missing in err[0]
 
     def test_inspect(self, token_workspace, capsys):
         ws = token_workspace
