@@ -2,9 +2,9 @@
 
 Just enough machinery for the encoder model: matmul with broadcastable
 batch dimensions, elementwise arithmetic, softmax, reductions, masking,
-dropout, and a topological backward sweep. Data lives in numpy arrays;
-float64 is the default so gradient checks are meaningful, float32 is the
-training dtype.
+dropout, fused layer norm and BCE-with-logits, and a topological backward
+sweep. Data lives in numpy arrays; float64 is the default so gradient
+checks are meaningful, float32 is the training dtype.
 """
 from __future__ import annotations
 
@@ -324,11 +324,15 @@ def relu(a) -> Tensor:
     return _make(data, (a,), lambda g: ((a, g * (a.data > 0)),))
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a numpy array, without overflow at either tail."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = logistic(a.data)
     return _make(data, (a,), lambda g: ((a, g * data * (1.0 - data)),))
 
 
@@ -380,12 +384,35 @@ def masked_fill(a, fill_mask: np.ndarray, value: float) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine."""
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    normed = div(xc, sqrt(add(var, eps)))
-    return add(mul(normed, gamma), beta)
+    """Zero-mean unit-variance over the last axis, then affine; one node.
+
+    With xhat = (x - mean) * rstd and rstd = 1/sqrt(var + eps), the backward
+    is dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gamma.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * rstd
+
+    def backward(g):
+        gx = g * gamma.data
+        dx = gx - gx.mean(axis=-1, keepdims=True)
+        dx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        dx *= rstd
+        return ((x, dx), (gamma, _unbroadcast(g * xhat, gamma.shape)),
+                (beta, _unbroadcast(g, beta.shape)))
+
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def bce_with_logits(z, y) -> Tensor:
+    """Mean binary cross entropy of sigmoid(z) against y, finite at any z:
+    max(z, 0) - z*y + log1p(exp(-|z|)), gradient (sigmoid(z) - y) / z.size."""
+    z = _as_tensor(z)
+    x = z.data
+    y = np.asarray(y, dtype=x.dtype)
+    data = np.mean(np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x))))
+    return _make(data, (z,), lambda g: ((z, g * (logistic(x) - y) / x.size),))
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -25,6 +25,7 @@ from .ecg_io import (
     filter_labels,
     load_label_map,
     load_record,
+    read_lines,
     rescale_peaks,
     resample_record,
 )
@@ -49,8 +50,7 @@ class PipelineConfig:
 
 def read_config_file(path: str) -> dict:
     """Flat key=value lines; # starts a comment; keys carry their section prefix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return training.read_config_text(fh.read(), path)
+    return training.read_config_text("".join(read_lines(path)), path)
 
 
 def build_config(file_values: dict | None = None,
@@ -262,8 +262,8 @@ def cmd_predict(args) -> int:
     names = None
     if cfg.label_map:
         names = load_label_map(cfg.label_map).reverse()
-    probs = training.forward_batches(params, mcfg, [s for s, _ in dataset])
-    preds = training.threshold_predict(probs, ocfg.threshold)
+    logits = training.forward_batches(params, mcfg, [s for s, _ in dataset])
+    preds = training.threshold_predict(logits, ocfg.threshold)
     lines = []
     for (cache, _), row in zip(entries, preds):
         positive = np.flatnonzero(row)

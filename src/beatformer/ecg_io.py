@@ -83,34 +83,42 @@ class LabelMap:
         return {idx: code for code, idx in self.scored.items()}
 
 
+def read_lines(path: str) -> list:
+    """Lines of a UTF-8 text file; undecodable bytes are a FormatError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_label_map(path: str) -> LabelMap:
     """Parse `code,class_index` and `alias=>canonical` lines."""
     scored = {}
     equivalences = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=>" in line:
-                alias, _, canon = line.partition("=>")
-                alias, canon = alias.strip(), canon.strip()
-                if not alias or not canon:
-                    raise FormatError(f"{path}:{lineno}: malformed equivalence {line!r}")
-                if alias in equivalences:
-                    raise FormatError(f"{path}:{lineno}: duplicate alias {alias}")
-                equivalences[alias] = canon
-            elif "," in line:
-                code, _, idx = line.partition(",")
-                code = code.strip()
-                if code in scored:
-                    raise FormatError(f"{path}:{lineno}: duplicate code {code}")
-                try:
-                    scored[code] = int(idx.strip())
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad class index {idx!r}") from exc
-            else:
-                raise FormatError(f"{path}:{lineno}: unrecognized label-map line {line!r}")
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=>" in line:
+            alias, _, canon = line.partition("=>")
+            alias, canon = alias.strip(), canon.strip()
+            if not alias or not canon:
+                raise FormatError(f"{path}:{lineno}: malformed equivalence {line!r}")
+            if alias in equivalences:
+                raise FormatError(f"{path}:{lineno}: duplicate alias {alias}")
+            equivalences[alias] = canon
+        elif "," in line:
+            code, _, idx = line.partition(",")
+            code = code.strip()
+            if code in scored:
+                raise FormatError(f"{path}:{lineno}: duplicate code {code}")
+            try:
+                scored[code] = int(idx.strip())
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad class index {idx!r}") from exc
+        else:
+            raise FormatError(f"{path}:{lineno}: unrecognized label-map line {line!r}")
     return LabelMap(scored, equivalences)
 
 
@@ -140,30 +148,29 @@ def _load_csv(path: str) -> EcgRecord:
     header = None
     body = []           # sample rows, parsed together after the loop
     body_lines = []     # their line numbers, for error messages
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                key = key.strip().lower()
-                if key == "fs":
-                    try:
-                        fs = float(value)
-                    except ValueError as exc:
-                        raise FormatError(f"{path}:{lineno}: bad fs {value!r}") from exc
-                elif key == "gain":
-                    gains = [_parse_gain_token(tok.strip(), f"{path}:{lineno}")
-                             for tok in value.split(",")]
-                elif key == "labels":
-                    labels = {tok.strip() for tok in value.split(";") if tok.strip()}
-                continue
-            if header is None:
-                header = [tok.strip() for tok in line.split(",")]
-                continue
-            body.append(line)
-            body_lines.append(lineno)
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            key = key.strip().lower()
+            if key == "fs":
+                try:
+                    fs = float(value)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad fs {value!r}") from exc
+            elif key == "gain":
+                gains = [_parse_gain_token(tok.strip(), f"{path}:{lineno}")
+                         for tok in value.split(",")]
+            elif key == "labels":
+                labels = {tok.strip() for tok in value.split(";") if tok.strip()}
+            continue
+        if header is None:
+            header = [tok.strip() for tok in line.split(",")]
+            continue
+        body.append(line)
+        body_lines.append(lineno)
 
     if fs is None:
         raise FormatError(f"{path}: missing #fs= metadata line")
@@ -214,8 +221,7 @@ def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarr
 
 
 def _load_wfdb(header_path: str) -> EcgRecord:
-    with open(header_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in read_lines(header_path)]
 
     record_line = None
     signal_lines = []
@@ -292,23 +298,17 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def load_record(path: str, format: str | None = None) -> EcgRecord:
-    """Load a recording; format inferred from the extension when not given."""
-    if format is None:
-        ext = os.path.splitext(path)[1].lower()
-        if ext == ".csv":
-            format = "csv"
-        elif ext in (".hea", ".dat"):
-            format = "wfdb"
-        else:
-            raise FormatError(f"cannot infer format of {path}; pass format=")
-    if format == "csv":
+def load_record(path: str) -> EcgRecord:
+    """Load a recording: .csv, or WFDB by its .hea header (or its .dat file)."""
+    stem, ext = os.path.splitext(path)
+    ext = ext.lower()
+    if ext == ".csv":
         return _load_csv(path)
-    if format == "wfdb":
-        if path.lower().endswith(".dat"):
-            path = os.path.splitext(path)[0] + ".hea"
+    if ext == ".hea":
         return _load_wfdb(path)
-    raise FormatError(f"unknown format {format!r}")
+    if ext == ".dat":
+        return _load_wfdb(stem + ".hea")
+    raise FormatError(f"cannot infer the format of {path} from its extension")
 
 
 def resample_record(rec: EcgRecord, target_fs: float) -> EcgRecord:

@@ -15,9 +15,8 @@ from . import autodiff as ad
 from . import transformer as tf
 from .autodiff import Parameter, Tensor
 from .beat_tokenizer import BeatSequence, load_tokens
+from .ecg_io import read_lines
 from .errors import CheckpointMismatchError, ConfigError, FormatError
-
-PROB_CLAMP = 1e-7
 
 PRETRAIN = "pretrain"
 CLASSIFY = "classify"
@@ -121,15 +120,13 @@ def mse_loss(pred: Tensor, target, target_mask) -> Tensor:
     return ad.mul(ad.sum_(masked), 1.0 / (count * d))
 
 
-def bce_loss(probs: Tensor, labels) -> Tensor:
-    """Binary cross entropy, mean over classes (and batch when batched)."""
-    y = np.asarray(labels, dtype=probs.data.dtype)
-    if y.shape != probs.shape:
-        raise ValueError(f"labels shape {y.shape} != probs shape {probs.shape}")
-    p = ad.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.mul(ad.log(p), y)
-    neg = ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - y)
-    return ad.mul(ad.mean(ad.add(pos, neg)), -1.0)
+def bce_loss(logits: Tensor, labels) -> Tensor:
+    """Binary cross entropy of sigmoid(logits), mean over classes (and batch
+    when batched)."""
+    y = np.asarray(labels, dtype=logits.data.dtype)
+    if y.shape != logits.shape:
+        raise ValueError(f"labels shape {y.shape} != logits shape {logits.shape}")
+    return ad.bce_with_logits(logits, y)
 
 
 def make_pretrain_pairs(seq: BeatSequence):
@@ -153,15 +150,18 @@ def make_pretrain_pairs(seq: BeatSequence):
     return inputs, targets, target_mask
 
 
-def threshold_predict(probs, threshold: float = 0.5) -> np.ndarray:
-    """Multi-hot vector: class positive iff probability strictly exceeds threshold."""
-    arr = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    return (arr > threshold).astype(np.int8)
+def threshold_predict(logits, threshold: float = 0.5) -> np.ndarray:
+    """Multi-hot vector: class positive iff sigmoid(logit) strictly exceeds threshold."""
+    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    return (ad.logistic(arr) > threshold).astype(np.int8)
 
 
 def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
                     batch_size: int = 32) -> np.ndarray:
-    """Inference-mode forward over a list of BeatSequences, stacked outputs."""
+    """Inference-mode forward over a list of BeatSequences, stacked outputs
+    (logits for the classifier head). Plain tensors over the parameter
+    arrays build no backward graph, so no activation outlives its layer."""
+    params = {name: Tensor(p.data) for name, p in params.items()}
     outs = []
     for lo in range(0, len(sequences), batch_size):
         chunk = sequences[lo : lo + batch_size]
@@ -182,8 +182,8 @@ def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
         raise ValueError("evaluate needs a non-empty dataset")
     sequences = [s for s, _ in dataset]
     labels = np.stack([np.asarray(y, dtype=np.int8) for _, y in dataset])
-    probs = forward_batches(params, config, sequences, batch_size)
-    preds = threshold_predict(probs, threshold)
+    logits = forward_batches(params, config, sequences, batch_size)
+    preds = threshold_predict(logits, threshold)
 
     tp = ((preds == 1) & (labels == 1)).sum(axis=0).astype(np.float64)
     fp = ((preds == 1) & (labels == 0)).sum(axis=0).astype(np.float64)
@@ -201,7 +201,7 @@ def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
     micro_f1 = (2 * micro_p * micro_r / (micro_p + micro_r)
                 if micro_p + micro_r > 0 else 0.0)
     exact = float(np.all(preds == labels, axis=1).mean())
-    mean_bce = float(bce_loss(Tensor(probs.astype(np.float64)),
+    mean_bce = float(bce_loss(Tensor(logits.astype(np.float64)),
                               labels.astype(np.float64)).item())
     return {
         "per_class": [
@@ -227,23 +227,22 @@ def load_manifest(path: str) -> list:
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cache, _, idx_field = line.partition("\t")
-            cache = cache.strip()
-            if not cache:
-                raise FormatError(f"{path}:{lineno}: empty cache path")
-            try:
-                indices = ({int(tok) for tok in idx_field.split(",") if tok.strip()}
-                           if idx_field.strip() else None)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad class index list "
-                                  f"{idx_field!r}") from exc
-            full = cache if os.path.isabs(cache) else os.path.join(base, cache)
-            entries.append((full, indices))
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        cache, _, idx_field = line.partition("\t")
+        cache = cache.strip()
+        if not cache:
+            raise FormatError(f"{path}:{lineno}: empty cache path")
+        try:
+            indices = ({int(tok) for tok in idx_field.split(",") if tok.strip()}
+                       if idx_field.strip() else None)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad class index list "
+                              f"{idx_field!r}") from exc
+        full = cache if os.path.isabs(cache) else os.path.join(base, cache)
+        entries.append((full, indices))
     return entries
 
 
@@ -391,15 +390,14 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
           resume: str | None = None,
           init_checkpoint: str | None = None,
           freeze_trunk: bool = False,
-          max_steps: int | None = None,
-          checkpoint_name: str = "model.ckpt",
-          log_name: str = "train_log.ndjson") -> dict:
-    """Run one training job and leave a checkpoint plus an ndjson log.
+          max_steps: int | None = None) -> dict:
+    """Run one training job and leave `model.ckpt` plus `train_log.ndjson`
+    in out_dir.
 
     manifest: path to a manifest file, or a preloaded list of
     (BeatSequence, multi-hot/None) pairs. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
-    "classify" trains the sigmoid multi-label head with BCE.
+    "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs must match exactly);
     init_checkpoint transfers a pre-trained trunk under a fresh head.
     max_steps stops mid-run after that many optimizer steps (checkpoint
@@ -478,8 +476,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             if name not in trainable:
                 p.requires_grad = False
     os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, checkpoint_name)
-    log_path = os.path.join(out_dir, log_name)
+    ckpt_path = os.path.join(out_dir, "model.ckpt")
+    log_path = os.path.join(out_dir, "train_log.ndjson")
     log_mode = "a" if resume else "w"
 
     last_loss = None
@@ -545,5 +543,5 @@ def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,
     tokens = np.stack([samples[i][0] for i in batch_idx])
     n_real = np.array([samples[i][1] for i in batch_idx], dtype=np.int64)
     labels = np.stack([samples[i][2] for i in batch_idx])
-    probs = tf.forward(tokens, n_real, config, params, training=True, rng=rng)
-    return bce_loss(probs, labels.astype(tokens.dtype))
+    logits = tf.forward(tokens, n_real, config, params, training=True, rng=rng)
+    return bce_loss(logits, labels.astype(tokens.dtype))

@@ -3,7 +3,8 @@
 Sinusoidal positional encoding, a stack of encoder layers (masked
 multi-head self-attention + feed-forward, post-norm residuals), and two
 interchangeable output heads: a per-position linear head for next-beat
-generation and a pooled sigmoid head for multi-label classification.
+generation and a pooled logits head for multi-label classification (the
+sigmoid is applied by the loss and by the threshold rule).
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .errors import FormatError
 
 NEG_INF = -1e9  # blocked attention score; large-negative instead of -inf to keep float32 NaN-free
 
@@ -70,19 +72,9 @@ def build_attention_mask(n_real, seq_len: int, causal: bool = True) -> np.ndarra
     (the head axis broadcasts).
     """
     j = np.arange(seq_len)
-    if np.ndim(n_real) == 0:
-        allowed = j[None, :] < int(n_real)
-        allowed = np.broadcast_to(allowed, (seq_len, seq_len)).copy()
-        if causal:
-            allowed &= j[None, :] <= j[:, None]
-        return allowed
     counts = np.asarray(n_real, dtype=np.int64)
-    allowed = j[None, None, :] < counts[:, None, None]
-    allowed = np.broadcast_to(allowed[:, :, None, :] if allowed.ndim == 3 else allowed,
-                              (counts.size, 1, seq_len, seq_len)).copy()
-    if causal:
-        allowed &= (j[None, :] <= j[:, None])[None, None, :, :]
-    return allowed
+    counts = counts.reshape(-1, 1, 1, 1) if counts.ndim else counts
+    return (j < counts) & ((j[None, :] <= j[:, None]) | (not causal))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -90,8 +82,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          return_weights: bool = False):
     """softmax(QKᵀ/√d_k)V with blocked scores set to -1e9 before the softmax."""
     d_k = q.shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, _swap_last(k.ndim))),
-                    1.0 / np.sqrt(d_k))
+    swap_last = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, swap_last)), 1.0 / np.sqrt(d_k))
     if allowed is not None:
         scores = ad.masked_fill(scores, ~allowed, NEG_INF)
     weights = ad.softmax(scores, axis=-1)
@@ -99,12 +91,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
     if return_weights:
         return out, weights
     return out
-
-
-def _swap_last(ndim: int) -> tuple:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
 
 
 def _linear(x: Tensor, params: dict, name: str) -> Tensor:
@@ -124,19 +110,18 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
     h, dk = config.n_heads, config.d_model // config.n_heads
     used = h * dk
     batch = x.shape[:-2]
+    # [..., seq, h, dk] <-> [..., h, seq, dk]; the permutation is its own inverse
+    axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
 
     def split_heads(t: Tensor) -> Tensor:
         if used < config.d_model:
             t = t[..., :used]
-        t = ad.reshape(t, batch + (seq, h, dk))
-        axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
-        return ad.transpose(t, axes)  # [..., h, seq, dk]
+        return ad.transpose(ad.reshape(t, batch + (seq, h, dk)), axes)
 
     q = split_heads(_linear(x, params, f"{prefix}.wq"))
     k = split_heads(_linear(x, params, f"{prefix}.wk"))
     v = split_heads(_linear(x, params, f"{prefix}.wv"))
     attended = scaled_dot_attention(q, k, v, allowed)
-    axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
     merged = ad.reshape(ad.transpose(attended, axes), batch + (seq, used))
     return _linear(merged, params, f"{prefix}.wo")
 
@@ -159,52 +144,35 @@ def encoder_layer(x: Tensor, params: dict, prefix: str,
                          params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
 
 
-def forward(tokens, n_real=None, config: ModelConfig = None, params: dict = None,
+def forward(tokens, n_real, config: ModelConfig, params: dict,
             training: bool = False, rng: ad.RngStream | None = None) -> Tensor:
     """Run the encoder stack on token sequences.
 
-    tokens: a beat sequence object (with .tokens and .n_real), a [seq, d_model]
-    array, or a [batch, seq, d_model] array; n_real gives the count of unpadded
-    positions (scalar, or one per batch row). Generative head returns
-    per-position predictions; classifier head mean-pools unpadded positions
-    and returns per-class probabilities.
+    tokens: [batch, seq, d_model] with one count of unpadded positions per
+    row in n_real, or a single [seq, d_model] sequence with a scalar n_real,
+    run as a batch of one and squeezed on the way out. The generative head
+    returns per-position predictions; the classifier head mean-pools the
+    unpadded positions and returns per-class logits.
     """
-    if hasattr(tokens, "tokens") and hasattr(tokens, "n_real"):
-        if n_real is None:
-            n_real = tokens.n_real
-        tokens = tokens.tokens
-    if n_real is None or config is None or params is None:
-        raise ValueError("forward needs n_real, config and params")
-    arr = tokens.data if isinstance(tokens, Tensor) else np.asarray(tokens)
-    batched = arr.ndim == 3
+    x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
+    single = x.ndim == 2
+    if single:
+        x = ad.reshape(x, (1,) + x.shape)
     counts = np.atleast_1d(np.asarray(n_real, dtype=np.int64))
     if np.any(counts <= 0):
         raise ValueError("sequence has no real beats")
-    seq = arr.shape[-2]
-    if seq > config.max_pos:
-        raise ValueError(f"sequence length {seq} exceeds max_pos {config.max_pos}")
-
-    pe = positional_encoding(config.max_pos, config.d_model, dtype=arr.dtype)[:seq]
-    x = ad.add(tokens if isinstance(tokens, Tensor) else Tensor(arr), pe)
-    if batched:
-        allowed = build_attention_mask(counts, seq, config.causal)
-    else:
-        allowed = build_attention_mask(int(counts[0]), seq, config.causal)
+    seq = x.shape[-2]  # multi_head_attention rejects seq > max_pos
+    x = ad.add(x, positional_encoding(seq, config.d_model, dtype=x.dtype))
+    allowed = build_attention_mask(counts, seq, config.causal)
     for i in range(config.n_encoders):
         x = encoder_layer(x, params, f"enc{i}", allowed, config, training, rng)
 
-    if config.head == GENERATIVE:
-        return _linear(x, params, "head")
-    real = (np.arange(seq)[None, :] < counts[:, None]).astype(arr.dtype)
-    if not batched:
-        real = real[0]
-    pooled = ad.mul(ad.sum_(ad.mul(x, real[..., None]), axis=-2),
-                    (1.0 / counts.astype(np.float64)).astype(arr.dtype)[..., None]
-                    if batched else 1.0 / float(counts[0]))
-    if not batched:
-        pooled = ad.reshape(pooled, (1, config.d_model))
-    out = ad.sigmoid(_linear(pooled, params, "head"))
-    return out if batched else ad.reshape(out, (config.d_class,))
+    if config.head == CLASSIFIER:
+        real = (np.arange(seq)[None, :] < counts[:, None]).astype(x.dtype)
+        x = ad.mul(ad.sum_(ad.mul(x, real[..., None]), axis=-2),
+                   (1.0 / counts.astype(np.float64)).astype(x.dtype)[:, None])
+    out = _linear(x, params, "head")
+    return ad.reshape(out, out.shape[1:]) if single else out
 
 
 def param_shapes(config: ModelConfig):
@@ -250,13 +218,14 @@ def count_parameters(config: ModelConfig) -> int:
 
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
                        dtype=np.float32) -> dict[str, Parameter]:
+    """Parameters for `config`; a missing or mis-shaped array is a FormatError."""
     params: dict[str, Parameter] = {}
     for name, shape, _ in param_shapes(config):
         if name not in arrays:
-            raise ValueError(f"checkpoint is missing parameter {name}")
+            raise FormatError(f"checkpoint is missing parameter {name}")
         arr = np.asarray(arrays[name], dtype=dtype)
         if arr.shape != shape:
-            raise ValueError(
+            raise FormatError(
                 f"parameter {name}: checkpoint shape {arr.shape} != expected {shape}")
         params[name] = Parameter(arr, name)
     return params

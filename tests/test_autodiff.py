@@ -264,6 +264,64 @@ class TestLayerNorm:
         check_grads(lambda: project(ad.layer_norm(x, gamma, beta), 44),
                     [x, gamma, beta])
 
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 3, 6)])
+    def test_matches_composite_reference(self, shape):
+        def reference(x, gamma, beta, eps=1e-6):
+            # the same normalization built from elementwise ops and reductions
+            mu = ad.mean(x, axis=-1, keepdims=True)
+            xc = ad.sub(x, mu)
+            var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
+            return ad.add(ad.mul(ad.div(xc, ad.sqrt(ad.add(var, eps))), gamma), beta)
+
+        x = rand(shape, 45, scale=3.0)
+        x.data += 2.0
+        gamma = Tensor(1.0 + 0.1 * ad.seeded_rng(46).normal(size=6), requires_grad=True)
+        beta = Tensor(0.1 * ad.seeded_rng(47).normal(size=6), requires_grad=True)
+        results = []
+        for op in (ad.layer_norm, reference):
+            out = op(x, gamma, beta)
+            ad.zero_grads([x, gamma, beta])
+            project(out, 48).backward()
+            results.append([out.data] + [t.grad.copy() for t in (x, gamma, beta)])
+        for fused, composite in zip(*results):
+            assert fused.shape == composite.shape
+            assert np.abs(fused - composite).max() < 1e-12
+
+    def test_one_graph_node(self):
+        x = rand((2, 3, 6), 49)
+        gamma, beta = self.gb(6)
+        out = ad.layer_norm(x, gamma, beta)
+        assert out._parents == (x, gamma, beta)
+
+
+class TestBceWithLogits:
+    def test_gradient(self):
+        z = rand((3, 4), 50, scale=2.0)
+        y = (ad.seeded_rng(51).random((3, 4)) > 0.5).astype(np.float64)
+        check_grads(lambda: ad.bce_with_logits(z, y), [z])
+
+    def test_matches_sigmoid_cross_entropy(self):
+        z = ad.seeded_rng(52).normal(size=(2, 5)) * 3.0
+        y = (ad.seeded_rng(53).random((2, 5)) > 0.5).astype(np.float64)
+        p = 1.0 / (1.0 + np.exp(-z))
+        expect = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        assert ad.bce_with_logits(Tensor(z), y).item() == pytest.approx(expect, rel=1e-12)
+
+    def test_saturated_wrong_prediction_keeps_gradient(self):
+        # a clip of sigmoid probabilities gives these two zero gradient
+        z = Tensor(np.array([1000.0, -1000.0]), requires_grad=True)
+        loss = ad.bce_with_logits(z, np.array([0.0, 1.0]))
+        assert loss.item() == pytest.approx(1000.0, rel=1e-12)
+        loss.backward()
+        # descent lowers the too-high logit and raises the too-low one
+        assert np.allclose(z.grad, [0.5, -0.5])
+
+    def test_float32_stays_float32(self):
+        z = Tensor(np.array([0.5, -2.0], dtype=np.float32), requires_grad=True)
+        loss = ad.bce_with_logits(z, np.array([1.0, 0.0]))
+        loss.backward()
+        assert loss.dtype == np.float32 and z.grad.dtype == np.float32
+
 
 class TestDropout:
     def test_inference_identity(self):

@@ -215,6 +215,23 @@ class TestPreprocess:
         assert any("folder.csv" in line for line in skips)
         assert "r1.tokens" in (out / "manifest.tsv").read_text()
 
+    @pytest.mark.parametrize("kind", ["csv", "wfdb"])
+    def test_non_utf8_record_reported_run_continues(self, record_dir, tmp_path,
+                                                    kind):
+        if kind == "csv":
+            (record_dir / "bad.csv").write_bytes(b"#fs=500\n#gain=1000\nI\n\xff\xfe10\n")
+        else:
+            write_wfdb_wavelet(record_dir, "bad")
+            header = record_dir / "bad.hea"
+            header.write_bytes(header.read_bytes() + b"#Dx: \xff\xfe\n")
+        out = tmp_path / "out"
+        rc = main(["preprocess", str(record_dir), "--out", str(out)])
+        assert rc == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        assert any(f"bad.{'csv' if kind == 'csv' else 'hea'}" in line
+                   and "UTF-8" in line for line in skips)
+        assert "r1.tokens" in (out / "manifest.tsv").read_text()
+
     def test_label_map_loaded_once(self, record_dir, tmp_path, label_map,
                                    monkeypatch):
         calls = []
@@ -225,12 +242,14 @@ class TestPreprocess:
                      "--label-map", label_map]) == 0
         assert calls == [label_map]
 
-    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "not_utf8"])
     def test_bad_label_map_is_an_error_line(self, record_dir, tmp_path, capsys,
                                             damage):
         lmap = tmp_path / "labels.txt"
         if damage == "malformed":
             lmap.write_text("AF,0\nnot a label line\n")
+        elif damage == "not_utf8":
+            lmap.write_bytes(b"AF,0\n\xff\xfe,1\n")
         rc = main(["preprocess", str(record_dir), "--out", str(tmp_path / "o"),
                    "--label-map", str(lmap)])
         assert rc == 1
@@ -353,6 +372,22 @@ class TestTrainCli:
         assert rc == 1
         assert "d_model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader", ["manifest", "config"])
+    def test_non_utf8_file_is_an_error_line(self, token_workspace, capsys, reader):
+        ws = token_workspace
+        bad = ws / f"bad.{reader}"
+        good = (ws / ("manifest.tsv" if reader == "manifest" else "model.cfg")).read_bytes()
+        bad.write_bytes(good + b"\xff\xfe\n")
+        files = {"manifest": ws / "manifest.tsv", "config": ws / "model.cfg", reader: bad}
+        rc = main(["pretrain", "--config", str(files["config"]),
+                   "--manifest", str(files["manifest"]), "--out", str(ws / "o")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(bad) in err[0] and "UTF-8" in err[0]
+        assert captured.out == ""
+
     def test_bad_detector_flag_exits_two(self, token_workspace):
         with pytest.raises(SystemExit) as exc:
             main(["preprocess", "dir", "--detector", "wavelet"])
@@ -469,6 +504,25 @@ class TestEvaluatePredictInspect:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
+
+    def test_checkpoint_missing_parameter_is_an_error_line(self, token_workspace,
+                                                           capsys):
+        ws = token_workspace
+        mcfg = tfm.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16,
+                               d_class=3, head=tfm.CLASSIFIER)
+        params = tfm.init_params(mcfg, seed=0)
+        del params["head.w"]  # a whole header over a payload that lacks it
+        tr.save_training_checkpoint(str(ws / "partial.ckpt"), params,
+                                    tr.AdamState.for_params(params), mcfg,
+                                    tr.OptimizerConfig(d_model=8), 0)
+        rc = main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                   "--checkpoint", str(ws / "partial.ckpt")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "head.w" in err[0]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["evaluate", "predict", "inspect"])
     def test_missing_file_is_an_error_line(self, token_workspace, tmp_path,

@@ -13,6 +13,11 @@ from beatformer.beat_tokenizer import save_tokens
 from beatformer.errors import CheckpointMismatchError, FormatError
 
 
+def logit(p):
+    """The logit whose sigmoid is probability p (0 < p < 1)."""
+    return np.log(p) - np.log1p(-np.asarray(p))
+
+
 class TestLrSchedule:
     def test_warmup_end_exact(self):
         assert tr.lr_schedule(4000) == 5.0e-4
@@ -172,37 +177,39 @@ class TestLosses:
         assert np.allclose(pred.grad, expect)
 
     def test_bce_half_is_ln2(self):
-        probs = Tensor(np.full(4, 0.5))
+        logits = Tensor(np.zeros(4))  # sigmoid(0) = 0.5
         labels = np.array([1.0, 0.0, 1.0, 0.0])
-        assert tr.bce_loss(probs, labels).item() == pytest.approx(math.log(2), rel=1e-12)
+        assert tr.bce_loss(logits, labels).item() == pytest.approx(math.log(2), rel=1e-12)
 
     def test_bce_hand_value(self):
-        loss = tr.bce_loss(Tensor(np.array([0.9])), np.array([1.0]))
+        loss = tr.bce_loss(Tensor(np.array([logit(0.9)])), np.array([1.0]))
         assert loss.item() == pytest.approx(-math.log(0.9), rel=1e-12)
 
     def test_bce_saturated_probs_stay_finite(self):
-        probs = Tensor(np.array([0.0, 1.0]))
-        loss = tr.bce_loss(probs, np.array([1.0, 0.0]))
+        # logits +-1000 saturate the sigmoid; both predictions are wrong
+        logits = Tensor(np.array([-1000.0, 1000.0]))
+        loss = tr.bce_loss(logits, np.array([1.0, 0.0]))
         assert np.isfinite(loss.item())
-        assert loss.item() == pytest.approx(-math.log(tr.PROB_CLAMP), rel=1e-6)
+        assert loss.item() == pytest.approx(1000.0, rel=1e-12)
 
     def test_bce_minimized_at_labels(self):
         y = np.array([1.0, 0.0, 1.0])
-        at_labels = tr.bce_loss(Tensor(y.copy()), y).item()
-        nearby = tr.bce_loss(Tensor(np.abs(y - 0.05)), y).item()
-        assert at_labels < nearby
+        toward = 2.0 * y - 1.0  # direction of logits that agree with y
+        losses = [tr.bce_loss(Tensor(t * toward), y).item() for t in (0.0, 1.0, 5.0, 30.0)]
+        assert all(a > b for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < 1e-12
 
     def test_bce_gradient_sign(self):
-        p = Tensor(np.array([0.3]), requires_grad=True)
-        tr.bce_loss(p, np.array([1.0])).backward()
-        assert p.grad[0] < 0  # raising p lowers the loss
-        q = Tensor(np.array([0.3]), requires_grad=True)
-        tr.bce_loss(q, np.array([0.0])).backward()
-        assert q.grad[0] > 0
+        z = Tensor(np.array([logit(0.3)]), requires_grad=True)
+        tr.bce_loss(z, np.array([1.0])).backward()
+        assert z.grad[0] < 0  # raising the logit lowers the loss
+        w = Tensor(np.array([logit(0.3)]), requires_grad=True)
+        tr.bce_loss(w, np.array([0.0])).backward()
+        assert w.grad[0] > 0
 
     def test_bce_shape_mismatch(self):
         with pytest.raises(ValueError):
-            tr.bce_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0]))
+            tr.bce_loss(Tensor(np.array([0.0, 0.0])), np.array([1.0]))
 
 
 class TestPretrainPairs:
@@ -240,22 +247,23 @@ class TestPretrainPairs:
 
 class TestThresholdPredict:
     def test_strictly_greater(self):
-        probs = np.array([0.5, 0.51, 0.49, 0.500001])
-        assert tr.threshold_predict(probs).tolist() == [0, 1, 0, 1]
+        # sigmoid(0) is exactly 0.5, which is not above the threshold
+        logits = logit(np.array([0.5, 0.51, 0.49, 0.500001]))
+        assert tr.threshold_predict(logits).tolist() == [0, 1, 0, 1]
 
     def test_recalibration(self):
-        probs = np.array([0.5, 0.2])
-        assert tr.threshold_predict(probs, threshold=0.4).tolist() == [1, 0]
+        logits = logit(np.array([0.5, 0.2]))
+        assert tr.threshold_predict(logits, threshold=0.4).tolist() == [1, 0]
 
     def test_tensor_input(self):
-        assert tr.threshold_predict(Tensor(np.array([0.9, 0.1]))).tolist() == [1, 0]
+        assert tr.threshold_predict(Tensor(logit(np.array([0.9, 0.1])))).tolist() == [1, 0]
 
 
 class TestEvaluate:
     def fixed_prob_eval(self, monkeypatch, probs, labels, threshold=0.5):
-        probs = np.asarray(probs, dtype=np.float64)
+        logits = logit(np.asarray(probs, dtype=np.float64))
         monkeypatch.setattr(tr, "forward_batches",
-                            lambda *a, **k: probs)
+                            lambda *a, **k: logits)
         dataset = [(None, np.asarray(y, np.int8)) for y in labels]
         cfg = tfm.ModelConfig(d_model=4, n_encoders=1, n_heads=1, dff=4,
                               max_pos=3, d_class=len(labels[0]),
@@ -312,6 +320,32 @@ class TestEvaluate:
         assert m["n_samples"] == 5
         assert 0.0 <= m["macro_f1"] <= 1.0
         assert np.isfinite(m["mean_bce"])
+
+
+class TestForwardBatches:
+    def test_builds_no_backward_graph(self, monkeypatch):
+        cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
+                              max_pos=4, d_class=2, dropout_rate=0.0,
+                              head=tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=0)
+        seqs = [s for s, _ in synth.labeled_dataset(6, 5, cfg.max_pos, cfg.d_model,
+                                                    cfg.d_class)]
+        expect = tfm.forward(np.stack([s.tokens for s in seqs]),
+                             np.array([s.n_real for s in seqs]), cfg, params).data
+        made = []
+        make = ad._make
+
+        def recording_make(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        logits = tr.forward_batches(params, cfg, seqs, batch_size=2)
+        assert made, "the forward ran no autodiff op"
+        assert all(not t._parents and t._backward_fn is None for t in made)
+        assert np.allclose(logits, expect, rtol=0, atol=1e-6)
+        assert all(p.requires_grad for p in params.values())
 
 
 class TestManifest:

@@ -7,6 +7,7 @@ from beatformer import autodiff as ad
 from beatformer import training as tr
 from beatformer import transformer as tfm
 from beatformer.autodiff import Tensor
+from beatformer.errors import FormatError
 
 
 def small_config(**kw):
@@ -299,13 +300,18 @@ class TestForward:
         out = tfm.forward(tokens, n_real=4, config=cfg, params=params)
         assert out.shape == (6, cfg.d_model)
 
-    def test_classifier_probabilities(self):
+    def test_classifier_logits(self):
         cfg = small_config(head=tfm.CLASSIFIER, dropout_rate=0.0)
         params = tfm.init_params(cfg, seed=13, dtype=np.float64)
         tokens = ad.seeded_rng(12).normal(size=(6, cfg.d_model))
         out = tfm.forward(tokens, n_real=3, config=cfg, params=params)
         assert out.shape == (cfg.d_class,)
-        assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
+        # logits of the pooled head: the head bias shifts them one for one
+        params["head.b"].data = params["head.b"].data + 3.0
+        shifted = tfm.forward(tokens, n_real=3, config=cfg, params=params)
+        assert np.allclose(shifted.data - out.data, 3.0, atol=1e-12)
+        probs = ad.sigmoid(out).data
+        assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_batched_matches_single(self):
         cfg = small_config(head=tfm.CLASSIFIER, dropout_rate=0.0)
@@ -341,23 +347,18 @@ class TestForward:
         b = tfm.forward(toks2, n_real=2, config=cfg, params=params).data
         assert np.abs(a - b).max() < 1e-12
 
-    def test_sequence_object_accepted(self):
-        from beatformer.beat_tokenizer import BeatSequence
-        cfg = small_config(dropout_rate=0.0)
-        params = tfm.init_params(cfg, seed=17, dtype=np.float64)
-        tokens = np.zeros((cfg.max_pos, cfg.d_model), dtype=np.float32)
-        tokens[:2] = 1.0
-        mask = np.zeros(cfg.max_pos, dtype=bool)
-        mask[:2] = True
-        seq = BeatSequence(tokens=tokens, mask=mask, n_real=2)
-        out = tfm.forward(seq, config=cfg, params=params)
-        assert out.shape == (cfg.max_pos, cfg.d_model)
-
     def test_no_real_beats_rejected(self):
         cfg = small_config()
         params = tfm.init_params(cfg, seed=18)
         with pytest.raises(ValueError):
             tfm.forward(np.zeros((4, cfg.d_model)), n_real=0,
+                        config=cfg, params=params)
+
+    def test_sequence_longer_than_max_pos_rejected(self):
+        cfg = small_config()
+        params = tfm.init_params(cfg, seed=18)
+        with pytest.raises(ValueError, match="max_pos"):
+            tfm.forward(np.zeros((2, cfg.max_pos + 1, cfg.d_model)), n_real=[1, 2],
                         config=cfg, params=params)
 
     def test_full_size_model_runs(self):
@@ -397,7 +398,9 @@ class TestConfigCompat:
 
     def test_arrays_shape_mismatch_rejected(self):
         cfg = small_config()
-        arrays = {name: p.data for name, p in tfm.init_params(cfg, seed=21).items()}
-        arrays["head.w"] = arrays["head.w"][:, :4]
-        with pytest.raises(ValueError):
-            tfm.params_from_arrays(arrays, cfg)
+        good = {name: p.data for name, p in tfm.init_params(cfg, seed=21).items()}
+        misshaped = dict(good, **{"head.w": good["head.w"][:, :4]})
+        missing = {k: v for k, v in good.items() if k != "head.w"}
+        for arrays, message in ((misshaped, "shape"), (missing, "missing")):
+            with pytest.raises(FormatError, match=message):
+                tfm.params_from_arrays(arrays, cfg)
