@@ -3,7 +3,8 @@
 Each beat is cut from the RMS-fused signal around its R-peak: one third
 of the preceding R-R interval before the peak, two thirds of the
 following R-R interval after, anchored so the R sample always lands at
-the same token index, zero-padded elsewhere. Sequences cap at 50 beats.
+the same token index, zero-padded elsewhere. A sequence holds only its
+real beats, at most 50; padding is left to the batch.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ MAX_POS = 50
 R_ANCHOR = TOKEN_LEN // 3  # 333
 
 _MAGIC = b"BFTS"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -37,26 +38,20 @@ class BeatToken:
 
 @dataclass
 class BeatSequence:
-    """Up to MAX_POS real beats, zero-padded at the end.
-
-    tokens: [max_pos, d_model] float32; mask[i] true for real beats, which
-    always form a prefix; n_real = mask.sum().
-    """
+    """The real beats of one recording, in order: tokens is [n_real, d_model]
+    float32 with 1 <= n_real <= MAX_POS. Batches pad; sequences do not."""
     tokens: np.ndarray
-    mask: np.ndarray
-    n_real: int
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.float32)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.tokens.ndim != 2 or self.mask.shape != (self.tokens.shape[0],):
-            raise ValueError("tokens must be [max_pos, d_model] with a matching mask")
-        if int(self.mask.sum()) != self.n_real:
-            raise ValueError("n_real disagrees with the mask")
-        if self.n_real and not self.mask[: self.n_real].all():
-            raise ValueError("real beats must form a prefix of the sequence")
-        if self.mask[self.n_real :].any():
-            raise ValueError("padding must follow all real beats")
+        if self.tokens.ndim != 2:
+            raise ValueError("tokens must be [n_real, d_model]")
+        if not 1 <= self.n_real <= MAX_POS:
+            raise ValueError(f"a sequence holds 1..{MAX_POS} beats, got {self.n_real}")
+
+    @property
+    def n_real(self) -> int:
+        return self.tokens.shape[0]
 
     @property
     def d_model(self) -> int:
@@ -113,31 +108,22 @@ def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> BeatToken:
     return BeatToken(values, anchor)
 
 
-def build_sequence(fused, peaks, max_pos: int = MAX_POS,
-                   d_model: int = TOKEN_LEN) -> BeatSequence:
-    """Tokenize the first min(len(peaks), max_pos) beats and pad to max_pos."""
+def build_sequence(fused, peaks) -> BeatSequence:
+    """Tokenize the first min(len(peaks), MAX_POS) beats."""
     idx = peaks.indices if isinstance(peaks, PeakList) else np.asarray(peaks, dtype=np.int64)
     if idx.size == 0:
         raise NoBeatsError("no beats detected")
-    n_real = min(int(idx.size), max_pos)
-    tokens = np.zeros((max_pos, d_model), dtype=np.float32)
-    for k in range(n_real):
-        tokens[k] = segment_beat(fused, idx, k, d_model).values
-    mask = np.zeros(max_pos, dtype=bool)
-    mask[:n_real] = True
-    return BeatSequence(tokens, mask, n_real)
+    return BeatSequence(np.stack([segment_beat(fused, idx, k).values
+                                  for k in range(min(int(idx.size), MAX_POS))]))
 
 
 def save_tokens(path: str, seq: BeatSequence):
-    """Serialize: magic, version, n_real, d_model, then MAX_POS x d_model
-    little-endian float32 values and MAX_POS mask bytes."""
-    if seq.tokens.shape[0] != MAX_POS:
-        raise ValueError(f"cache format holds exactly {MAX_POS} positions")
+    """Serialize: magic, then version, n_real, d_model as little-endian
+    uint32, then n_real x d_model little-endian float32 values."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, seq.n_real, seq.d_model))
         fh.write(np.ascontiguousarray(seq.tokens, dtype="<f4").tobytes())
-        fh.write(seq.mask.astype(np.uint8).tobytes())
 
 
 def load_tokens(path: str) -> BeatSequence:
@@ -149,13 +135,12 @@ def load_tokens(path: str) -> BeatSequence:
         raise FormatError(f"{path}: truncated header")
     version, n_real, d_model = struct.unpack("<III", blob[4:16])
     if version != _VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    need = 16 + MAX_POS * d_model * 4 + MAX_POS
+        raise FormatError(f"{path}: unsupported cache version {version}"
+                          + ("; re-run preprocess" if version == 1 else ""))
+    if not 1 <= n_real <= MAX_POS:
+        raise FormatError(f"{path}: header claims {n_real} beats, not 1..{MAX_POS}")
+    need = 16 + n_real * d_model * 4
     if len(blob) != need:
         raise FormatError(f"{path}: {len(blob)} bytes, expected {need}")
-    tokens = np.frombuffer(blob[16 : 16 + MAX_POS * d_model * 4],
-                           dtype="<f4").reshape(MAX_POS, d_model).copy()
-    mask = np.frombuffer(blob[16 + MAX_POS * d_model * 4 :], dtype=np.uint8).astype(bool)
-    if int(mask.sum()) != n_real or (n_real and not mask[:n_real].all()):
-        raise FormatError(f"{path}: mask does not match n_real={n_real}")
-    return BeatSequence(tokens, mask, int(n_real))
+    return BeatSequence(np.frombuffer(blob, dtype="<f4", offset=16)
+                        .reshape(n_real, d_model).copy())

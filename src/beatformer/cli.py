@@ -240,8 +240,7 @@ def cmd_evaluate(args) -> int:
     if mcfg.head != tf.CLASSIFIER:
         raise CheckpointMismatchError(
             f"evaluate needs a classifier checkpoint, got head={mcfg.head!r}")
-    dataset = training.load_dataset(_require_manifest(cfg), mcfg.d_class,
-                                    require_labels=True)
+    dataset = training.load_dataset(_require_manifest(cfg), mcfg, require_labels=True)
     _check_cache_width(dataset, mcfg, args.checkpoint)
     metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
     print(json.dumps(metrics, indent=2))
@@ -256,7 +255,7 @@ def cmd_predict(args) -> int:
             f"predict needs a classifier checkpoint, got head={mcfg.head!r}")
     manifest = _require_manifest(cfg)
     entries = training.load_manifest(manifest)
-    dataset = training.load_dataset(manifest, mcfg.d_class)
+    dataset = training.load_dataset(manifest, mcfg)
     _check_cache_width(dataset, mcfg, args.checkpoint)
 
     names = None
@@ -280,8 +279,7 @@ def cmd_predict(args) -> int:
 def cmd_inspect(args) -> int:
     seq = load_tokens(args.cache)
     anchor = seq.d_model // 3
-    print(f"{args.cache}: {seq.n_real} real beats of {seq.tokens.shape[0]} positions, "
-          f"d_model={seq.d_model}")
+    print(f"{args.cache}: {seq.n_real} real beats, d_model={seq.d_model}")
     for k in range(seq.n_real):
         tok = seq.tokens[k]
         nz = np.flatnonzero(tok)

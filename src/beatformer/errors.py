@@ -23,7 +23,8 @@ class InconsistencyError(BeatformerError):
 
 
 class EmptyInputError(BeatformerError):
-    """An operation received a record or signal with no samples."""
+    """An operation received nothing to work on: a record or signal with no
+    samples, or a dataset with no usable sequence."""
 
 
 class FilterDesignError(BeatformerError):

@@ -14,9 +14,9 @@ import numpy as np
 from . import autodiff as ad
 from . import transformer as tf
 from .autodiff import Parameter, Tensor
-from .beat_tokenizer import BeatSequence, load_tokens
+from .beat_tokenizer import load_tokens
 from .ecg_io import read_lines
-from .errors import CheckpointMismatchError, ConfigError, FormatError
+from .errors import CheckpointMismatchError, ConfigError, EmptyInputError, FormatError
 
 PRETRAIN = "pretrain"
 CLASSIFY = "classify"
@@ -129,44 +129,30 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
     return ad.bce_with_logits(logits, y)
 
 
-def make_pretrain_pairs(seq: BeatSequence):
-    """Teacher-forced next-beat pair for one sequence.
-
-    Returns (inputs, targets, target_mask) where inputs hold tokens
-    0..n_real-2 (rest zero), targets[i] = token i+1 on the supervised
-    prefix, and target_mask marks exactly those n_real-1 positions.
-    Sequences with fewer than two real beats cannot supervise anything;
-    returns None as the skip signal.
-    """
-    n = seq.n_real
-    if n < 2:
-        return None
-    inputs = seq.tokens.copy()
-    inputs[n - 1 :] = 0.0
-    targets = np.zeros_like(seq.tokens)
-    targets[: n - 1] = seq.tokens[1:n]
-    target_mask = np.zeros(seq.tokens.shape[0], dtype=bool)
-    target_mask[: n - 1] = True
-    return inputs, targets, target_mask
-
-
 def threshold_predict(logits, threshold: float = 0.5) -> np.ndarray:
     """Multi-hot vector: class positive iff sigmoid(logit) strictly exceeds threshold."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     return (ad.logistic(arr) > threshold).astype(np.int8)
 
 
+def pad_batch(rows: list) -> tuple:
+    """Zero-pad [n_i, d] token arrays to the longest: ([B, max n_i, d], n_i [B])."""
+    n_real = np.array([len(r) for r in rows], dtype=np.int64)
+    tokens = np.zeros((len(rows), n_real.max(), rows[0].shape[1]), dtype=rows[0].dtype)
+    for b, r in enumerate(rows):
+        tokens[b, : len(r)] = r
+    return tokens, n_real
+
+
 def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
                     batch_size: int = 32) -> np.ndarray:
-    """Inference-mode forward over a list of BeatSequences, stacked outputs
-    (logits for the classifier head). Plain tensors over the parameter
-    arrays build no backward graph, so no activation outlives its layer."""
+    """Classifier logits for a list of BeatSequences, in their order, run
+    batch_size at a time. Plain tensors over the parameter arrays build no
+    backward graph, so no activation outlives its layer."""
     params = {name: Tensor(p.data) for name, p in params.items()}
     outs = []
     for lo in range(0, len(sequences), batch_size):
-        chunk = sequences[lo : lo + batch_size]
-        tokens = np.stack([s.tokens for s in chunk])
-        n_real = np.array([s.n_real for s in chunk])
+        tokens, n_real = pad_batch([s.tokens for s in sequences[lo : lo + batch_size]])
         outs.append(tf.forward(tokens, n_real, config, params, training=False).data)
     return np.concatenate(outs, axis=0)
 
@@ -255,18 +241,28 @@ def multi_hot(indices, d_class: int) -> np.ndarray:
     return out
 
 
-def load_dataset(manifest_path: str, d_class: int | None = None,
+def load_dataset(manifest_path: str, config: tf.ModelConfig,
                  require_labels: bool = False) -> list:
-    """List of (BeatSequence, multi-hot or None) from a manifest file."""
+    """List of (BeatSequence, multi-hot or None) from a manifest file.
+
+    A cache longer than config.max_pos, or a class index outside
+    config.d_class, is a ConfigError naming the cache.
+    """
     out = []
     for cache, indices in load_manifest(manifest_path):
         seq = load_tokens(cache)
+        if seq.n_real > config.max_pos:
+            raise ConfigError(f"{cache}: {seq.n_real} beats exceed "
+                              f"model.max_pos={config.max_pos}")
         if indices is None:
             if require_labels:
                 raise FormatError(f"{cache}: record has no labels but labels are required")
             out.append((seq, None))
-        else:
-            out.append((seq, multi_hot(indices, d_class)))
+            continue
+        try:
+            out.append((seq, multi_hot(indices, config.d_class)))
+        except ValueError as exc:
+            raise ConfigError(f"{cache}: {exc} (model.d_class={config.d_class})") from exc
     if not out:
         raise FormatError(f"{manifest_path}: empty manifest")
     return out
@@ -406,13 +402,12 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     if mode not in (PRETRAIN, CLASSIFY):
         raise ValueError(f"unknown training mode {mode!r}")
     if resume and init_checkpoint:
-        raise ValueError("resume and init_checkpoint are mutually exclusive")
+        raise ConfigError("--resume and --init-checkpoint are mutually exclusive")
     config = model_config.with_head(
         tf.GENERATIVE if mode == PRETRAIN else tf.CLASSIFIER)
 
     if isinstance(manifest, str):
-        dataset = load_dataset(manifest, config.d_class,
-                               require_labels=(mode == CLASSIFY))
+        dataset = load_dataset(manifest, config, require_labels=(mode == CLASSIFY))
     else:
         dataset = list(manifest)
     if not dataset:
@@ -423,20 +418,12 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             f"token caches have d_model={width} but the model is configured "
             f"with d_model={config.d_model}")
 
-    if mode == PRETRAIN:
-        samples = []
-        skipped = 0
-        for seq, _ in dataset:
-            pair = make_pretrain_pairs(seq)
-            if pair is None:
-                skipped += 1
-                continue
-            samples.append(pair)
-        if not samples:
-            raise ValueError("no sequence has >= 2 beats; nothing to pre-train on")
-    else:
-        samples = [(seq.tokens, seq.n_real, y) for seq, y in dataset]
-        skipped = 0
+    # next-beat pre-training needs a second beat to predict
+    samples = [(seq.tokens, y) for seq, y in dataset
+               if mode == CLASSIFY or seq.n_real >= 2]
+    skipped = len(dataset) - len(samples)
+    if not samples:
+        raise EmptyInputError("no sequence has >= 2 beats; nothing to pre-train on")
 
     start_epoch = 1
     if resume:
@@ -533,15 +520,12 @@ def _trainable(params: dict, freeze_trunk: bool) -> dict:
 def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,
                 config: tf.ModelConfig, params: dict,
                 rng: ad.RngStream) -> Tensor:
+    tokens, n_real = pad_batch([samples[i][0] for i in batch_idx])
     if mode == PRETRAIN:
-        inputs = np.stack([samples[i][0] for i in batch_idx])
-        targets = np.stack([samples[i][1] for i in batch_idx])
-        masks = np.stack([samples[i][2] for i in batch_idx])
-        n_real = masks.sum(axis=1).astype(np.int64)
-        out = tf.forward(inputs, n_real, config, params, training=True, rng=rng)
-        return mse_loss(out, targets.astype(inputs.dtype), masks)
-    tokens = np.stack([samples[i][0] for i in batch_idx])
-    n_real = np.array([samples[i][1] for i in batch_idx], dtype=np.int64)
-    labels = np.stack([samples[i][2] for i in batch_idx])
+        # teacher forcing: position i sees beats 0..i and predicts beat i+1
+        inputs, targets, counts = tokens[:, :-1], tokens[:, 1:], n_real - 1
+        out = tf.forward(inputs, counts, config, params, training=True, rng=rng)
+        return mse_loss(out, targets, np.arange(inputs.shape[1]) < counts[:, None])
+    labels = np.stack([samples[i][1] for i in batch_idx])
     logits = tf.forward(tokens, n_real, config, params, training=True, rng=rng)
     return bce_loss(logits, labels.astype(tokens.dtype))

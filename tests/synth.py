@@ -4,10 +4,12 @@ The ECG stand-in is a train of Gaussian-modulated cosine wavelets: the
 envelope peaks exactly at each wavelet center, so the center sample is
 the ground-truth R location by construction.
 """
+import struct
+
 import numpy as np
 
 from beatformer import autodiff as ad
-from beatformer.beat_tokenizer import BeatSequence
+from beatformer.beat_tokenizer import MAX_POS, BeatSequence
 
 CARRIER_HZ = 15.0
 SIGMA_S = 0.030
@@ -64,11 +66,19 @@ def wavelet_csv(path, fs=500.0, duration_s=12.0, bpm=72, labels=None,
 
 
 def random_sequence(rng, max_pos, d_model, n_real=None):
+    """n_real (default: drawn from 3..max_pos) random real beats."""
     if n_real is None:
         n_real = int(rng.integers(3, max_pos + 1))
-    tokens = np.zeros((max_pos, d_model), dtype=np.float32)
-    tokens[:n_real] = rng.normal(size=(n_real, d_model)).astype(np.float32)
-    return BeatSequence(tokens, np.arange(max_pos) < n_real, n_real)
+    return BeatSequence(rng.normal(size=(n_real, d_model)).astype(np.float32))
+
+
+def v1_cache(seq):
+    """The bytes of a version-1 token cache: 50 zero-padded rows, 50 mask bytes."""
+    tokens = np.zeros((MAX_POS, seq.d_model), dtype="<f4")
+    tokens[: seq.n_real] = seq.tokens
+    mask = (np.arange(MAX_POS) < seq.n_real).astype(np.uint8)
+    return (b"BFTS" + struct.pack("<III", 1, seq.n_real, seq.d_model)
+            + tokens.tobytes() + mask.tobytes())
 
 
 def labeled_dataset(seed, n_samples, max_pos, d_model, d_class):
@@ -92,7 +102,5 @@ def constant_beat_dataset(seed, n_samples, max_pos, d_model):
     out = []
     for i in range(n_samples):
         n_real = int(rng.integers(max(2, max_pos - 3), max_pos + 1))
-        tokens = np.zeros((max_pos, d_model), dtype=np.float32)
-        tokens[:n_real] = beat
-        out.append((BeatSequence(tokens, np.arange(max_pos) < n_real, n_real), None))
+        out.append((BeatSequence(np.tile(beat, (n_real, 1))), None))
     return out

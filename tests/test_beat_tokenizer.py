@@ -1,6 +1,11 @@
+import os
+import re
+import struct
+
 import numpy as np
 import pytest
 
+import synth
 from beatformer import beat_tokenizer as bt
 from beatformer.dsp import PeakList
 from beatformer.ecg_io import EcgRecord
@@ -139,18 +144,21 @@ class TestBuildSequence:
         fused = ramp(20000)
         peaks = np.arange(10) * 500 + 1000
         seq = bt.build_sequence(fused, peaks)
+        # a short recording keeps its real beats and gains no padding rows
         assert seq.n_real == 10
-        assert seq.mask.tolist() == [True] * 10 + [False] * 40
-        assert np.all(seq.tokens[10:] == 0.0)
+        assert seq.tokens.shape == (10, bt.TOKEN_LEN)
+        assert np.all(seq.tokens[:, bt.R_ANCHOR] != 0.0)
 
     def test_truncation_rule(self):
         fused = ramp(50000)
         peaks = np.arange(80) * 500 + 1000
         seq = bt.build_sequence(fused, peaks)
         assert seq.n_real == 50
-        assert seq.mask.all()
+        assert seq.tokens.shape == (50, bt.TOKEN_LEN)
         first = bt.segment_beat(fused, peaks, 0)
+        last = bt.segment_beat(fused, peaks, 49)
         assert np.array_equal(seq.tokens[0], first.values)
+        assert np.array_equal(seq.tokens[49], last.values)
 
     def test_zero_peaks_error(self):
         with pytest.raises(NoBeatsError, match="no beats detected"):
@@ -178,30 +186,28 @@ class TestBuildSequence:
 
 
 class TestSequenceValidation:
-    def test_mask_must_be_prefix(self):
-        tokens = np.zeros((4, 3), dtype=np.float32)
+    def test_tokens_must_be_2d(self):
         with pytest.raises(ValueError):
-            bt.BeatSequence(tokens, np.array([True, False, True, False]), 2)
+            bt.BeatSequence(np.zeros(3, np.float32))
+        with pytest.raises(ValueError):
+            bt.BeatSequence(np.zeros((1, 2, 3), np.float32))
 
-    def test_n_real_must_match(self):
-        tokens = np.zeros((4, 3), dtype=np.float32)
-        with pytest.raises(ValueError):
-            bt.BeatSequence(tokens, np.array([True, True, False, False]), 3)
+    def test_n_real_within_bounds(self):
+        for n_real in (0, bt.MAX_POS + 1):
+            with pytest.raises(ValueError, match="1..50"):
+                bt.BeatSequence(np.zeros((n_real, 3), np.float32))
+        assert bt.BeatSequence(np.zeros((bt.MAX_POS, 3))).n_real == bt.MAX_POS
 
     def test_d_model_property(self):
-        seq = bt.BeatSequence(np.zeros((4, 7), np.float32),
-                              np.array([True, False, False, False]), 1)
-        assert seq.d_model == 7
+        seq = bt.BeatSequence(np.zeros((4, 7)))
+        assert seq.d_model == 7 and seq.n_real == 4
+        assert seq.tokens.dtype == np.float32
 
 
 class TestCacheFormat:
-    def make_seq(self, seed=0, d_model=1000):
+    def make_seq(self, seed=0, d_model=1000, n_real=9):
         rng = np.random.default_rng(seed)
-        n_real = 9
-        tokens = np.zeros((bt.MAX_POS, d_model), dtype=np.float32)
-        tokens[:n_real] = rng.normal(size=(n_real, d_model)).astype(np.float32)
-        mask = np.arange(bt.MAX_POS) < n_real
-        return bt.BeatSequence(tokens, mask, n_real)
+        return bt.BeatSequence(rng.normal(size=(n_real, d_model)).astype(np.float32))
 
     def test_round_trip(self, tmp_path):
         seq = self.make_seq()
@@ -209,14 +215,16 @@ class TestCacheFormat:
         bt.save_tokens(p, seq)
         back = bt.load_tokens(p)
         assert np.array_equal(back.tokens, seq.tokens)
-        assert np.array_equal(back.mask, seq.mask)
         assert back.n_real == seq.n_real
 
     def test_file_size_fixed(self, tmp_path):
+        # the size is fixed by the header: 16 bytes plus n_real float32 rows
         p = str(tmp_path / "a.tokens")
-        bt.save_tokens(p, self.make_seq())
-        import os
-        assert os.path.getsize(p) == 4 + 12 + 50 * 1000 * 4 + 50
+        for n_real in (1, 9, 50):
+            bt.save_tokens(p, self.make_seq(n_real=n_real))
+            assert os.path.getsize(p) == 16 + 4 * n_real * 1000
+            with open(p, "rb") as fh:
+                assert fh.read(16) == b"BFTS" + struct.pack("<III", 2, n_real, 1000)
 
     def test_byte_determinism(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -244,8 +252,14 @@ class TestCacheFormat:
         blob = bytearray(open(p, "rb").read())
         blob[4] = 99
         open(p, "wb").write(bytes(blob))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(p)):
             bt.load_tokens(p)
+
+    def test_version_1_refused(self, tmp_path):
+        p = tmp_path / "old.tokens"
+        p.write_bytes(synth.v1_cache(self.make_seq()))
+        with pytest.raises(FormatError, match="version 1.*preprocess"):
+            bt.load_tokens(str(p))
 
     def test_truncated_file(self, tmp_path):
         p = str(tmp_path / "t.tokens")
@@ -255,17 +269,27 @@ class TestCacheFormat:
         with pytest.raises(FormatError):
             bt.load_tokens(p)
 
-    def test_mask_consistency_checked(self, tmp_path):
+    def test_header_count_must_match_size(self, tmp_path):
         p = str(tmp_path / "m.tokens")
-        bt.save_tokens(p, self.make_seq())
-        blob = bytearray(open(p, "rb").read())
-        blob[-1] = 1  # claim the last slot is real; n_real says otherwise
-        open(p, "wb").write(bytes(blob))
-        with pytest.raises(FormatError):
-            bt.load_tokens(p)
+        for n_real in (8, 10):
+            bt.save_tokens(p, self.make_seq())  # 9 beats on disk
+            blob = bytearray(open(p, "rb").read())
+            blob[8:12] = struct.pack("<I", n_real)
+            open(p, "wb").write(bytes(blob))
+            with pytest.raises(FormatError, match=re.escape(p)):
+                bt.load_tokens(p)
+
+    @pytest.mark.parametrize("n_real", [0, bt.MAX_POS + 1])
+    def test_header_count_out_of_range(self, tmp_path, n_real):
+        p = tmp_path / "r.tokens"
+        p.write_bytes(b"BFTS" + struct.pack("<III", 2, n_real, 4)
+                      + bytes(16 * n_real))  # size agrees with the header
+        with pytest.raises(FormatError, match="1..50"):
+            bt.load_tokens(str(p))
 
     def test_wrong_row_count_rejected_on_save(self, tmp_path):
-        seq = bt.BeatSequence(np.zeros((4, 3), np.float32),
-                              np.array([True, False, False, False]), 1)
+        # a 51-row sequence cannot be built, so it never reaches a cache
+        p = tmp_path / "w"
         with pytest.raises(ValueError):
-            bt.save_tokens(str(tmp_path / "w"), seq)
+            bt.save_tokens(str(p), bt.BeatSequence(np.zeros((bt.MAX_POS + 1, 3))))
+        assert not p.exists()

@@ -552,3 +552,81 @@ class TestEvaluatePredictInspect:
         rc = main(["inspect", str(p)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def error_line(capsys):
+    """The single stderr line of a failed command; nothing went to stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    assert captured.out == ""
+    return err[0]
+
+
+def write_caches(ws, counts, labels="0"):
+    """One cache per beat count, s{i}.tokens, and a manifest listing them."""
+    rng = ad.seeded_rng(len(counts))
+    for i, n in enumerate(counts):
+        save_tokens(str(ws / f"s{i}.tokens"), synth.random_sequence(rng, 50, 8, n_real=n))
+    (ws / "manifest.tsv").write_text(
+        "".join(f"s{i}.tokens\t{labels}\n" for i in range(len(counts))))
+
+
+class TestBadInputIsAnErrorLine:
+    def test_pretrain_without_two_beat_sequences(self, token_workspace, capsys):
+        ws = token_workspace
+        write_caches(ws, [1, 1, 1])
+        rc = main(["pretrain", "--config", str(ws / "model.cfg"),
+                   "--manifest", str(ws / "manifest.tsv"), "--out", str(ws / "o")])
+        assert rc == 1
+        assert ">= 2 beats" in error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_class_index_outside_d_class(self, token_workspace, capsys, command):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        (ws / "bad.tsv").write_text("s0.tokens\t1\ns1.tokens\t99\n")
+        capsys.readouterr()
+        common = ["--manifest", str(ws / "bad.tsv")]
+        argv = {"train": ["train", "--config", str(ws / "model.cfg"),
+                          "--out", str(ws / "o")] + common,
+                "evaluate": ["evaluate", "--checkpoint", ckpt] + common,
+                "predict": ["predict", "--checkpoint", ckpt] + common}
+        assert main(argv[command]) == 1
+        err = error_line(capsys)
+        assert "s1.tokens" in err and "99" in err and "d_class=3" in err
+
+    def test_resume_with_init_checkpoint(self, token_workspace, capsys):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        capsys.readouterr()
+        rc = main(["train", "--config", str(ws / "model.cfg"),
+                   "--manifest", str(ws / "manifest.tsv"), "--out", str(ws / "o"),
+                   "--resume", ckpt, "--init-checkpoint", ckpt])
+        assert rc == 1
+        assert "mutually exclusive" in error_line(capsys)
+
+    def test_max_pos_below_50(self, token_workspace, capsys):
+        ws = token_workspace
+        (ws / "short.cfg").write_text(small_cfg_text(**{"model.max_pos": 20}))
+        write_caches(ws, [20, 3, 12])
+        argv = ["pretrain", "--config", str(ws / "short.cfg"),
+                "--manifest", str(ws / "manifest.tsv"), "--out", str(ws / "o")]
+        assert main(argv) == 0  # every cache fits in 20 positions
+        capsys.readouterr()
+        write_caches(ws, [20, 3, 21])
+        assert main(argv) == 1
+        err = error_line(capsys)
+        assert str(ws / "s2.tokens") in err and "max_pos=20" in err
+
+    def test_version_1_cache(self, token_workspace, capsys):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        old = ws / "s3.tokens"
+        old.write_bytes(synth.v1_cache(load_tokens(str(old))))
+        capsys.readouterr()
+        rc = main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                   "--checkpoint", ckpt])
+        assert rc == 1
+        err = error_line(capsys)
+        assert str(old) in err and "version 1" in err

@@ -10,7 +10,7 @@ from beatformer import training as tr
 from beatformer import transformer as tfm
 from beatformer.autodiff import Parameter, Tensor
 from beatformer.beat_tokenizer import save_tokens
-from beatformer.errors import CheckpointMismatchError, FormatError
+from beatformer.errors import CheckpointMismatchError, ConfigError, EmptyInputError, FormatError
 
 
 def logit(p):
@@ -212,37 +212,88 @@ class TestLosses:
             tr.bce_loss(Tensor(np.array([0.0, 0.0])), np.array([1.0]))
 
 
+def pretrain_batch(monkeypatch, seqs):
+    """What _batch_loss feeds the encoder and the loss in pretrain mode:
+    (inputs, counts, targets, target_mask) for one batch of `seqs`."""
+    seen = {}
+
+    def forward(tokens, n_real, *args, **kwargs):
+        seen["inputs"], seen["counts"] = tokens, n_real
+        return Tensor(np.zeros_like(tokens))
+
+    def mse(pred, target, target_mask):
+        seen["targets"], seen["mask"] = np.asarray(target), np.asarray(target_mask)
+        return Tensor(np.zeros(()))
+
+    monkeypatch.setattr(tfm, "forward", forward)
+    monkeypatch.setattr(tr, "mse_loss", mse)
+    tr._batch_loss([(s.tokens, None) for s in seqs], np.arange(len(seqs)),
+                   tr.PRETRAIN, tiny_model(), {}, None)
+    return seen["inputs"], seen["counts"], seen["targets"], seen["mask"]
+
+
 class TestPretrainPairs:
-    def test_two_beats(self):
+    def test_two_beats(self, monkeypatch):
         rng = ad.seeded_rng(2)
         seq = synth.random_sequence(rng, 5, 4, n_real=2)
-        inputs, targets, mask = tr.make_pretrain_pairs(seq)
-        assert np.array_equal(mask, [True, False, False, False, False])
-        assert np.array_equal(inputs[0], seq.tokens[0])
-        assert np.all(inputs[1:] == 0.0)
-        assert np.array_equal(targets[0], seq.tokens[1])
-        assert np.all(targets[1:] == 0.0)
+        longer = synth.random_sequence(rng, 5, 4, n_real=5)
+        inputs, counts, targets, mask = pretrain_batch(monkeypatch, [seq, longer])
+        assert inputs.shape == targets.shape == (2, 4, 4)
+        assert counts.tolist() == [1, 4]
+        assert np.array_equal(mask[0], [True, False, False, False])
+        assert np.array_equal(inputs[0, 0], seq.tokens[0])
+        assert np.array_equal(targets[0, 0], seq.tokens[1])
+        assert np.all(targets[0, 1:] == 0.0)  # padding, never supervised
+        assert np.array_equal(inputs[1], longer.tokens[:4])
+        assert np.array_equal(targets[1], longer.tokens[1:])
 
-    def test_full_sequence(self):
+    def test_full_sequence(self, monkeypatch):
         rng = ad.seeded_rng(3)
         seq = synth.random_sequence(rng, 50, 4, n_real=50)
-        inputs, targets, mask = tr.make_pretrain_pairs(seq)
-        assert mask.sum() == 49
-        assert np.array_equal(inputs[:49], seq.tokens[:49])
-        assert np.all(inputs[49] == 0.0)
-        assert np.array_equal(targets[:49], seq.tokens[1:50])
+        inputs, counts, targets, mask = pretrain_batch(monkeypatch, [seq])
+        assert mask.sum() == 49 and counts.tolist() == [49]
+        assert np.array_equal(inputs[0], seq.tokens[:49])
+        assert np.array_equal(targets[0], seq.tokens[1:50])
 
-    def test_single_beat_unsupervisable(self):
+    def test_single_beat_unsupervisable(self, tmp_path):
         rng = ad.seeded_rng(4)
-        assert tr.make_pretrain_pairs(synth.random_sequence(rng, 5, 4, n_real=1)) is None
+        data = [(synth.random_sequence(rng, 5, 8, n_real=1), None)] * 3
+        with pytest.raises(EmptyInputError, match=">= 2 beats"):
+            tr.train(data, tiny_model(), tiny_optim(), tr.PRETRAIN, seed=4,
+                     out_dir=str(tmp_path))
 
-    def test_mask_counts_property(self):
+    def test_mask_counts_property(self, monkeypatch):
         rng = ad.seeded_rng(5)
-        for n in range(2, 11):
-            seq = synth.random_sequence(rng, 12, 3, n_real=n)
-            _, _, mask = tr.make_pretrain_pairs(seq)
-            assert mask.sum() == n - 1
-            assert np.array_equal(mask, np.arange(12) < n - 1)
+        seqs = [synth.random_sequence(rng, 12, 3, n_real=n) for n in range(2, 13)]
+        inputs, counts, _, mask = pretrain_batch(monkeypatch, seqs)
+        assert inputs.shape[1] == 11  # the longest sequence sets the batch length
+        for row, n in enumerate(range(2, 13)):
+            assert counts[row] == n - 1
+            assert np.array_equal(mask[row], np.arange(11) < n - 1)
+
+    def test_matches_full_width_reference(self):
+        # the version-1 layout: every sequence padded to max_pos = 50 rows,
+        # inputs zeroed from the last real beat on, targets shifted by one
+        cfg = tiny_model(max_pos=50, dropout_rate=0.0).with_head(tfm.GENERATIVE)
+        params = tfm.init_params(cfg, seed=3)
+        rng = ad.seeded_rng(6)
+        seqs = [synth.random_sequence(rng, 50, 8, n_real=n) for n in (2, 9, 14, 5)]
+        inputs = np.zeros((4, 50, 8), np.float32)
+        targets = np.zeros((4, 50, 8), np.float32)
+        for b, s in enumerate(seqs):
+            inputs[b, : s.n_real - 1] = s.tokens[:-1]
+            targets[b, : s.n_real - 1] = s.tokens[1:]
+        counts = np.array([s.n_real - 1 for s in seqs])
+        out = tfm.forward(inputs, counts, cfg, params, training=True,
+                          rng=ad.RngStream(0, "dropout", 1))
+        expect = tr.mse_loss(out, targets, np.arange(50) < counts[:, None])
+
+        loss = tr._batch_loss([(s.tokens, None) for s in seqs], np.arange(4),
+                              tr.PRETRAIN, cfg, params, ad.RngStream(0, "dropout", 1))
+        # equal up to float32 rounding: attention's weights @ v contracts over
+        # the batch length (50 there, 13 here), and the matmul kernel may
+        # group the products differently for the two lengths
+        assert loss.item() == pytest.approx(expect.item(), rel=1e-6, abs=0)
 
 
 class TestThresholdPredict:
@@ -330,8 +381,7 @@ class TestForwardBatches:
         params = tfm.init_params(cfg, seed=0)
         seqs = [s for s, _ in synth.labeled_dataset(6, 5, cfg.max_pos, cfg.d_model,
                                                     cfg.d_class)]
-        expect = tfm.forward(np.stack([s.tokens for s in seqs]),
-                             np.array([s.n_real for s in seqs]), cfg, params).data
+        expect = tfm.forward(*tr.pad_batch([s.tokens for s in seqs]), cfg, params).data
         made = []
         make = ad._make
 
@@ -346,6 +396,28 @@ class TestForwardBatches:
         assert all(not t._parents and t._backward_fn is None for t in made)
         assert np.allclose(logits, expect, rtol=0, atol=1e-6)
         assert all(p.requires_grad for p in params.values())
+
+    def test_ragged_chunk_matches_single_forwards(self):
+        cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
+                              max_pos=12, d_class=3, dropout_rate=0.0,
+                              head=tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=1)
+        rng = ad.seeded_rng(9)
+        seqs = [synth.random_sequence(rng, 12, 6, n_real=n) for n in (3, 12, 1, 7, 5)]
+        logits = tr.forward_batches(params, cfg, seqs, batch_size=3)
+        for row, s in zip(logits, seqs):
+            single = tfm.forward(s.tokens, s.n_real, cfg, params).data
+            assert np.allclose(row, single, rtol=0, atol=1e-6)
+
+
+class TestPadBatch:
+    def test_pads_to_longest_in_order(self):
+        rows = [np.full((n, 2), n, np.float32) for n in (2, 4, 1)]
+        tokens, n_real = tr.pad_batch(rows)
+        assert tokens.shape == (3, 4, 2) and tokens.dtype == np.float32
+        assert n_real.tolist() == [2, 4, 1]
+        for b, n in enumerate((2, 4, 1)):
+            assert np.all(tokens[b, :n] == n) and np.all(tokens[b, n:] == 0.0)
 
 
 class TestManifest:
@@ -374,7 +446,7 @@ class TestManifest:
         seq = synth.random_sequence(rng, 50, 3, n_real=2)
         save_tokens(str(tmp_path / "a.tokens"), seq)
         (tmp_path / "man.tsv").write_text("a.tokens\t1\n")
-        data = tr.load_dataset(str(tmp_path / "man.tsv"), d_class=3)
+        data = tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model())
         assert len(data) == 1
         assert np.array_equal(data[0][0].tokens, seq.tokens)
         assert data[0][1].tolist() == [0, 1, 0]
@@ -385,7 +457,7 @@ class TestManifest:
                     synth.random_sequence(rng, 50, 3, n_real=2))
         (tmp_path / "man.tsv").write_text("a.tokens\t\n")
         with pytest.raises(FormatError):
-            tr.load_dataset(str(tmp_path / "man.tsv"), d_class=3,
+            tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model(),
                             require_labels=True)
 
 
@@ -558,7 +630,7 @@ class TestTrainLoop:
         assert not np.array_equal(clf_arrays["head.w"], fresh["head.w"].data)
 
     def test_resume_and_init_checkpoint_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="mutually exclusive"):
             tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
                      tr.PRETRAIN, seed=17, out_dir=str(tmp_path),
                      resume="a.ckpt", init_checkpoint="b.ckpt")
