@@ -9,6 +9,7 @@ checks are meaningful, float32 is the training dtype.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import zlib
 
@@ -87,7 +88,10 @@ class Tensor:
         """Reverse topological sweep from a scalar loss.
 
         Gradients sum across fan-out; leaves without requires_grad are
-        skipped. Raises on non-scalar tensors.
+        skipped. Raises on non-scalar tensors. Each interior node drops its
+        parents and closure once processed, so an activation is freed as
+        soon as the sweep has passed every node that used it; the graph
+        cannot be swept twice.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -109,14 +113,18 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            fn = node._backward_fn
+            if fn is not None:
+                node._parents, node._backward_fn = (), None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward_fn is None:
+            if node.requires_grad and fn is None:
                 node._accumulate(g)
-            if node._backward_fn is not None:
-                for parent, pg in node._backward_fn(g):
+            if fn is not None:
+                for parent, pg in fn(g):
                     if not (parent.requires_grad or parent._backward_fn is not None):
                         continue
                     pid = id(parent)
@@ -251,12 +259,26 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product; backward is dA = dC·Bᵀ, dB = Aᵀ·dC."""
+    """Batched matrix product; backward is dA = dC·Bᵀ, dB = Aᵀ·dC.
+
+    A 2-D right operand (a weight) acts on every row of `a` alone, so the
+    product and both gradients run as one flat [rows, k] GEMM each.
+    """
     a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+    if b.ndim == 2:
+        k, n = b.shape
+        a2 = a.data.reshape(-1, k)
+        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def backward(g):
+            g2 = g.reshape(-1, n)
+            return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
+
+        return _make(data, (a, b), backward)
     data = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -510,13 +532,19 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
             fh.write(a.tobytes())
 
 
-def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
+def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
     """Read a checkpoint; a foreign, outdated, damaged or truncated file
-    raises FormatError."""
+    raises FormatError.
+
+    keep(name) selects the entries to read (default: all); the others'
+    payloads are seeked over. Every payload, read or not, must fit inside
+    the file.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint file")
-        # a short read surfaces as struct.error or a ValueError from numpy
+        # a short read surfaces as struct.error or ValueError
         try:
             (version,) = struct.unpack("<I", fh.read(4))
             if version != _CKPT_VERSION:
@@ -534,8 +562,12 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
                 (ndim,) = struct.unpack("<B", fh.read(1))
                 shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
                 count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-                entries[name] = arr.copy()
+                if 4 * count > size - fh.tell():
+                    raise ValueError(f"file ends inside entry {name}")
+                if keep is None or keep(name):
+                    entries[name] = np.fromfile(fh, dtype="<f4", count=count).reshape(shape)
+                else:
+                    fh.seek(4 * count, os.SEEK_CUR)
             config_text = cfg.decode("utf-8")
         except (struct.error, ValueError) as exc:
             raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

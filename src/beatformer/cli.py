@@ -221,7 +221,9 @@ def cmd_train(args) -> int:
 
 
 def _load_for_inference(checkpoint: str):
-    mcfg, ocfg, arrays, _, _ = training.load_training_checkpoint(checkpoint)
+    """Config and parameters only; the Adam moments and counters are never read."""
+    mcfg, ocfg, arrays, _, _ = training.load_training_checkpoint(
+        checkpoint, lambda name: not name.startswith(("opt.", "meta.")))
     params = tf.params_from_arrays(arrays, mcfg)
     return mcfg, ocfg, params
 
@@ -253,9 +255,8 @@ def cmd_predict(args) -> int:
     if mcfg.head != tf.CLASSIFIER:
         raise CheckpointMismatchError(
             f"predict needs a classifier checkpoint, got head={mcfg.head!r}")
-    manifest = _require_manifest(cfg)
-    entries = training.load_manifest(manifest)
-    dataset = training.load_dataset(manifest, mcfg)
+    entries = training.load_manifest(_require_manifest(cfg))
+    dataset = training.load_dataset(entries, mcfg)
     _check_cache_width(dataset, mcfg, args.checkpoint)
 
     names = None

@@ -147,14 +147,17 @@ def pad_batch(rows: list) -> tuple:
 def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
                     batch_size: int = 32) -> np.ndarray:
     """Classifier logits for a list of BeatSequences, in their order, run
-    batch_size at a time. Plain tensors over the parameter arrays build no
+    batch_size at a time. The sequences are batched shortest first, so each
+    batch pads only to lengths close to its own; the rows come back in
+    input order. Plain tensors over the parameter arrays build no
     backward graph, so no activation outlives its layer."""
     params = {name: Tensor(p.data) for name, p in params.items()}
+    order = np.argsort([s.n_real for s in sequences], kind="stable")
     outs = []
-    for lo in range(0, len(sequences), batch_size):
-        tokens, n_real = pad_batch([s.tokens for s in sequences[lo : lo + batch_size]])
+    for lo in range(0, len(order), batch_size):
+        tokens, n_real = pad_batch([sequences[i].tokens for i in order[lo : lo + batch_size]])
         outs.append(tf.forward(tokens, n_real, config, params, training=False).data)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate(outs, axis=0)[np.argsort(order)]
 
 
 def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
@@ -209,7 +212,8 @@ def load_manifest(path: str) -> list:
     """Manifest lines: cache path, tab, comma-separated class indices.
 
     Paths are taken relative to the manifest's directory. The index field
-    may be empty (unlabeled record).
+    may be empty (unlabeled record); a manifest without entries is a
+    FormatError.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -229,6 +233,8 @@ def load_manifest(path: str) -> list:
                               f"{idx_field!r}") from exc
         full = cache if os.path.isabs(cache) else os.path.join(base, cache)
         entries.append((full, indices))
+    if not entries:
+        raise FormatError(f"{path}: empty manifest")
     return entries
 
 
@@ -241,15 +247,17 @@ def multi_hot(indices, d_class: int) -> np.ndarray:
     return out
 
 
-def load_dataset(manifest_path: str, config: tf.ModelConfig,
+def load_dataset(manifest, config: tf.ModelConfig,
                  require_labels: bool = False) -> list:
-    """List of (BeatSequence, multi-hot or None) from a manifest file.
+    """List of (BeatSequence, multi-hot or None), one per manifest entry.
 
+    manifest is a manifest path or the list load_manifest parsed from one.
     A cache longer than config.max_pos, or a class index outside
     config.d_class, is a ConfigError naming the cache.
     """
+    entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     out = []
-    for cache, indices in load_manifest(manifest_path):
+    for cache, indices in entries:
         seq = load_tokens(cache)
         if seq.n_real > config.max_pos:
             raise ConfigError(f"{cache}: {seq.n_real} beats exceed "
@@ -263,8 +271,6 @@ def load_dataset(manifest_path: str, config: tf.ModelConfig,
             out.append((seq, multi_hot(indices, config.d_class)))
         except ValueError as exc:
             raise ConfigError(f"{cache}: {exc} (model.d_class={config.d_class})") from exc
-    if not out:
-        raise FormatError(f"{manifest_path}: empty manifest")
     return out
 
 
@@ -349,9 +355,13 @@ def save_training_checkpoint(path: str, params: dict, state: AdamState,
     ad.save_checkpoint(path, entries, config_text({"model": mcfg, "optim": ocfg}))
 
 
-def load_training_checkpoint(path: str):
-    """Returns (model cfg, optim cfg, param arrays, AdamState, epoch)."""
-    header, entries = ad.load_checkpoint(path)
+def load_training_checkpoint(path: str, keep=None):
+    """Returns (model cfg, optim cfg, param arrays, AdamState, epoch).
+
+    keep(name) selects the entries read, as in autodiff.load_checkpoint;
+    what it leaves out stays at its default (empty moments, step 0, epoch 0).
+    """
+    header, entries = ad.load_checkpoint(path, keep)
     kwargs = parse_config(read_config_text(header, path),
                           {"model": tf.ModelConfig, "optim": OptimizerConfig})
     try:
@@ -407,7 +417,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         tf.GENERATIVE if mode == PRETRAIN else tf.CLASSIFIER)
 
     if isinstance(manifest, str):
-        dataset = load_dataset(manifest, config, require_labels=(mode == CLASSIFY))
+        entries = load_manifest(manifest)
+        if mode == PRETRAIN:  # next-beat pre-training never reads labels
+            entries = [(cache, None) for cache, _ in entries]
+        dataset = load_dataset(entries, config, require_labels=(mode == CLASSIFY))
     else:
         dataset = list(manifest)
     if not dataset:

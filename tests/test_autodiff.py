@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,30 @@ class TestMatmul:
     def test_batched_gradient_with_broadcast(self):
         a, b = rand((2, 3, 4), 4), rand((4, 5), 5)
         check_grads(lambda: project(ad.matmul(a, b), 6), [a, b])
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_weight_product_matches_numpy(self, shape):
+        a, b = rand(shape, 7), rand((4, 6), 8)
+        out = ad.matmul(a, b)
+        assert out.shape == shape[:-1] + (6,)
+        assert np.allclose(out.data, np.matmul(a.data, b.data), rtol=0, atol=1e-12)
+        check_grads(lambda: project(ad.matmul(a, b), 9), [a, b])
+
+    def test_weight_gradient_needs_no_batched_temporary(self):
+        # [64, 2, 64] @ [64, 64] in float64: a per-sequence weight gradient
+        # would be a [64, 64, 64] temporary of 2 MiB before its batch sum
+        a, b = rand((64, 2, 64), 10), rand((64, 64), 11)
+        loss = project(ad.matmul(a, b), 12)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        r = ad.seeded_rng(12, 999).normal(size=(64, 2, 64))  # project's functional
+        assert np.allclose(b.grad, np.einsum("bsk,bsn->kn", a.data, r), rtol=0, atol=1e-9)
+        assert np.allclose(a.grad, r @ b.data.T, rtol=0, atol=1e-12)
 
 
 class TestElementwise:
@@ -485,6 +510,25 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(FormatError):
             ad.load_checkpoint(p)
+
+    def test_keep_selects_entries(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        text, loaded = ad.load_checkpoint(p, lambda name: not name.startswith("opt."))
+        assert text == "d_model=8"
+        assert list(loaded) == ["enc0.attn.wq.w", "head.b"]
+        for k, v in loaded.items():
+            assert v.dtype == np.float32 and np.array_equal(v, self.entries()[k])
+
+    @pytest.mark.parametrize("keep", [6, 10, 20, 50, 70, 78, 100, 106, -1])
+    def test_truncated_refused_when_skipped(self, tmp_path, keep):
+        # the same cuts with the payload entries skipped; -1 ends inside
+        # opt.step, the last entry, which no later read would notice
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(FormatError):
+            ad.load_checkpoint(p, lambda name: name == "enc0.attn.wq.w")
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -8,6 +8,7 @@ import numpy as np
 
 from beatformer import autodiff, cli, dsp, training, transformer
 from beatformer.autodiff import Tensor
+from beatformer.beat_tokenizer import BeatSequence, save_tokens
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = (autodiff, cli, dsp, training, transformer)
@@ -48,3 +49,31 @@ def test_install_trace_uninstall():
         assert all(vars(m)[k] is v for k, v in before[0][m].items()), m.__name__
     assert detectors == before[1]
     assert backward is before[2]
+
+
+def test_traced_predict_sees_the_inference_path(tmp_path, capsys):
+    cfg = transformer.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16,
+                                  d_class=3, dropout_rate=0.0,
+                                  head=transformer.CLASSIFIER)
+    params = transformer.init_params(cfg, seed=0)
+    ckpt = str(tmp_path / "m.ckpt")
+    training.save_training_checkpoint(ckpt, params, training.AdamState.for_params(params),
+                                      cfg, training.OptimizerConfig(d_model=8), 0)
+    rng = autodiff.seeded_rng(2)
+    for i, n in enumerate((5, 1, 3)):
+        save_tokens(str(tmp_path / f"s{i}.tokens"),
+                    BeatSequence(rng.normal(size=(n, 8)).astype(np.float32)))
+    (tmp_path / "manifest.tsv").write_text("".join(f"s{i}.tokens\t0\n" for i in range(3)))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["predict", "--manifest", str(tmp_path / "manifest.tsv"),
+                       "--checkpoint", ckpt])
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        autodiff.sum_(autodiff.matmul(a, rng.normal(size=(4, 2)))).backward()
+    finally:
+        tracer.uninstall()
+    assert rc == 0 and len(capsys.readouterr().out.splitlines()) == 3
+    names = {span[0] for span in tracer.spans}
+    assert {"training.load_checkpoint", "training.forward_batches", "training.load_dataset",
+            "autodiff.matmul", "autodiff.matmul.bwd"} <= names

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,72 @@ class TestEvaluatePredictInspect:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
 
+    def test_predict_rows_follow_manifest(self, token_workspace, capsys, monkeypatch):
+        # lengths 12, 1, 12, 1, 7: batching shortest first permutes the rows
+        ws = token_workspace
+        write_caches(ws, [12, 1, 12, 1, 7])
+        mcfg = tfm.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16,
+                               d_class=3, dropout_rate=0.0, head=tfm.CLASSIFIER)
+        params = tfm.init_params(mcfg, seed=4)
+        seqs = [load_tokens(str(ws / f"s{i}.tokens")) for i in range(5)]
+
+        def single_logits():
+            return np.stack([tfm.forward(s.tokens, s.n_real, mcfg, params).data
+                             for s in seqs])
+
+        # centre each class over the five caches so their predictions differ
+        params["head.b"].data -= single_logits().mean(axis=0)
+        logits = single_logits()
+        assert np.abs(logits).min() > 1e-4
+        preds = tr.threshold_predict(logits, 0.5)
+        expect = [f"s{i}.tokens\t" + ",".join(str(c) for c in np.flatnonzero(row))
+                  for i, row in enumerate(preds)]
+        assert len(set(line.split("\t")[1] for line in expect)) > 1
+        tr.save_training_checkpoint(str(ws / "c.ckpt"), params,
+                                    tr.AdamState.for_params(params), mcfg,
+                                    tr.OptimizerConfig(d_model=8, epochs=0), 0)
+        reads = []
+        load_manifest = tr.load_manifest
+        monkeypatch.setattr(tr, "load_manifest",
+                            lambda path: reads.append(path) or load_manifest(path))
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                     "--checkpoint", str(ws / "c.ckpt")]) == 0
+        assert capsys.readouterr().out.splitlines() == expect
+        assert reads == [str(ws / "manifest.tsv")]
+
+    @pytest.mark.parametrize("entry", ["opt.v.head.b", "meta.epoch"])
+    def test_checkpoint_cut_inside_skipped_entry(self, token_workspace, capsys, entry):
+        # inference skips the moments and counters; a cut inside one is
+        # still an error (meta.epoch is the last entry of the file)
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        start, end = payload_spans(ckpt)[entry]
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(start + (end - start) // 2)
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                     "--checkpoint", ckpt]) == 1
+        assert ckpt in error_line(capsys)
+
+    def test_inference_load_skips_moments(self, tmp_path):
+        mcfg = tfm.ModelConfig(d_model=128, n_encoders=2, n_heads=2, dff=256,
+                               d_class=3, head=tfm.CLASSIFIER)
+        params = tfm.init_params(mcfg, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        tr.save_training_checkpoint(ckpt, params, tr.AdamState.for_params(params), mcfg,
+                                    tr.OptimizerConfig(d_model=128), 0)
+        param_bytes = sum(p.data.nbytes for p in params.values())
+        tracemalloc.start()
+        try:
+            _, _, loaded = cli._load_for_inference(ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * param_bytes
+        assert list(loaded) == list(params)
+        assert all(np.array_equal(loaded[n].data, p.data) for n, p in params.items())
+
     def test_checkpoint_missing_parameter_is_an_error_line(self, token_workspace,
                                                            capsys):
         ws = token_workspace
@@ -554,6 +621,28 @@ class TestEvaluatePredictInspect:
         assert "error:" in capsys.readouterr().err
 
 
+def payload_spans(path):
+    """{entry name: (start, end)} byte offsets of each checkpoint payload."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    pos = 12 + cfg_len + 32
+    (n,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    spans = {}
+    for _ in range(n):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        name = blob[pos + 2 : pos + 2 + name_len].decode()
+        pos += 2 + name_len
+        ndim = blob[pos]
+        shape = struct.unpack_from(f"<{ndim}I", blob, pos + 1)
+        pos += 1 + 4 * ndim
+        spans[name] = (pos, pos + 4 * int(np.prod(shape)))
+        pos = spans[name][1]
+    assert pos == len(blob)
+    return spans
+
+
 def error_line(capsys):
     """The single stderr line of a failed command; nothing went to stdout."""
     captured = capsys.readouterr()
@@ -595,6 +684,16 @@ class TestBadInputIsAnErrorLine:
         assert main(argv[command]) == 1
         err = error_line(capsys)
         assert "s1.tokens" in err and "99" in err and "d_class=3" in err
+
+    def test_pretrain_ignores_labels(self, token_workspace, capsys):
+        ws = token_workspace
+        (ws / "wide.tsv").write_text("s0.tokens\t1\ns1.tokens\t5\n")
+        common = ["--config", str(ws / "model.cfg"), "--manifest", str(ws / "wide.tsv")]
+        assert main(["pretrain", "--out", str(ws / "p")] + common) == 0
+        capsys.readouterr()
+        assert main(["train", "--out", str(ws / "t")] + common) == 1
+        err = error_line(capsys)
+        assert "s1.tokens" in err and "5" in err and "d_class=3" in err
 
     def test_resume_with_init_checkpoint(self, token_workspace, capsys):
         ws = token_workspace

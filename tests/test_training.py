@@ -410,6 +410,55 @@ class TestForwardBatches:
             assert np.allclose(row, single, rtol=0, atol=1e-6)
 
 
+    def test_batches_sorted_by_length_rows_in_input_order(self, monkeypatch):
+        cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
+                              max_pos=12, d_class=3, dropout_rate=0.0,
+                              head=tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=2)
+        rng = ad.seeded_rng(10)
+        seqs = [synth.random_sequence(rng, 12, 6, n_real=n) for n in (12, 1, 12, 1, 7)]
+        singles = [tfm.forward(s.tokens, s.n_real, cfg, params).data for s in seqs]
+        lengths = []
+        forward = tfm.forward
+
+        def spy(tokens, n_real, *args, **kwargs):
+            lengths.append(tokens.shape[1])
+            return forward(tokens, n_real, *args, **kwargs)
+
+        monkeypatch.setattr(tfm, "forward", spy)
+        logits = tr.forward_batches(params, cfg, seqs, batch_size=2)
+        assert lengths == [1, 12, 12]
+        assert logits.shape == (5, 3)
+        for row, single in zip(logits, singles):
+            assert np.allclose(row, single, rtol=0, atol=1e-6)
+
+
+class TestBackwardReleasesGraph:
+    def test_no_node_keeps_parents_or_closure(self, monkeypatch):
+        cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
+                              max_pos=8, d_class=3, dropout_rate=0.1,
+                              head=tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=3)
+        samples = [(s.tokens, y) for s, y in synth.labeled_dataset(11, 4, 8, 6, 3)]
+        made = []
+        make = ad._make
+
+        def recording_make(data, parents, backward_fn):
+            out = make(data, parents, backward_fn)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        loss = tr._batch_loss(samples, np.arange(4), tr.CLASSIFY, cfg, params,
+                              ad.RngStream(0, "dropout", 1))
+        monkeypatch.setattr(ad, "_make", make)
+        assert any(t._backward_fn is not None for t in made)
+        loss.backward()
+        assert all(not t._parents and t._backward_fn is None for t in made)
+        assert all(p.grad is not None and np.isfinite(p.grad).all()
+                   for p in params.values())
+
+
 class TestPadBatch:
     def test_pads_to_longest_in_order(self):
         rows = [np.full((n, 2), n, np.float32) for n in (2, 4, 1)]
