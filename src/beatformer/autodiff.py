@@ -36,7 +36,9 @@ class Tensor:
 
     `requires_grad` marks leaves that should receive gradients; interior
     nodes inherit it from their parents. `grad` accumulates across calls
-    to `backward` until `zero_grad` (no implicit reset).
+    to `backward` until `zero_grad` (no implicit reset). It is one buffer,
+    kept in the data's dtype and reused: `zero_grad` and later backward
+    sweeps write into it in place, so copy `.grad` to keep a snapshot.
     """
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -76,13 +78,17 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        if (self.grad is not None and self.grad.shape == self.data.shape
+                and self.grad.dtype == self.data.dtype):
+            self.grad.fill(0)
+        else:
+            self.grad = np.zeros_like(self.data)
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def backward(self):
         """Reverse topological sweep from a scalar loss.

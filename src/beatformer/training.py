@@ -74,31 +74,61 @@ def lr_schedule(step_num: int, d_model: int = 1000, warmup_steps: int = 4000) ->
     return min(decay, warm)
 
 
+# elements per pass of adam_step: a block of the parameter, its gradient,
+# both moments and two scratch rows (6 x 128 KiB in float32) stays in L2
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(params: dict, grads: dict | None, state: AdamState,
               cfg: OptimizerConfig) -> float:
     """One Adam update with bias correction; returns the learning rate used.
 
     grads=None reads each parameter's accumulated .grad. Only the
     parameters present in `params` are updated (frozen ones are simply
-    not passed in).
+    not passed in). Each parameter array and its two moments are updated
+    in place, ADAM_BLOCK elements at a time; per element the operations
+    are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, so the
+    result does not depend on the block size.
     """
     t = state.step_num + 1
     lr = lr_schedule(t, cfg.d_model, cfg.warmup_steps)
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
     for name, p in params.items():
         g = grads.get(name) if grads is not None else p.grad
         if g is None:
             raise ValueError(f"missing gradient for parameter {name}")
-        g = np.asarray(g, dtype=p.data.dtype)
+        if not p.data.flags.c_contiguous:
+            p.data = np.ascontiguousarray(p.data)
+        dtype = p.data.dtype
+        g = np.asarray(g, dtype=dtype).reshape(-1)
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        # reshape(-1) of a C-contiguous array is a view, so the writes land
+        pf, mf, vf = (a.reshape(-1) for a in (p.data, state.m[name], state.v[name]))
+        n = min(ADAM_BLOCK, pf.size)
+        s1, s2 = np.empty(n, dtype), np.empty(n, dtype)
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, pf.size)
+            gb, m, v = g[lo:hi], mf[lo:hi], vf[lo:hi]
+            t1, t2 = s1[: hi - lo], s2[: hi - lo]
+            m *= b1
+            np.multiply(gb, 1.0 - b1, out=t1)
+            m += t1
+            v *= b2
+            np.multiply(gb, gb, out=t1)
+            t1 *= 1.0 - b2
+            v += t1
+            np.divide(m, bc1, out=t1)
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 *= lr
+            t1 /= t2
+            pf[lo:hi] -= t1
     state.step_num = t
     return lr
 
@@ -453,18 +483,20 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         params = tf.params_from_arrays(arrays, config)
         start_epoch = epoch_done + 1
     elif init_checkpoint:
-        ck_m, _, arrays, _, _ = load_training_checkpoint(init_checkpoint)
+        # only the trunk is read: the Adam moments and the old head are skipped
+        ck_m, _, arrays, _, _ = load_training_checkpoint(
+            init_checkpoint, lambda name: not name.startswith(("opt.", "head.")))
         diff = config_diff(ck_m, config, tf.TRUNK_FIELDS)
         if diff:
             raise CheckpointMismatchError(
                 "checkpoint trunk does not match the requested configuration:\n  "
                 + "\n  ".join(diff))
-        params = tf.init_params(config, seed)
-        for name, p in params.items():
-            if not name.startswith("head."):
-                if name not in arrays:
-                    raise CheckpointMismatchError(f"checkpoint is missing {name}")
-                p.data = np.asarray(arrays[name], dtype=p.data.dtype).copy()
+        for name, _, _ in tf.param_shapes(config):
+            if not name.startswith("head.") and name not in arrays:
+                raise CheckpointMismatchError(f"checkpoint is missing {name}")
+        head = tf.init_params(config, seed, keep=lambda name: name.startswith("head."))
+        arrays.update((name, p.data) for name, p in head.items())
+        params = tf.params_from_arrays(arrays, config)
         state = AdamState.for_params(_trainable(params, freeze_trunk))
     else:
         params = tf.init_params(config, seed)

@@ -198,10 +198,18 @@ def param_shapes(config: ModelConfig):
     yield "head.b", (out,), "bias"
 
 
-def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Parameter]:
-    """Xavier-uniform weights, zero biases, unit layer-norm gains."""
+def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32,
+                keep=None) -> dict[str, Parameter]:
+    """Xavier-uniform weights, zero biases, unit layer-norm gains.
+
+    keep(name) selects the parameters made (default: all). A weight's
+    draw is keyed by its position in param_shapes, so it is the same
+    whichever others are kept.
+    """
     params: dict[str, Parameter] = {}
     for idx, (name, shape, kind) in enumerate(param_shapes(config)):
+        if keep is not None and not keep(name):
+            continue
         if kind == "weight":
             data = ad.xavier_uniform(shape, (seed, 0, idx), dtype=dtype)
         elif kind == "one":

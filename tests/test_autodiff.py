@@ -102,6 +102,17 @@ class TestBackwardMechanics:
         x.zero_grad()
         assert np.array_equal(x.grad, [0.0, 0.0])
 
+    def test_grad_buffer_reused_in_data_dtype(self):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        scale = Tensor(np.array([2.0, 3.0]))  # float64: so is x's upstream gradient
+        for _ in range(2):
+            ad.sum_(ad.mul(x, scale)).backward()
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, [4.0, 6.0])
+        buf = x.grad
+        x.zero_grad()
+        assert x.grad is buf and not buf.any()
+
     def test_backward_rejects_non_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):

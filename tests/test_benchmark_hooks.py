@@ -77,3 +77,34 @@ def test_traced_predict_sees_the_inference_path(tmp_path, capsys):
     names = {span[0] for span in tracer.spans}
     assert {"training.load_checkpoint", "training.forward_batches", "training.load_dataset",
             "autodiff.matmul", "autodiff.matmul.bwd"} <= names
+
+
+def test_traced_training_sees_every_step(tmp_path, capsys):
+    rng = autodiff.seeded_rng(3)
+    for i in range(8):
+        save_tokens(str(tmp_path / f"s{i}.tokens"),
+                    BeatSequence(rng.normal(size=(3 + i % 4, 8)).astype(np.float32)))
+    (tmp_path / "manifest.tsv").write_text("".join(f"s{i}.tokens\t{i % 3}\n" for i in range(8)))
+    (tmp_path / "model.cfg").write_text(
+        "model.d_model=8\nmodel.n_encoders=1\nmodel.n_heads=2\nmodel.dff=16\n"
+        "model.d_class=3\noptim.warmup_steps=8\noptim.batch_size=2\noptim.epochs=1\n")
+    common = ["--config", str(tmp_path / "model.cfg"), "--manifest",
+              str(tmp_path / "manifest.tsv"), "--seed", "0", "--max-steps", "2"]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        rcs = [cli.main(["pretrain", "--out", str(tmp_path / "pre")] + common),
+               cli.main(["train", "--out", str(tmp_path / "clf"), "--init-checkpoint",
+                         str(tmp_path / "pre" / "model.ckpt")] + common)]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rcs == [0, 0]
+    spans = tracer.spans
+    names = [span[0] for span in spans]
+    steps = [span for span in spans if span[0] == "training.step"]
+    assert len(steps) == 4 and all(span[2] >= span[1] > 0 for span in steps)
+    adam = [span for span in spans if span[0] == "training.adam_step"]
+    assert len(adam) == 4 and all(spans[span[3]][0] == "training.step" for span in adam)
+    assert names.count("training.load_checkpoint") == 1
+    assert names.count("training.save_checkpoint") == 2

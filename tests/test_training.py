@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,60 @@ class TestAdam:
         assert state.m["w"].dtype == np.float32
         assert state.v["w"].dtype == np.float32
         assert p.data.dtype == np.float32
+
+    def test_updates_in_place(self):
+        p = Parameter(np.array([1.0, -2.0, 3.0], dtype=np.float32), "w")
+        state = tr.AdamState.for_params({"w": p})
+        arrays = (p.data, state.m["w"], state.v["w"])
+        before = p.data.copy()
+        tr.adam_step({"w": p}, {"w": np.ones(3, np.float32)}, state, self.cfg())
+        assert all(new is old for new, old in
+                   zip((p.data, state.m["w"], state.v["w"]), arrays))
+        assert not np.array_equal(p.data, before)
+
+    def test_peak_memory_stays_within_blocks(self):
+        # an out-of-place update allocates several 4 MiB temporaries here
+        p = Parameter(np.zeros((1024, 1024), dtype=np.float32), "w")
+        g = np.full(p.shape, 0.25, dtype=np.float32)
+        state = tr.AdamState.for_params({"w": p})
+        tracemalloc.start()
+        try:
+            tr.adam_step({"w": p}, {"w": g}, state, self.cfg())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @staticmethod
+    def reference_step(p, g, m, v, t, cfg):
+        """The out-of-place update adam_step must match bit for bit."""
+        lr = tr.lr_schedule(t, cfg.d_model, cfg.warmup_steps)
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        g = np.asarray(g, dtype=p.dtype)
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        return p, m, v
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (tr.ADAM_BLOCK + 17,), (3, tr.ADAM_BLOCK)])
+    def test_blocked_update_matches_reference(self, dtype, shape):
+        rng = ad.seeded_rng(5, len(shape), shape[-1])
+        cfg = self.cfg()
+        p = Parameter(rng.normal(size=shape).astype(dtype), "w")
+        state = tr.AdamState.for_params({"w": p})
+        ref_p, ref_m, ref_v = p.data.copy(), state.m["w"].copy(), state.v["w"].copy()
+        for t in (1, 2, 3):
+            g = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2, size=shape)).astype(dtype)
+            tr.adam_step({"w": p}, {"w": g}, state, cfg)
+            ref_p, ref_m, ref_v = self.reference_step(ref_p, g, ref_m, ref_v, t, cfg)
+            assert np.array_equal(p.data, ref_p)
+            assert np.array_equal(state.m["w"], ref_m)
+            assert np.array_equal(state.v["w"], ref_v)
+        assert p.data.dtype == ref_p.dtype == dtype
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -653,6 +708,56 @@ class TestTrainLoop:
         assert clf_arrays["head.w"].shape == (8, 3)
         assert not np.array_equal(clf_arrays["head.w"],
                                   pre_arrays["head.w"][:, :3])
+
+    def test_transfer_reads_trunk_and_draws_only_head(self, tmp_path, monkeypatch):
+        pre = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
+                       tr.PRETRAIN, seed=20, out_dir=str(tmp_path / "pre"))
+        _, _, pre_arrays, _, _ = tr.load_training_checkpoint(pre["checkpoint"])
+        config = tiny_model().with_head(tfm.CLASSIFIER)
+        fresh = tfm.init_params(config, seed=21)
+        names = [name for name, _, _ in tfm.param_shapes(config)]
+        drawn, read = [], []
+        xavier, load = ad.xavier_uniform, ad.load_checkpoint
+
+        def spy_xavier(shape, seed_key, dtype=np.float64):
+            drawn.append(names[seed_key[2]])  # init_params keys a draw by its index
+            return xavier(shape, seed_key, dtype)
+
+        def spy_load(path, keep=None):
+            header, entries = load(path, keep)
+            read.extend(entries)
+            return header, entries
+
+        monkeypatch.setattr(ad, "xavier_uniform", spy_xavier)
+        monkeypatch.setattr(ad, "load_checkpoint", spy_load)
+        clf = tr.train(self.classify_data(), tiny_model(), tiny_optim(epochs=0),
+                       tr.CLASSIFY, seed=21, out_dir=str(tmp_path / "clf"),
+                       init_checkpoint=pre["checkpoint"])
+        monkeypatch.undo()
+        assert drawn == ["head.w"]
+        assert read and not [n for n in read if n.startswith(("opt.", "head."))]
+        _, _, clf_arrays, _, _ = tr.load_training_checkpoint(clf["checkpoint"])
+        assert list(clf_arrays) == names
+        for name in names:
+            want = fresh[name].data if name.startswith("head.") else pre_arrays[name]
+            assert np.array_equal(clf_arrays[name], want), name
+
+    @pytest.mark.parametrize("damage, error", [("drop", CheckpointMismatchError),
+                                               ("reshape", FormatError)])
+    def test_transfer_rejects_damaged_trunk_entry(self, tmp_path, damage, error):
+        pre = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
+                       tr.PRETRAIN, seed=22, out_dir=str(tmp_path))
+        header, entries = ad.load_checkpoint(pre["checkpoint"])
+        name = "enc0.ffn.w1.w"
+        if damage == "drop":
+            del entries[name]
+        else:
+            entries[name] = entries[name].reshape(-1)
+        ad.save_checkpoint(pre["checkpoint"], entries, header)
+        with pytest.raises(error, match=name):
+            tr.train(self.classify_data(), tiny_model(), tiny_optim(epochs=0),
+                     tr.CLASSIFY, seed=22, out_dir=str(tmp_path / "x"),
+                     init_checkpoint=pre["checkpoint"])
 
     def test_transfer_rejects_incompatible_trunk(self, tmp_path):
         pre = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
