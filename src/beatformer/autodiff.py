@@ -34,11 +34,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional array participating in the backward graph.
 
-    `requires_grad` marks leaves that should receive gradients; interior
-    nodes inherit it from their parents. `grad` accumulates across calls
-    to `backward` until `zero_grad` (no implicit reset). It is one buffer,
-    kept in the data's dtype and reused: `zero_grad` and later backward
-    sweeps write into it in place, so copy `.grad` to keep a snapshot.
+    `requires_grad` marks the leaves that receive gradients: `backward`
+    fills `.grad` on those leaves only, never on an interior node. `grad`
+    accumulates across calls to `backward` until `zero_grad` (no implicit
+    reset). It is one buffer, kept in the data's dtype and reused:
+    `zero_grad` and later backward sweeps write into it in place, so copy
+    `.grad` to keep a snapshot.
     """
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -73,9 +74,6 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor, got shape %r"
                              % (self.shape,))
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self):
         if (self.grad is not None and self.grad.shape == self.data.shape
@@ -121,68 +119,23 @@ class Tensor:
         grads = {id(self): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
-            fn = node._backward_fn
-            if fn is not None:
-                node._parents, node._backward_fn = (), None
             g = grads.pop(id(node), None)
+            fn = node._backward_fn
+            if fn is None:  # leaf: accumulate
+                if g is not None and node.requires_grad:
+                    node._accumulate(g)
+                continue
+            # interior: propagate to the parents that lead to a grad leaf
+            node._parents, node._backward_fn = (), None
             if g is None:
                 continue
-            if node.requires_grad and fn is None:
-                node._accumulate(g)
-            if fn is not None:
-                for parent, pg in fn(g):
-                    if not (parent.requires_grad or parent._backward_fn is not None):
-                        continue
+            for parent, pg in fn(g):
+                if parent.requires_grad or parent._backward_fn is not None:
                     pid = id(parent)
-                    if pid in grads:
-                        grads[pid] = grads[pid] + pg
-                    else:
-                        grads[pid] = pg
-                if node.requires_grad:
-                    node._accumulate(g)
-
-    # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+                    grads[pid] = grads[pid] + pg if pid in grads else pg
 
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -535,7 +488,7 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
             fh.write(struct.pack("<B", a.ndim))
             for d in a.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(a.tobytes())
+            fh.write(a.data)  # a's own buffer, not a copy
 
 
 def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:

@@ -25,18 +25,6 @@ _VERSION = 2
 
 
 @dataclass
-class BeatToken:
-    """One heartbeat as a fixed-length vector; r_index marks the R sample."""
-    values: np.ndarray
-    r_index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 1:
-            raise ValueError("token values must be 1-D")
-
-
-@dataclass
 class BeatSequence:
     """The real beats of one recording, in order: tokens is [n_real, d_model]
     float32 with 1 <= n_real <= MAX_POS. Batches pad; sequences do not."""
@@ -84,8 +72,9 @@ def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:
     return before, after
 
 
-def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> BeatToken:
-    """Cut beat k out of the fused signal, R-peak at the anchor index.
+def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> tuple[np.ndarray, int]:
+    """Cut beat k out of the fused signal: (float32 [d_model] values, the
+    index of the R sample in them, d_model // 3).
 
     The window is floor(RR_prev/3) samples before the peak and
     floor(2*RR_next/3) after, capped so it fits the token; boundary beats
@@ -105,7 +94,7 @@ def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> BeatToken:
     hi = min(r + after, fused.size - 1)
     values = np.zeros(d_model, dtype=np.float32)
     values[anchor - (r - lo) : anchor + (hi - r) + 1] = fused[lo : hi + 1]
-    return BeatToken(values, anchor)
+    return values, anchor
 
 
 def build_sequence(fused, peaks) -> BeatSequence:
@@ -113,7 +102,7 @@ def build_sequence(fused, peaks) -> BeatSequence:
     idx = peaks.indices if isinstance(peaks, PeakList) else np.asarray(peaks, dtype=np.int64)
     if idx.size == 0:
         raise NoBeatsError("no beats detected")
-    return BeatSequence(np.stack([segment_beat(fused, idx, k).values
+    return BeatSequence(np.stack([segment_beat(fused, idx, k)[0]
                                   for k in range(min(int(idx.size), MAX_POS))]))
 
 

@@ -228,14 +228,6 @@ def _load_for_inference(checkpoint: str):
     return mcfg, ocfg, params
 
 
-def _check_cache_width(dataset, mcfg, checkpoint):
-    width = dataset[0][0].d_model
-    if width != mcfg.d_model:
-        raise CheckpointMismatchError(
-            f"token caches have d_model={width} but checkpoint {checkpoint} "
-            f"was trained with d_model={mcfg.d_model}")
-
-
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     mcfg, ocfg, params = _load_for_inference(args.checkpoint)
@@ -243,7 +235,6 @@ def cmd_evaluate(args) -> int:
         raise CheckpointMismatchError(
             f"evaluate needs a classifier checkpoint, got head={mcfg.head!r}")
     dataset = training.load_dataset(_require_manifest(cfg), mcfg, require_labels=True)
-    _check_cache_width(dataset, mcfg, args.checkpoint)
     metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
     print(json.dumps(metrics, indent=2))
     return 0
@@ -257,7 +248,6 @@ def cmd_predict(args) -> int:
             f"predict needs a classifier checkpoint, got head={mcfg.head!r}")
     entries = training.load_manifest(_require_manifest(cfg))
     dataset = training.load_dataset(entries, mcfg)
-    _check_cache_width(dataset, mcfg, args.checkpoint)
 
     names = None
     if cfg.label_map:

@@ -15,7 +15,19 @@ import numpy as np
 
 from .errors import FilterDesignError, InvalidMetadataError
 
-REFRACTORY_S = 0.200
+REFRACTORY_S = 0.200         # minimum spacing of two R-peaks
+
+# two-moving-average detector
+TA_BAND = (8.0, 20.0)        # band-pass, Hz
+QRS_WINDOW_S = 0.120         # short moving-average window
+BEAT_WINDOW_S = 0.600        # long moving-average window
+OFFSET_FRAC = 0.08           # threshold offset, fraction of the mean squared signal
+
+# Pan-Tompkins detector
+PT_BAND = (5.0, 15.0)        # band-pass, Hz
+INTEGRATION_S = 0.150        # moving-window integration
+LEARNING_S = 2.0             # threshold initialization span
+THRESHOLD_BLEND = 0.25       # signal/noise mix of the threshold
 
 
 @dataclass
@@ -219,20 +231,6 @@ class PeakList:
         return iter(self.indices)
 
 
-@dataclass
-class DetectorConfig:
-    """Detector tuning constants; every field can be overridden per call."""
-    qrs_window_s: float = 0.120       # two-average short window
-    beat_window_s: float = 0.600      # two-average long window
-    offset_frac: float = 0.08         # two-average threshold offset, fraction of mean squared
-    ta_band: tuple = (8.0, 20.0)
-    pt_band: tuple = (5.0, 15.0)
-    integration_s: float = 0.150      # Pan-Tompkins moving-window integration
-    learning_s: float = 2.0           # Pan-Tompkins threshold initialization span
-    threshold_blend: float = 0.25     # Pan-Tompkins signal/noise mix
-    refractory_s: float = REFRACTORY_S
-
-
 def _moving_average_centered(x: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(x, np.ones(width) / width, mode="same")
 
@@ -245,7 +243,7 @@ def _enforce_refractory(cands: list, refractory: int) -> list:
     return kept
 
 
-def detect_two_average(x, fs: float, cfg: DetectorConfig | None = None) -> PeakList:
+def detect_two_average(x, fs: float) -> PeakList:
     """Two-moving-average QRS detector.
 
     Band-pass, square, compare a QRS-scale moving average against a
@@ -255,19 +253,18 @@ def detect_two_average(x, fs: float, cfg: DetectorConfig | None = None) -> PeakL
     """
     if fs < 100:
         raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
-    cfg = cfg or DetectorConfig()
     x = np.asarray(x, dtype=np.float64)
-    w1 = max(1, int(round(cfg.qrs_window_s * fs)))
-    w2 = max(1, int(round(cfg.beat_window_s * fs)))
-    refractory = int(round(cfg.refractory_s * fs))
+    w1 = max(1, int(round(QRS_WINDOW_S * fs)))
+    w2 = max(1, int(round(BEAT_WINDOW_S * fs)))
+    refractory = int(round(REFRACTORY_S * fs))
     if x.size < w2 or x.size == 0:
         return PeakList(np.empty(0, dtype=np.int64), fs)
 
-    filtered = bandpass(x, fs, *cfg.ta_band, step_init=True)
+    filtered = bandpass(x, fs, *TA_BAND, step_init=True)
     sq = filtered * filtered
     ma_qrs = _moving_average_centered(sq, w1)
     ma_beat = _moving_average_centered(sq, w2)
-    offset = cfg.offset_frac * float(np.mean(sq))
+    offset = OFFSET_FRAC * float(np.mean(sq))
     above = ma_qrs > ma_beat + offset
 
     peaks = []
@@ -285,33 +282,31 @@ def detect_two_average(x, fs: float, cfg: DetectorConfig | None = None) -> PeakL
     return PeakList(np.asarray(peaks, dtype=np.int64), fs)
 
 
-def detect_pan_tompkins(x, fs: float, cfg: DetectorConfig | None = None) -> PeakList:
+def detect_pan_tompkins(x, fs: float) -> PeakList:
     """Pan-Tompkins QRS detector without the search-back pass.
 
     Band-pass, five-point derivative, squaring, moving-window
     integration, then adaptive dual thresholds over integration-waveform
-    local maxima. The first `learning_s` seconds initialize the signal
-    and noise running estimates.
+    local maxima. The first LEARNING_S seconds initialize the signal and
+    noise running estimates.
     """
     if fs < 100:
         raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
-    cfg = cfg or DetectorConfig()
     x = np.asarray(x, dtype=np.float64)
-    learn = int(round(cfg.learning_s * fs))
+    learn = int(round(LEARNING_S * fs))
     if x.size < learn or x.size == 0:
         return PeakList(np.empty(0, dtype=np.int64), fs)
 
-    band = bandpass(x, fs, *cfg.pt_band, step_init=True)
+    band = bandpass(x, fs, *PT_BAND, step_init=True)
     deriv = np.convolve(band, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0)[: band.size]
     sq = deriv * deriv
-    w = max(1, int(round(cfg.integration_s * fs)))
+    w = max(1, int(round(INTEGRATION_S * fs)))
     csum = np.concatenate(([0.0], np.cumsum(sq)))
     mwi = (csum[1:] - csum[np.maximum(np.arange(sq.size) - w + 1, 0)]) / w
 
     spki = 0.25 * float(np.max(mwi[:learn]))
     npki = 0.5 * float(np.mean(mwi[:learn]))
-    refractory = int(round(cfg.refractory_s * fs))
-    blend = cfg.threshold_blend
+    refractory = int(round(REFRACTORY_S * fs))
 
     interior = np.flatnonzero(
         (mwi[1:-1] > mwi[:-2]) & (mwi[1:-1] >= mwi[2:])) + 1
@@ -320,7 +315,7 @@ def detect_pan_tompkins(x, fs: float, cfg: DetectorConfig | None = None) -> Peak
     for i in interior:
         if last_cand is not None and i - last_cand < refractory:
             continue
-        threshold = npki + blend * (spki - npki)
+        threshold = npki + THRESHOLD_BLEND * (spki - npki)
         if mwi[i] > threshold:
             spki = 0.125 * mwi[i] + 0.875 * spki
             lo = max(0, i - w)

@@ -79,15 +79,14 @@ def lr_schedule(step_num: int, d_model: int = 1000, warmup_steps: int = 4000) ->
 ADAM_BLOCK = 1 << 15
 
 
-def adam_step(params: dict, grads: dict | None, state: AdamState,
-              cfg: OptimizerConfig) -> float:
-    """One Adam update with bias correction; returns the learning rate used.
+def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig) -> float:
+    """One Adam update with bias correction from each parameter's
+    accumulated .grad; returns the learning rate used.
 
-    grads=None reads each parameter's accumulated .grad. Only the
-    parameters present in `params` are updated (frozen ones are simply
-    not passed in). Each parameter array and its two moments are updated
-    in place, ADAM_BLOCK elements at a time; per element the operations
-    are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    Only the parameters present in `params` are updated (frozen ones are
+    simply not passed in). Each parameter array and its two moments are
+    updated in place, ADAM_BLOCK elements at a time; per element the
+    operations are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, so the
     result does not depend on the block size.
     """
@@ -97,13 +96,12 @@ def adam_step(params: dict, grads: dict | None, state: AdamState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
-        if g is None:
+        if p.grad is None:
             raise ValueError(f"missing gradient for parameter {name}")
         if not p.data.flags.c_contiguous:
             p.data = np.ascontiguousarray(p.data)
         dtype = p.data.dtype
-        g = np.asarray(g, dtype=dtype).reshape(-1)
+        g = np.asarray(p.grad, dtype=dtype).reshape(-1)
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -282,13 +280,17 @@ def load_dataset(manifest, config: tf.ModelConfig,
     """List of (BeatSequence, multi-hot or None), one per manifest entry.
 
     manifest is a manifest path or the list load_manifest parsed from one.
-    A cache longer than config.max_pos, or a class index outside
-    config.d_class, is a ConfigError naming the cache.
+    A cache whose width is not config.d_model is a CheckpointMismatchError,
+    and a cache longer than config.max_pos, or a class index outside
+    config.d_class, a ConfigError; each names the cache.
     """
     entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     out = []
     for cache, indices in entries:
         seq = load_tokens(cache)
+        if seq.d_model != config.d_model:
+            raise CheckpointMismatchError(f"{cache}: token width {seq.d_model} does not "
+                                          f"match model.d_model={config.d_model}")
         if seq.n_real > config.max_pos:
             raise ConfigError(f"{cache}: {seq.n_real} beats exceed "
                               f"model.max_pos={config.max_pos}")
@@ -437,10 +439,13 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     resume continues an interrupted run (configs must match exactly);
     init_checkpoint transfers a pre-trained trunk under a fresh head.
     max_steps stops mid-run after that many optimizer steps (checkpoint
-    still written).
+    still written); 0 takes no step and writes the starting checkpoint,
+    as epochs=0 does.
     """
     if mode not in (PRETRAIN, CLASSIFY):
         raise ValueError(f"unknown training mode {mode!r}")
+    if max_steps is not None and max_steps < 0:
+        raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
     if resume and init_checkpoint:
         raise ConfigError("--resume and --init-checkpoint are mutually exclusive")
     config = model_config.with_head(
@@ -455,10 +460,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         dataset = list(manifest)
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
-    width = dataset[0][0].d_model
-    if width != config.d_model:
+    wrong = [seq.d_model for seq, _ in dataset if seq.d_model != config.d_model]
+    if wrong:
         raise CheckpointMismatchError(
-            f"token caches have d_model={width} but the model is configured "
+            f"token caches have d_model={wrong[0]} but the model is configured "
             f"with d_model={config.d_model}")
 
     # next-beat pre-training needs a second beat to predict
@@ -515,10 +520,11 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     last_loss = None
     stop = False
     with open(log_path, log_mode, encoding="utf-8") as log:
-        if optim_config.epochs == 0 or start_epoch > optim_config.epochs:
+        last_epoch = start_epoch - 1 if max_steps == 0 else optim_config.epochs
+        if start_epoch > last_epoch:
             save_training_checkpoint(ckpt_path, params, state, config,
                                      optim_config, start_epoch - 1)
-        for epoch in range(start_epoch, optim_config.epochs + 1):
+        for epoch in range(start_epoch, last_epoch + 1):
             order = ad.seeded_rng(seed, "shuffle", epoch).permutation(len(samples))
             for batch_idx in _batch_iter(order, optim_config.batch_size):
                 t0 = time.monotonic()
@@ -528,7 +534,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
                                    rng)
                 ad.zero_grads(trainable.values())
                 loss.backward()
-                lr = adam_step(trainable, None, state, optim_config)
+                lr = adam_step(trainable, state, optim_config)
                 last_loss = float(loss.item())
                 log.write(json.dumps({
                     "epoch": epoch, "step": state.step_num, "lr": lr,

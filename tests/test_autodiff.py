@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -67,11 +68,6 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             Tensor(np.ones(3)).item()
 
-    def test_detach_breaks_graph(self):
-        x = rand((3,), 0)
-        y = ad.mul(x, x).detach()
-        assert not y.requires_grad
-
     def test_parameter_carries_name(self):
         p = Parameter(np.zeros((2, 2)), "enc0.attn.wq")
         assert p.name == "enc0.attn.wq" and p.requires_grad
@@ -124,6 +120,13 @@ class TestBackwardMechanics:
         ad.sum_(ad.mul(x, w)).backward()
         assert x.grad is None
         assert np.array_equal(w.grad, [1.0, 2.0])
+
+    def test_interior_nodes_get_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, 3.0)
+        ad.sum_(y).backward()
+        assert y.grad is None and not y.requires_grad
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
 
 class TestMatmul:
@@ -204,11 +207,6 @@ class TestElementwise:
         pos.data = np.abs(pos.data) + 0.5
         check_grads(lambda: project(ad.log(pos), 24), [pos])
         check_grads(lambda: project(ad.sqrt(pos), 25), [pos])
-
-    def test_neg_and_operators(self):
-        x = rand((3,), 26)
-        y = (-x) + x * 2.0 - x / 2.0
-        assert np.allclose(y.data, x.data * 0.5)
 
     def test_clip_gradient_passes_inside_only(self):
         x = Tensor([-2.0, 0.3, 2.0], requires_grad=True)
@@ -486,6 +484,23 @@ class TestCheckpoint:
         assert list(loaded) == list(self.entries())
         for k, v in self.entries().items():
             assert np.array_equal(loaded[k], v)
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        entries = dict(self.entries())
+        entries["f64"] = np.linspace(-1.0, 1.0, 6).reshape(3, 2)  # cast to <f4
+        entries["strided"] = np.arange(12, dtype=np.float32).reshape(3, 4).T
+        entries["big_endian"] = np.arange(4, dtype=">f4")
+        entries["empty"] = np.zeros((0, 3), np.float32)
+        cfg = "d_model=8".encode()
+        ref = b"BFCK" + struct.pack("<II", 2, len(cfg)) + cfg + hashlib.sha256(cfg).digest()
+        ref += struct.pack("<I", len(entries))
+        for name, arr in entries.items():
+            a = np.ascontiguousarray(arr, dtype="<f4")
+            ref += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", a.ndim)
+            ref += struct.pack(f"<{a.ndim}I", *a.shape) + a.tobytes()
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, entries, "d_model=8")
+        assert p.read_bytes() == ref
 
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk"

@@ -50,61 +50,61 @@ def ramp(n=5000):
 class TestSegmentBeat:
     def test_interior_beat_oracle(self):
         fused = ramp()
-        tok = bt.segment_beat(fused, np.array([1000, 1600, 2200]), 1)
-        nz = np.flatnonzero(tok.values)
+        values, r_index = bt.segment_beat(fused, np.array([1000, 1600, 2200]), 1)
+        nz = np.flatnonzero(values)
         assert nz[0] == 133 and nz[-1] == 733
         assert nz.size == 733 - 133 + 1  # contiguous support
-        assert tok.values[333] == np.float32(fused[1600])
-        assert tok.r_index == 333
+        assert values[333] == np.float32(fused[1600])
+        assert r_index == 333
 
     def test_anchor_holds_fused_value(self):
         fused = ramp()
         for k, peak in enumerate([1000, 1600, 2200]):
-            tok = bt.segment_beat(fused, np.array([1000, 1600, 2200]), k)
-            assert tok.values[333] == np.float32(fused[peak])
+            values, _ = bt.segment_beat(fused, np.array([1000, 1600, 2200]), k)
+            assert values[333] == np.float32(fused[peak])
 
     def test_slow_rhythm_caps(self):
         fused = ramp(10000)
-        tok = bt.segment_beat(fused, np.array([3000, 6000, 9000]), 1)
-        assert np.all(tok.values != 0.0)  # 333 before + 666 after fills the token
+        values, _ = bt.segment_beat(fused, np.array([3000, 6000, 9000]), 1)
+        assert np.all(values != 0.0)  # 333 before + 666 after fills the token
 
     def test_first_beat_mirrors_next_interval(self):
         fused = ramp(3000)
-        tok = bt.segment_beat(fused, np.array([500, 1100]), 0)
-        nz = np.flatnonzero(tok.values)
+        values, _ = bt.segment_beat(fused, np.array([500, 1100]), 0)
+        nz = np.flatnonzero(values)
         assert nz[0] == 333 - 200  # before = floor(600/3)
 
     def test_last_beat_mirrors_previous_interval(self):
         fused = ramp(3000)
-        tok = bt.segment_beat(fused, np.array([500, 1100]), 1)
-        nz = np.flatnonzero(tok.values)
+        values, _ = bt.segment_beat(fused, np.array([500, 1100]), 1)
+        nz = np.flatnonzero(values)
         assert nz[-1] == 333 + 400  # after = floor(2*600/3)
 
     def test_single_peak_full_window(self):
         fused = ramp(3000)
-        tok = bt.segment_beat(fused, np.array([1500]), 0)
-        nz = np.flatnonzero(tok.values)
+        values, _ = bt.segment_beat(fused, np.array([1500]), 0)
+        nz = np.flatnonzero(values)
         assert nz[0] == 0 and nz[-1] == 999
 
     def test_record_start_clipped_to_zero(self):
         fused = ramp(3000)
-        tok = bt.segment_beat(fused, np.array([100, 1300]), 0)
+        values, _ = bt.segment_beat(fused, np.array([100, 1300]), 0)
         # before wants min(400, 333) = 333 but only 100 samples exist
-        nz = np.flatnonzero(tok.values)
+        nz = np.flatnonzero(values)
         assert nz[0] == 333 - 100
-        assert np.all(tok.values[: 333 - 100] == 0.0)
+        assert np.all(values[: 333 - 100] == 0.0)
 
     def test_record_end_clipped_to_zero(self):
         fused = ramp(1600)
-        tok = bt.segment_beat(fused, np.array([300, 1500]), 1)
-        nz = np.flatnonzero(tok.values)
+        values, _ = bt.segment_beat(fused, np.array([300, 1500]), 1)
+        nz = np.flatnonzero(values)
         assert nz[-1] == 333 + (1599 - 1500)
 
     def test_shorter_rr_means_more_zeros(self):
         fused = ramp(6000)
-        fast = bt.segment_beat(fused, np.array([2000, 2400, 2800]), 1)  # RR 400
-        slow = bt.segment_beat(fused, np.array([2000, 2800, 3600]), 1)  # RR 800
-        assert (fast.values == 0).sum() > (slow.values == 0).sum()
+        fast, _ = bt.segment_beat(fused, np.array([2000, 2400, 2800]), 1)  # RR 400
+        slow, _ = bt.segment_beat(fused, np.array([2000, 2800, 3600]), 1)  # RR 800
+        assert (fast == 0).sum() > (slow == 0).sum()
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(0)
@@ -113,15 +113,15 @@ class TestSegmentBeat:
         shift = 250
         shifted = np.concatenate([np.zeros(shift), base])[:4000 + shift]
         for k in range(3):
-            a = bt.segment_beat(base, peaks, k)
-            b = bt.segment_beat(shifted, peaks + shift, k)
-            assert np.array_equal(a.values, b.values)
+            a, _ = bt.segment_beat(base, peaks, k)
+            b, _ = bt.segment_beat(shifted, peaks + shift, k)
+            assert np.array_equal(a, b)
 
     def test_peaklist_accepted(self):
         fused = ramp()
         peaks = PeakList(np.array([1000, 1600, 2200]), 500.0)
-        tok = bt.segment_beat(fused, peaks, 1)
-        assert tok.values[333] == np.float32(fused[1600])
+        values, _ = bt.segment_beat(fused, peaks, 1)
+        assert values[333] == np.float32(fused[1600])
 
     def test_bad_beat_index(self):
         with pytest.raises(ValueError):
@@ -133,10 +133,10 @@ class TestSegmentBeat:
 
     def test_custom_width(self):
         fused = ramp()
-        tok = bt.segment_beat(fused, np.array([1000, 1600, 2200]), 1, d_model=9)
-        assert tok.values.shape == (9,)
-        assert tok.r_index == 3
-        assert tok.values[3] == np.float32(fused[1600])
+        values, r_index = bt.segment_beat(fused, np.array([1000, 1600, 2200]), 1, d_model=9)
+        assert values.shape == (9,)
+        assert r_index == 3
+        assert values[3] == np.float32(fused[1600])
 
 
 class TestBuildSequence:
@@ -155,10 +155,10 @@ class TestBuildSequence:
         seq = bt.build_sequence(fused, peaks)
         assert seq.n_real == 50
         assert seq.tokens.shape == (50, bt.TOKEN_LEN)
-        first = bt.segment_beat(fused, peaks, 0)
-        last = bt.segment_beat(fused, peaks, 49)
-        assert np.array_equal(seq.tokens[0], first.values)
-        assert np.array_equal(seq.tokens[49], last.values)
+        first, _ = bt.segment_beat(fused, peaks, 0)
+        last, _ = bt.segment_beat(fused, peaks, 49)
+        assert np.array_equal(seq.tokens[0], first)
+        assert np.array_equal(seq.tokens[49], last)
 
     def test_zero_peaks_error(self):
         with pytest.raises(NoBeatsError, match="no beats detected"):
@@ -171,7 +171,7 @@ class TestBuildSequence:
         seq = bt.build_sequence(fused, peaks)
         for k in range(seq.n_real):
             assert np.array_equal(seq.tokens[k],
-                                  bt.segment_beat(fused, peaks, k).values), k
+                                  bt.segment_beat(fused, peaks, k)[0]), k
 
     def test_float32_output(self):
         seq = bt.build_sequence(ramp(), np.array([1000, 1600]))

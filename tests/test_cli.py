@@ -718,6 +718,30 @@ class TestBadInputIsAnErrorLine:
         err = error_line(capsys)
         assert str(ws / "s2.tokens") in err and "max_pos=20" in err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_mixed_cache_widths(self, token_workspace, capsys, command):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        wide = ws / "s1.tokens"  # the first cache keeps the model's width 8
+        save_tokens(str(wide), synth.random_sequence(ad.seeded_rng(3), 50, 9, n_real=4))
+        capsys.readouterr()
+        common = ["--manifest", str(ws / "manifest.tsv")]
+        argv = {"train": ["train", "--config", str(ws / "model.cfg"),
+                          "--out", str(ws / "o")] + common,
+                "evaluate": ["evaluate", "--checkpoint", ckpt] + common,
+                "predict": ["predict", "--checkpoint", ckpt] + common}
+        assert main(argv[command]) == 1
+        err = error_line(capsys)
+        assert str(wide) in err and "9" in err and "d_model=8" in err
+
+    def test_negative_max_steps(self, token_workspace, capsys):
+        ws = token_workspace
+        rc = main(["train", "--config", str(ws / "model.cfg"), "--manifest",
+                   str(ws / "manifest.tsv"), "--out", str(ws / "o"), "--max-steps", "-3"])
+        assert rc == 1
+        assert "max_steps" in error_line(capsys)
+        assert not (ws / "o" / "model.ckpt").exists()
+
     def test_version_1_cache(self, token_workspace, capsys):
         ws = token_workspace
         ckpt = train_classifier(ws, "clf", epochs=0)

@@ -10,7 +10,7 @@ from beatformer import autodiff as ad
 from beatformer import training as tr
 from beatformer import transformer as tfm
 from beatformer.autodiff import Parameter, Tensor
-from beatformer.beat_tokenizer import save_tokens
+from beatformer.beat_tokenizer import BeatSequence, save_tokens
 from beatformer.errors import CheckpointMismatchError, ConfigError, EmptyInputError, FormatError
 
 
@@ -64,7 +64,8 @@ class TestAdam:
         p = Parameter(np.array([1.5, -2.5], dtype=np.float32), "w")
         before = p.data.copy()
         state = tr.AdamState.for_params({"w": p})
-        tr.adam_step({"w": p}, {"w": np.zeros(2, np.float32)}, state, self.cfg())
+        p.grad = np.zeros(2, np.float32)
+        tr.adam_step({"w": p}, state, self.cfg())
         assert np.array_equal(p.data, before)
 
     def test_first_step_moves_by_lr(self):
@@ -72,7 +73,8 @@ class TestAdam:
         p = Parameter(np.zeros(3), "w")
         state = tr.AdamState.for_params({"w": p})
         cfg = self.cfg()
-        lr = tr.adam_step({"w": p}, {"w": np.ones(3)}, state, cfg)
+        p.grad = np.ones(3)
+        lr = tr.adam_step({"w": p}, state, cfg)
         assert lr == tr.lr_schedule(1, 4, 10)
         assert np.allclose(p.data, -lr, atol=1e-9 * lr + 1e-15)
 
@@ -83,7 +85,8 @@ class TestAdam:
         x = 1.0
         m = v = 0.0
         for t, g in ((1, 0.3), (2, -0.7)):
-            tr.adam_step({"w": p}, {"w": np.array([g])}, state, cfg)
+            p.grad = np.array([g])
+            tr.adam_step({"w": p}, state, cfg)
             lr = tr.lr_schedule(t, 4, 10)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
@@ -95,27 +98,30 @@ class TestAdam:
 
     def test_reads_accumulated_grads_when_none(self):
         p = Parameter(np.array([2.0]), "w")
-        p.grad = np.array([1.0])
+        for _ in range(2):  # .grad holds the sum of both sweeps, 1.0
+            ad.sum_(ad.mul(p, 0.5)).backward()
         state = tr.AdamState.for_params({"w": p})
-        tr.adam_step({"w": p}, None, state, self.cfg())
+        tr.adam_step({"w": p}, state, self.cfg())
         assert p.data[0] < 2.0
 
     def test_missing_grad_names_parameter(self):
         p = Parameter(np.array([2.0]), "w")
         state = tr.AdamState.for_params({"w": p})
         with pytest.raises(ValueError, match="w"):
-            tr.adam_step({"w": p}, None, state, self.cfg())
+            tr.adam_step({"w": p}, state, self.cfg())
 
     def test_state_lazily_initialized(self):
         p = Parameter(np.array([1.0]), "w")
         state = tr.AdamState()  # empty slot dicts
-        tr.adam_step({"w": p}, {"w": np.array([0.5])}, state, self.cfg())
+        p.grad = np.array([0.5])
+        tr.adam_step({"w": p}, state, self.cfg())
         assert "w" in state.m and "w" in state.v
 
     def test_state_kept_float32_for_float32_params(self):
         p = Parameter(np.ones(2, np.float32), "w")
         state = tr.AdamState.for_params({"w": p})
-        tr.adam_step({"w": p}, {"w": np.ones(2, np.float32)}, state, self.cfg())
+        p.grad = np.ones(2, np.float32)
+        tr.adam_step({"w": p}, state, self.cfg())
         assert state.m["w"].dtype == np.float32
         assert state.v["w"].dtype == np.float32
         assert p.data.dtype == np.float32
@@ -125,7 +131,8 @@ class TestAdam:
         state = tr.AdamState.for_params({"w": p})
         arrays = (p.data, state.m["w"], state.v["w"])
         before = p.data.copy()
-        tr.adam_step({"w": p}, {"w": np.ones(3, np.float32)}, state, self.cfg())
+        p.grad = np.ones(3, np.float32)
+        tr.adam_step({"w": p}, state, self.cfg())
         assert all(new is old for new, old in
                    zip((p.data, state.m["w"], state.v["w"]), arrays))
         assert not np.array_equal(p.data, before)
@@ -133,11 +140,11 @@ class TestAdam:
     def test_peak_memory_stays_within_blocks(self):
         # an out-of-place update allocates several 4 MiB temporaries here
         p = Parameter(np.zeros((1024, 1024), dtype=np.float32), "w")
-        g = np.full(p.shape, 0.25, dtype=np.float32)
+        p.grad = np.full(p.shape, 0.25, dtype=np.float32)
         state = tr.AdamState.for_params({"w": p})
         tracemalloc.start()
         try:
-            tr.adam_step({"w": p}, {"w": g}, state, self.cfg())
+            tr.adam_step({"w": p}, state, self.cfg())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -167,7 +174,8 @@ class TestAdam:
         ref_p, ref_m, ref_v = p.data.copy(), state.m["w"].copy(), state.v["w"].copy()
         for t in (1, 2, 3):
             g = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2, size=shape)).astype(dtype)
-            tr.adam_step({"w": p}, {"w": g}, state, cfg)
+            p.grad = g
+            tr.adam_step({"w": p}, state, cfg)
             ref_p, ref_m, ref_v = self.reference_step(ref_p, g, ref_m, ref_v, t, cfg)
             assert np.array_equal(p.data, ref_p)
             assert np.array_equal(state.m["w"], ref_m)
@@ -547,7 +555,7 @@ class TestManifest:
 
     def test_load_dataset(self, tmp_path):
         rng = ad.seeded_rng(7)
-        seq = synth.random_sequence(rng, 50, 3, n_real=2)
+        seq = synth.random_sequence(rng, 50, 8, n_real=2)
         save_tokens(str(tmp_path / "a.tokens"), seq)
         (tmp_path / "man.tsv").write_text("a.tokens\t1\n")
         data = tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model())
@@ -558,7 +566,7 @@ class TestManifest:
     def test_load_dataset_requires_labels_for_classify(self, tmp_path):
         rng = ad.seeded_rng(8)
         save_tokens(str(tmp_path / "a.tokens"),
-                    synth.random_sequence(rng, 50, 3, n_real=2))
+                    synth.random_sequence(rng, 50, 8, n_real=2))
         (tmp_path / "man.tsv").write_text("a.tokens\t\n")
         with pytest.raises(FormatError):
             tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model(),
@@ -674,6 +682,13 @@ class TestTrainLoop:
             tr.train(data, tiny_model(d_model=16, n_heads=2), tiny_optim(),
                      tr.PRETRAIN, seed=9, out_dir=str(tmp_path))
 
+    def test_every_sequence_width_checked(self, tmp_path):
+        data = self.pretrain_data()
+        data[3] = (BeatSequence(np.ones((4, 9), np.float32)), None)
+        with pytest.raises(CheckpointMismatchError, match="d_model=9"):
+            tr.train(data, tiny_model(), tiny_optim(), tr.PRETRAIN, seed=9,
+                     out_dir=str(tmp_path))
+
     def test_epochs_zero_writes_initial_checkpoint(self, tmp_path):
         res = tr.train(self.pretrain_data(), tiny_model(),
                        tiny_optim(epochs=0), tr.PRETRAIN, seed=10,
@@ -690,6 +705,23 @@ class TestTrainLoop:
                        tiny_optim(epochs=5), tr.PRETRAIN, seed=11,
                        out_dir=str(tmp_path), max_steps=4)
         assert res["steps"] == 4
+
+    def test_max_steps_zero_writes_initial_checkpoint(self, tmp_path):
+        res = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
+                       tr.PRETRAIN, seed=10, out_dir=str(tmp_path), max_steps=0)
+        assert res["steps"] == 0 and res["final_loss"] is None
+        assert open(res["log"], encoding="utf-8").read() == ""
+        m, _, arrays, state, epoch = tr.load_training_checkpoint(res["checkpoint"])
+        assert epoch == 0 and state.step_num == 0
+        fresh = tfm.init_params(m.with_head(tfm.GENERATIVE), seed=10)
+        for name, p in fresh.items():
+            assert np.array_equal(arrays[name], p.data), name
+
+    def test_negative_max_steps_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_steps"):
+            tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
+                     tr.PRETRAIN, seed=10, out_dir=str(tmp_path), max_steps=-3)
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_transfer_copies_trunk_fresh_head(self, tmp_path):
         data = self.pretrain_data()
