@@ -2,9 +2,9 @@
 
 Just enough machinery for the encoder model: matmul with broadcastable
 batch dimensions, elementwise arithmetic, softmax, reductions, masking,
-dropout, fused layer norm and BCE-with-logits, and a topological backward
-sweep. Data lives in numpy arrays; float64 is the default so gradient
-checks are meaningful, float32 is the training dtype.
+dropout, row gather/scatter, fused layer norm and BCE-with-logits, and a
+topological backward sweep. Data lives in numpy arrays; float64 is the
+default so gradient checks are meaningful, float32 is the training dtype.
 """
 from __future__ import annotations
 
@@ -276,6 +276,30 @@ def take(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
+def _scatter(x2: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape, dtype=x2.dtype)
+    out.reshape(-1, shape[-1])[rows] = x2
+    return out
+
+
+def gather_rows(a, rows) -> Tensor:
+    """The rows of `a` ([..., d], seen as [rows, d]) at flat positions
+    `rows`, as [len(rows), d]. Rows must not repeat: the backward writes
+    each gradient row back by plain assignment (scatter_rows' forward)."""
+    a = _as_tensor(a)
+    data = a.data.reshape(-1, a.shape[-1])[rows]
+    return _make(data, (a,), lambda g: ((a, _scatter(g, rows, a.shape)),))
+
+
+def scatter_rows(a, rows, shape) -> Tensor:
+    """Zeros of `shape` ([..., d]) holding the rows of `a` ([len(rows), d])
+    at flat row positions `rows`; the inverse of gather_rows, whose
+    forward is its backward."""
+    a = _as_tensor(a)
+    return _make(_scatter(a.data, rows, shape), (a,),
+                 lambda g: ((a, g.reshape(-1, g.shape[-1])[rows]),))
+
+
 # -- reductions ----------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
@@ -405,7 +429,7 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     x = _as_tensor(x)
-    keep = (rng.random(x.shape) >= rate)
+    keep = rng.random(x.shape, dtype=x.data.dtype) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
     data = x.data * keep * scale
     return _make(data, (x,), lambda g: ((x, g * keep * scale),))

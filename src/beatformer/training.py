@@ -438,9 +438,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs must match exactly);
     init_checkpoint transfers a pre-trained trunk under a fresh head.
-    max_steps stops mid-run after that many optimizer steps (checkpoint
-    still written); 0 takes no step and writes the starting checkpoint,
-    as epochs=0 does.
+    max_steps stops mid-run once the step count reaches it (checkpoint
+    still written); at or below the starting step count (0, or a resumed
+    checkpoint's step) no step is taken and the starting checkpoint is
+    written, as epochs=0 does.
     """
     if mode not in (PRETRAIN, CLASSIFY):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -520,7 +521,9 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     last_loss = None
     stop = False
     with open(log_path, log_mode, encoding="utf-8") as log:
-        last_epoch = start_epoch - 1 if max_steps == 0 else optim_config.epochs
+        last_epoch = optim_config.epochs
+        if max_steps is not None and max_steps <= state.step_num:
+            last_epoch = start_epoch - 1  # no step left to take
         if start_epoch > last_epoch:
             save_training_checkpoint(ckpt_path, params, state, config,
                                      optim_config, start_epoch - 1)

@@ -4,7 +4,9 @@ Sinusoidal positional encoding, a stack of encoder layers (masked
 multi-head self-attention + feed-forward, post-norm residuals), and two
 interchangeable output heads: a per-position linear head for next-beat
 generation and a pooled logits head for multi-label classification (the
-sigmoid is applied by the loss and by the threshold rule).
+sigmoid is applied by the loss and by the threshold rule). The layers
+run on a padded batch's real beats only, packed into [N, d_model] rows;
+attention alone sees the padded [batch, seq] layout.
 """
 from __future__ import annotations
 
@@ -98,44 +100,54 @@ def _linear(x: Tensor, params: dict, name: str) -> Tensor:
 
 
 def multi_head_attention(x: Tensor, params: dict, prefix: str,
-                         allowed: np.ndarray | None, config: ModelConfig) -> Tensor:
+                         allowed: np.ndarray, config: ModelConfig,
+                         rows: np.ndarray) -> Tensor:
     """Project to q/k/v, split across heads, attend, concatenate, project out.
 
-    x: [..., seq, d_model]; q/k/v projections are d_model -> d_model and the
-    first n_heads*dk columns split into heads of width dk = d_model // n_heads.
+    x: [N, d_model], the real rows of a [batch, seq] padded layout packed
+    sequence by sequence; rows: their flat positions b*seq + p; allowed:
+    the [batch, 1, seq, seq] mask. Only the attention core sees the padded
+    layout: q, k and v are scattered into [batch, h, seq, dk] (padded rows
+    zero) and its output is gathered back to [N, used] before wo. The q/k/v
+    projections are d_model -> d_model and the first n_heads*dk columns
+    split into heads of width dk = d_model // n_heads.
     """
-    seq = x.shape[-2]
+    batch, seq = allowed.shape[0], allowed.shape[-1]
     if seq > config.max_pos:
         raise ValueError(f"sequence length {seq} exceeds max_pos {config.max_pos}")
     h, dk = config.n_heads, config.d_model // config.n_heads
     used = h * dk
-    batch = x.shape[:-2]
-    # [..., seq, h, dk] <-> [..., h, seq, dk]; the permutation is its own inverse
-    axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
+    # [batch, seq, h, dk] <-> [batch, h, seq, dk]; the permutation is its own inverse
+    axes = (0, 2, 1, 3)
 
     def split_heads(t: Tensor) -> Tensor:
         if used < config.d_model:
             t = t[..., :used]
-        return ad.transpose(ad.reshape(t, batch + (seq, h, dk)), axes)
+        t = ad.scatter_rows(t, rows, (batch, seq, used))
+        return ad.transpose(ad.reshape(t, (batch, seq, h, dk)), axes)
 
     q = split_heads(_linear(x, params, f"{prefix}.wq"))
     k = split_heads(_linear(x, params, f"{prefix}.wk"))
     v = split_heads(_linear(x, params, f"{prefix}.wv"))
     attended = scaled_dot_attention(q, k, v, allowed)
-    merged = ad.reshape(ad.transpose(attended, axes), batch + (seq, used))
-    return _linear(merged, params, f"{prefix}.wo")
+    merged = ad.reshape(ad.transpose(attended, axes), (batch, seq, used))
+    return _linear(ad.gather_rows(merged, rows), params, f"{prefix}.wo")
 
 
 def encoder_layer(x: Tensor, params: dict, prefix: str,
-                  allowed: np.ndarray | None, config: ModelConfig,
+                  allowed: np.ndarray, config: ModelConfig, rows: np.ndarray,
                   training: bool = False,
                   rng: ad.RngStream | None = None) -> Tensor:
-    """Post-norm residual block: LN(x + Drop(MHA(x))), then LN(a + Drop(FFN(a)))."""
+    """Post-norm residual block: LN(x + Drop(MHA(x))), then LN(a + Drop(FFN(a))).
+
+    x is [N, d_model], packed as multi_head_attention takes it; every op
+    but the attention core runs on those N rows alone.
+    """
     def drop(t: Tensor) -> Tensor:
         gen = rng.generator() if (training and rng is not None) else None
         return ad.dropout(t, config.dropout_rate, training, gen)
 
-    attn = multi_head_attention(x, params, f"{prefix}.attn", allowed, config)
+    attn = multi_head_attention(x, params, f"{prefix}.attn", allowed, config, rows)
     a1 = ad.layer_norm(ad.add(x, drop(attn)),
                        params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     hidden = ad.relu(_linear(a1, params, f"{prefix}.ffn.w1"))
@@ -149,30 +161,37 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
     """Run the encoder stack on token sequences.
 
     tokens: [batch, seq, d_model] with one count of unpadded positions per
-    row in n_real, or a single [seq, d_model] sequence with a scalar n_real,
-    run as a batch of one and squeezed on the way out. The generative head
-    returns per-position predictions; the classifier head mean-pools the
-    unpadded positions and returns per-class logits.
+    row in n_real, or a single [seq, d_model] sequence with a scalar n_real.
+    Only the real beats are computed: their N = sum(n_real) rows are
+    gathered once and packed sequence by sequence, and padded positions
+    exist only inside attention. The generative head returns per-position
+    predictions in the tokens' layout, zero at padded positions; the
+    classifier head mean-pools each sequence's real rows and returns
+    per-class logits.
     """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    single = x.ndim == 2
-    if single:
-        x = ad.reshape(x, (1,) + x.shape)
     counts = np.atleast_1d(np.asarray(n_real, dtype=np.int64))
-    if np.any(counts <= 0):
-        raise ValueError("sequence has no real beats")
     seq = x.shape[-2]  # multi_head_attention rejects seq > max_pos
-    x = ad.add(x, positional_encoding(seq, config.d_model, dtype=x.dtype))
+    if counts.size != (x.shape[0] if x.ndim == 3 else 1):
+        raise ValueError(f"{counts.size} counts for a batch of shape {x.shape}")
+    if np.any(counts <= 0) or np.any(counts > seq):
+        raise ValueError(f"every sequence needs 1..{seq} real beats, got {counts.tolist()}")
+    # flat positions b*seq + p of the real beats, each sequence's run contiguous
+    rows = np.flatnonzero(np.arange(seq) < counts[:, None])
+    pe = positional_encoding(seq, config.d_model, dtype=x.dtype)
+    h = ad.add(ad.gather_rows(x, rows), pe[rows % seq])
     allowed = build_attention_mask(counts, seq, config.causal)
     for i in range(config.n_encoders):
-        x = encoder_layer(x, params, f"enc{i}", allowed, config, training, rng)
+        h = encoder_layer(h, params, f"enc{i}", allowed, config, rows, training, rng)
 
-    if config.head == CLASSIFIER:
-        real = (np.arange(seq)[None, :] < counts[:, None]).astype(x.dtype)
-        x = ad.mul(ad.sum_(ad.mul(x, real[..., None]), axis=-2),
-                   (1.0 / counts.astype(np.float64)).astype(x.dtype)[:, None])
-    out = _linear(x, params, "head")
-    return ad.reshape(out, out.shape[1:]) if single else out
+    if config.head == GENERATIVE:
+        out = _linear(h, params, "head")
+        return ad.scatter_rows(out, rows, x.shape[:-1] + out.shape[-1:])
+    padded = ad.scatter_rows(h, rows, (counts.size, seq, config.d_model))
+    pooled = ad.mul(ad.sum_(padded, axis=-2),
+                    (1.0 / counts.astype(np.float64)).astype(h.dtype)[:, None])
+    out = _linear(pooled, params, "head")
+    return ad.reshape(out, out.shape[1:]) if x.ndim == 2 else out
 
 
 def param_shapes(config: ModelConfig):

@@ -230,6 +230,21 @@ class TestShapeOps:
         # row 0 taken twice -> gradient 2
         assert np.array_equal(x.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1], [0, 0, 0]])
 
+    def test_gather_rows_gradient(self):
+        x = rand((2, 4, 3), 50)
+        rows = np.array([0, 1, 4, 5, 6])
+        assert np.array_equal(ad.gather_rows(x, rows).data,
+                              x.data.reshape(8, 3)[rows])
+        check_grads(lambda: project(ad.gather_rows(x, rows), 51), [x])
+
+    def test_scatter_rows_gradient(self):
+        x = rand((5, 3), 52)
+        rows = np.array([0, 1, 4, 5, 6])
+        out = ad.scatter_rows(x, rows, (2, 4, 3))
+        assert np.array_equal(out.data.reshape(8, 3)[rows], x.data)
+        assert not out.data.reshape(8, 3)[[2, 3, 7]].any()
+        check_grads(lambda: project(ad.scatter_rows(x, rows, (2, 4, 3)), 53), [x])
+
     def test_sum_axis_keepdims(self):
         x = rand((2, 3), 31)
         check_grads(lambda: project(ad.sum_(x, axis=0), 32), [x])

@@ -108,3 +108,47 @@ def test_traced_training_sees_every_step(tmp_path, capsys):
     assert len(adam) == 4 and all(spans[span[3]][0] == "training.step" for span in adam)
     assert names.count("training.load_checkpoint") == 1
     assert names.count("training.save_checkpoint") == 2
+
+
+def under(spans, idx, name) -> bool:
+    """Whether span idx lies (at any depth) inside a span called `name`."""
+    idx = spans[idx][3]
+    while idx >= 0:
+        if spans[idx][0] == name:
+            return True
+        idx = spans[idx][3]
+    return False
+
+
+def test_packed_encoder_spans_nest_in_forward(tmp_path, capsys):
+    rng = autodiff.seeded_rng(4)
+    for i, n in enumerate((5, 1, 3, 2)):
+        save_tokens(str(tmp_path / f"s{i}.tokens"),
+                    BeatSequence(rng.normal(size=(n, 8)).astype(np.float32)))
+    (tmp_path / "manifest.tsv").write_text("".join(f"s{i}.tokens\t{i % 3}\n" for i in range(4)))
+    (tmp_path / "model.cfg").write_text(
+        "model.d_model=8\nmodel.n_encoders=2\nmodel.n_heads=2\nmodel.dff=16\n"
+        "model.d_class=3\noptim.warmup_steps=8\noptim.batch_size=4\noptim.epochs=1\n")
+    manifest = ["--manifest", str(tmp_path / "manifest.tsv")]
+    traced = {}
+    for command, args in (("train", ["--config", str(tmp_path / "model.cfg"), "--seed", "0",
+                                     "--out", str(tmp_path / "clf")]),
+                          ("predict", ["--checkpoint", str(tmp_path / "clf" / "model.ckpt")])):
+        tracer = load_tracer().Tracer()
+        tracer.install()
+        try:
+            assert cli.main([command] + manifest + args) == 0
+        finally:
+            tracer.uninstall()
+        traced[command] = tracer.spans
+    capsys.readouterr()
+    for command, spans in traced.items():
+        names = [span[0] for span in spans]
+        for fn in ("encoder_layer", "multi_head_attention", "scaled_dot_attention"):
+            idx = [i for i, name in enumerate(names) if name == f"transformer.{fn}"]
+            assert len(idx) == 2, (command, fn)
+            assert all(under(spans, i, "transformer.forward") for i in idx), (command, fn)
+        assert all(under(spans, i, "transformer.multi_head_attention")
+                   for i, name in enumerate(names) if name == "transformer.scaled_dot_attention")
+    assert any(name.endswith(".bwd") for name, *_ in traced["train"])
+    assert not any(name.endswith(".bwd") for name, *_ in traced["predict"])

@@ -522,6 +522,97 @@ class TestBackwardReleasesGraph:
                    for p in params.values())
 
 
+def mixed_batch(seed, head, lengths=(2, 7, 4, 5), dtype=np.float32):
+    """(config, params, samples) of a tiny model and one sample per length."""
+    cfg = tiny_model(max_pos=8, dropout_rate=0.0).with_head(head)
+    params = tfm.init_params(cfg, seed=seed, dtype=dtype)
+    rng = ad.seeded_rng(seed, "batch")
+    samples = [(rng.normal(size=(n, cfg.d_model)).astype(dtype),
+                (rng.random(cfg.d_class) < 0.5).astype(np.int8)) for n in lengths]
+    return cfg, params, samples
+
+
+class TestPackedRows:
+    """The encoder computes only the real beats of a padded batch."""
+
+    @staticmethod
+    def weight_rows(monkeypatch, params):
+        """Spy on ad.matmul: (parameter name, rows multiplied) per product
+        by a weight, and the real beats of each forward, in call order."""
+        names = {id(p.data): n for n, p in params.items() if n.endswith(".w")}
+        seen = []
+        matmul, forward = ad.matmul, tfm.forward
+
+        def spy_matmul(a, b):
+            if isinstance(b, Tensor) and id(b.data) in names:
+                seen.append((names[id(b.data)], int(np.prod(a.shape[:-1]))))
+            return matmul(a, b)
+
+        def spy_forward(tokens, n_real, *args, **kwargs):
+            seen.append(("forward", int(np.sum(n_real))))
+            return forward(tokens, n_real, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "matmul", spy_matmul)
+        monkeypatch.setattr(tfm, "forward", spy_forward)
+        return seen
+
+    @staticmethod
+    def assert_real_rows_only(seen, batch_rows):
+        """Every encoder weight (and the generative head) multiplies exactly
+        the forward's real beats; the classifier head one row per sequence."""
+        assert seen and seen[0][0] == "forward"
+        real = None
+        for name, rows in seen:
+            if name == "forward":
+                real = rows
+            elif name == "head.w" and batch_rows is not None:
+                assert rows == batch_rows.pop(0), name
+            else:
+                assert rows == real, (name, rows, real)
+
+    @pytest.mark.parametrize("head", [tfm.GENERATIVE, tfm.CLASSIFIER])
+    def test_training_products_see_only_real_rows(self, monkeypatch, head):
+        cfg, params, samples = mixed_batch(1, head)
+        mode = tr.PRETRAIN if head == tfm.GENERATIVE else tr.CLASSIFY
+        seen = self.weight_rows(monkeypatch, params)
+        loss = tr._batch_loss(samples, np.arange(4), mode, cfg, params,
+                              ad.RngStream(0, "dropout", 1))
+        loss.backward()
+        # pretraining feeds n - 1 inputs per sequence
+        real = sum(len(t) for t, _ in samples) - (4 if mode == tr.PRETRAIN else 0)
+        assert seen[0] == ("forward", real)
+        assert len(seen) == 1 + 6 * cfg.n_encoders + 1
+        self.assert_real_rows_only(seen, [4] if head == tfm.CLASSIFIER else None)
+
+    def test_inference_products_see_only_real_rows(self, monkeypatch):
+        cfg, params, samples = mixed_batch(2, tfm.CLASSIFIER, lengths=(8, 1, 3, 6, 2))
+        seqs = [BeatSequence(t) for t, _ in samples]
+        seen = self.weight_rows(monkeypatch, params)
+        tr.forward_batches(params, cfg, seqs, batch_size=2)
+        assert [rows for name, rows in seen if name == "forward"] == [1 + 2, 3 + 6, 8]
+        self.assert_real_rows_only(seen, [2, 2, 1])
+
+    @pytest.mark.parametrize("mode", [tr.PRETRAIN, tr.CLASSIFY])
+    def test_batch_gradient_is_mean_of_single_gradients(self, mode):
+        head = tfm.GENERATIVE if mode == tr.PRETRAIN else tfm.CLASSIFIER
+        cfg, params, samples = mixed_batch(3, head, dtype=np.float64)
+
+        def grads(batch_idx):
+            ad.zero_grads(params)
+            tr._batch_loss(samples, np.asarray(batch_idx), mode, cfg, params,
+                           ad.RngStream(0, "dropout", 1)).backward()
+            return {n: p.grad.copy() for n, p in params.items()}
+
+        batch = grads(range(len(samples)))
+        # BCE averages over sequences, the masked MSE over supervised beats
+        counts = np.array([len(t) - 1 if mode == tr.PRETRAIN else 1 for t, _ in samples])
+        weights = counts / counts.sum()
+        singles = [grads([i]) for i in range(len(samples))]
+        for name, g in batch.items():
+            mean = sum(w * s[name] for w, s in zip(weights, singles))
+            assert np.abs(g - mean).max() <= 1e-12, name
+
+
 class TestPadBatch:
     def test_pads_to_longest_in_order(self):
         rows = [np.full((n, 2), n, np.float32) for n in (2, 4, 1)]
@@ -716,6 +807,23 @@ class TestTrainLoop:
         fresh = tfm.init_params(m.with_head(tfm.GENERATIVE), seed=10)
         for name, p in fresh.items():
             assert np.array_equal(arrays[name], p.data), name
+
+    @pytest.mark.parametrize("max_steps", [2, 3])
+    def test_resume_at_or_past_max_steps_takes_no_step(self, tmp_path, max_steps):
+        part = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
+                        tr.PRETRAIN, seed=12, out_dir=str(tmp_path))
+        assert part["steps"] == 3
+        _, before = ad.load_checkpoint(part["checkpoint"])
+        log = open(part["log"], encoding="utf-8").read()
+        res = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=3),
+                       tr.PRETRAIN, seed=12, out_dir=str(tmp_path),
+                       resume=part["checkpoint"], max_steps=max_steps)
+        assert res["steps"] == 3 and res["final_loss"] is None
+        # every entry is rewritten as it was; only the header's epoch target moved
+        _, after = ad.load_checkpoint(res["checkpoint"])
+        assert list(after) == list(before)
+        assert all(np.array_equal(after[n], before[n]) for n in before)
+        assert open(res["log"], encoding="utf-8").read() == log
 
     def test_negative_max_steps_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="max_steps"):

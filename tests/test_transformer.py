@@ -169,13 +169,22 @@ class TestScaledDotAttention:
         assert np.any(v.grad != 0)
 
 
+def packed(counts, seq=None):
+    """(rows, allowed) of a batch with these counts: the flat positions of
+    its real beats and its causal attention mask, as forward builds them."""
+    counts = np.asarray(counts)
+    seq = int(counts.max()) if seq is None else seq
+    rows = np.flatnonzero(np.arange(seq) < counts[:, None])
+    return rows, tfm.build_attention_mask(counts, seq)
+
+
 class TestMultiHeadAttention:
     def test_single_position_collapses_to_linear(self):
         cfg = small_config()
         params = tfm.init_params(cfg, seed=3, dtype=np.float64)
         x = ad.seeded_rng(6).normal(size=(1, cfg.d_model))
-        out = tfm.multi_head_attention(Tensor(x), params, "enc0.attn",
-                                       tfm.build_attention_mask(1, 1), cfg)
+        rows, allowed = packed([1])
+        out = tfm.multi_head_attention(Tensor(x), params, "enc0.attn", allowed, cfg, rows)
         v = x @ params["enc0.attn.wv.w"].data + params["enc0.attn.wv.b"].data
         expect = v @ params["enc0.attn.wo.w"].data + params["enc0.attn.wo.b"].data
         assert np.allclose(out.data, expect, atol=1e-12)
@@ -183,17 +192,18 @@ class TestMultiHeadAttention:
     def test_output_shape_batched(self):
         cfg = small_config()
         params = tfm.init_params(cfg, seed=4, dtype=np.float64)
-        x = Tensor(ad.seeded_rng(7).normal(size=(3, 5, cfg.d_model)))
-        allowed = tfm.build_attention_mask(np.array([5, 3, 1]), 5)
-        out = tfm.multi_head_attention(x, params, "enc0.attn", allowed, cfg)
-        assert out.shape == (3, 5, cfg.d_model)
+        rows, allowed = packed([5, 3, 1])
+        x = Tensor(ad.seeded_rng(7).normal(size=(rows.size, cfg.d_model)))
+        out = tfm.multi_head_attention(x, params, "enc0.attn", allowed, cfg, rows)
+        assert out.shape == (5 + 3 + 1, cfg.d_model)
 
     def test_sequence_longer_than_max_pos_rejected(self):
         cfg = small_config()
         params = tfm.init_params(cfg, seed=5)
+        rows, allowed = packed([cfg.max_pos + 1])
         x = Tensor(np.zeros((cfg.max_pos + 1, cfg.d_model)))
         with pytest.raises(ValueError):
-            tfm.multi_head_attention(x, params, "enc0.attn", None, cfg)
+            tfm.multi_head_attention(x, params, "enc0.attn", allowed, cfg, rows)
 
 
 class TestEncoderLayer:
@@ -201,9 +211,9 @@ class TestEncoderLayer:
         cfg = small_config()
         params = tfm.init_params(cfg, seed=6, dtype=np.float64)
         x = Tensor(ad.seeded_rng(8).normal(size=(4, cfg.d_model)))
-        allowed = tfm.build_attention_mask(4, 4)
-        a = tfm.encoder_layer(x, params, "enc0", allowed, cfg).data
-        b = tfm.encoder_layer(x, params, "enc0", allowed, cfg).data
+        rows, allowed = packed([4])
+        a = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows).data
+        b = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows).data
         assert a.shape == (4, cfg.d_model)
         assert np.array_equal(a, b)
 
@@ -212,11 +222,11 @@ class TestEncoderLayer:
         params = tfm.init_params(cfg, seed=7, dtype=np.float64)
         rng = ad.seeded_rng(9)
         x = rng.normal(size=(5, cfg.d_model))
-        allowed = tfm.build_attention_mask(5, 5, causal=True)
-        base = tfm.encoder_layer(Tensor(x), params, "enc0", allowed, cfg).data
+        rows, allowed = packed([5])
+        base = tfm.encoder_layer(Tensor(x), params, "enc0", allowed, cfg, rows).data
         x2 = x.copy()
         x2[4] += rng.normal(size=cfg.d_model)  # perturb only the last position
-        pert = tfm.encoder_layer(Tensor(x2), params, "enc0", allowed, cfg).data
+        pert = tfm.encoder_layer(Tensor(x2), params, "enc0", allowed, cfg, rows).data
         assert np.allclose(base[:4], pert[:4], atol=1e-12)
         assert not np.allclose(base[4], pert[4])
 
@@ -224,11 +234,11 @@ class TestEncoderLayer:
         cfg = small_config(dropout_rate=0.5)
         params = tfm.init_params(cfg, seed=8, dtype=np.float64)
         x = Tensor(ad.seeded_rng(10).normal(size=(4, cfg.d_model)))
-        allowed = tfm.build_attention_mask(4, 4)
-        plain = tfm.encoder_layer(x, params, "enc0", allowed, cfg).data
-        noisy = tfm.encoder_layer(x, params, "enc0", allowed, cfg,
+        rows, allowed = packed([4])
+        plain = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows).data
+        noisy = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows,
                                   training=True, rng=ad.RngStream(0, "drop")).data
-        again = tfm.encoder_layer(x, params, "enc0", allowed, cfg,
+        again = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows,
                                   training=True, rng=ad.RngStream(0, "drop")).data
         assert not np.allclose(plain, noisy)
         assert np.array_equal(noisy, again)
@@ -353,6 +363,14 @@ class TestForward:
         with pytest.raises(ValueError):
             tfm.forward(np.zeros((4, cfg.d_model)), n_real=0,
                         config=cfg, params=params)
+
+    def test_counts_must_fit_the_batch(self):
+        cfg = small_config()
+        params = tfm.init_params(cfg, seed=18)
+        tokens = np.zeros((2, 4, cfg.d_model))
+        for n_real in ([1, 5], [2], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                tfm.forward(tokens, n_real=n_real, config=cfg, params=params)
 
     def test_sequence_longer_than_max_pos_rejected(self):
         cfg = small_config()
