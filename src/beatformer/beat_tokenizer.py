@@ -128,6 +128,8 @@ def load_tokens(path: str) -> BeatSequence:
                           + ("; re-run preprocess" if version == 1 else ""))
     if not 1 <= n_real <= MAX_POS:
         raise FormatError(f"{path}: header claims {n_real} beats, not 1..{MAX_POS}")
+    if d_model == 0:
+        raise FormatError(f"{path}: header claims beats of width 0")
     need = 16 + n_real * d_model * 4
     if len(blob) != need:
         raise FormatError(f"{path}: {len(blob)} bytes, expected {need}")

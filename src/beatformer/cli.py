@@ -77,6 +77,9 @@ def build_config(file_values: dict | None = None,
         if value is None:
             continue
         cfg = replace(cfg, **{name: value})
+    for name in ("target_fs", "highpass_hz"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"data.{name} must be positive, got {getattr(cfg, name)}")
     if cfg.detector not in DETECTORS:
         raise ConfigError(
             f"unknown detector {cfg.detector!r}; choose from {sorted(DETECTORS)}")
@@ -194,6 +197,14 @@ def _require_manifest(cfg: PipelineConfig) -> str:
     return cfg.manifest
 
 
+def _label_map_for(path: str, d_class: int) -> LabelMap:
+    lmap = load_label_map(path)
+    if lmap.num_classes != d_class:
+        raise ConfigError(
+            f"label map has {lmap.num_classes} classes but model.d_class is {d_class}")
+    return lmap
+
+
 def cmd_pretrain(args) -> int:
     cfg = _config_from_args(args)
     summary = training.train(
@@ -206,11 +217,7 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     if cfg.label_map:
-        lmap = load_label_map(cfg.label_map)
-        if lmap.num_classes != cfg.model.d_class:
-            raise ConfigError(
-                f"label map has {lmap.num_classes} classes but model.d_class "
-                f"is {cfg.model.d_class}")
+        _label_map_for(cfg.label_map, cfg.model.d_class)
     summary = training.train(
         _require_manifest(cfg), cfg.model, cfg.optim, training.CLASSIFY,
         cfg.seed, cfg.out_dir, resume=args.resume,
@@ -251,7 +258,7 @@ def cmd_predict(args) -> int:
 
     names = None
     if cfg.label_map:
-        names = load_label_map(cfg.label_map).reverse()
+        names = _label_map_for(cfg.label_map, mcfg.d_class).reverse()
     logits = training.forward_batches(params, mcfg, [s for s, _ in dataset])
     preds = training.threshold_predict(logits, ocfg.threshold)
     lines = []

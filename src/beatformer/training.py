@@ -418,11 +418,6 @@ def load_training_checkpoint(path: str, keep=None):
     return mcfg, ocfg, params, state, epoch
 
 
-def _batch_iter(order: np.ndarray, batch_size: int):
-    for lo in range(0, order.size, batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
           mode: str, seed: int, out_dir: str,
           resume: str | None = None,
@@ -436,12 +431,12 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     (BeatSequence, multi-hot/None) pairs. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
-    resume continues an interrupted run (configs must match exactly);
-    init_checkpoint transfers a pre-trained trunk under a fresh head.
-    max_steps stops mid-run once the step count reaches it (checkpoint
-    still written); at or below the starting step count (0, or a resumed
-    checkpoint's step) no step is taken and the starting checkpoint is
-    written, as epochs=0 does.
+    resume continues an interrupted run (configs must match exactly) from
+    its step count, as if it had never stopped; init_checkpoint transfers a
+    pre-trained trunk under a fresh head. max_steps stops the run once the
+    step count reaches it, mid-epoch or not; at or below the starting step
+    count no step is taken. The checkpoint is written at each epoch end and
+    when the run stops, and its meta.epoch counts the epochs completed.
     """
     if mode not in (PRETRAIN, CLASSIFY):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -474,9 +469,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     if not samples:
         raise EmptyInputError("no sequence has >= 2 beats; nothing to pre-train on")
 
-    start_epoch = 1
     if resume:
-        ck_m, ck_o, arrays, state, epoch_done = load_training_checkpoint(resume)
+        ck_m, ck_o, arrays, state, _ = load_training_checkpoint(resume)
         # epochs is the run-length target, not a trajectory parameter; a
         # resumed run may extend it
         diff = (config_diff(ck_m, config, [f.name for f in fields(config)])
@@ -487,7 +481,6 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
                 "checkpoint does not match the requested configuration:\n  "
                 + "\n  ".join(diff))
         params = tf.params_from_arrays(arrays, config)
-        start_epoch = epoch_done + 1
     elif init_checkpoint:
         # only the trunk is read: the Adam moments and the old head are skipped
         ck_m, _, arrays, _, _ = load_training_checkpoint(
@@ -503,12 +496,12 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         head = tf.init_params(config, seed, keep=lambda name: name.startswith("head."))
         arrays.update((name, p.data) for name, p in head.items())
         params = tf.params_from_arrays(arrays, config)
-        state = AdamState.for_params(_trainable(params, freeze_trunk))
     else:
         params = tf.init_params(config, seed)
-        state = AdamState.for_params(_trainable(params, freeze_trunk))
 
     trainable = _trainable(params, freeze_trunk)
+    if not resume:
+        state = AdamState.for_params(trainable)
     if freeze_trunk:
         for name, p in params.items():
             if name not in trainable:
@@ -518,39 +511,36 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     log_path = os.path.join(out_dir, "train_log.ndjson")
     log_mode = "a" if resume else "w"
 
+    # the step count alone places a run: step s is batch k of epoch e for
+    # (e, k) = divmod(s, per_epoch), so a resume continues mid-epoch
+    bs = optim_config.batch_size
+    per_epoch = -(-len(samples) // bs)
+    last = optim_config.epochs * per_epoch
+    if max_steps is not None:
+        last = min(last, max_steps)
     last_loss = None
-    stop = False
     with open(log_path, log_mode, encoding="utf-8") as log:
-        last_epoch = optim_config.epochs
-        if max_steps is not None and max_steps <= state.step_num:
-            last_epoch = start_epoch - 1  # no step left to take
-        if start_epoch > last_epoch:
-            save_training_checkpoint(ckpt_path, params, state, config,
-                                     optim_config, start_epoch - 1)
-        for epoch in range(start_epoch, last_epoch + 1):
-            order = ad.seeded_rng(seed, "shuffle", epoch).permutation(len(samples))
-            for batch_idx in _batch_iter(order, optim_config.batch_size):
-                t0 = time.monotonic()
-                step = state.step_num + 1
-                rng = ad.RngStream(seed, "dropout", step)
-                loss = _batch_loss(samples, batch_idx, mode, config, params,
-                                   rng)
-                ad.zero_grads(trainable.values())
-                loss.backward()
-                lr = adam_step(trainable, state, optim_config)
-                last_loss = float(loss.item())
-                log.write(json.dumps({
-                    "epoch": epoch, "step": state.step_num, "lr": lr,
-                    "loss": last_loss, "mode": mode, "seed": seed,
-                    "wall_ms": round(1000 * (time.monotonic() - t0), 3),
-                }) + "\n")
-                if max_steps is not None and state.step_num >= max_steps:
-                    stop = True
-                    break
-            save_training_checkpoint(ckpt_path, params, state, config,
-                                     optim_config, epoch)
-            if stop:
-                break
+        for step in range(state.step_num, last):
+            t0 = time.monotonic()
+            epoch, k = divmod(step, per_epoch)
+            order = ad.seeded_rng(seed, "shuffle", epoch + 1).permutation(len(samples))
+            rng = ad.RngStream(seed, "dropout", step + 1)
+            loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], mode,
+                               config, params, rng)
+            ad.zero_grads(trainable.values())
+            loss.backward()
+            lr = adam_step(trainable, state, optim_config)
+            last_loss = float(loss.item())
+            log.write(json.dumps({
+                "epoch": epoch + 1, "step": state.step_num, "lr": lr,
+                "loss": last_loss, "mode": mode, "seed": seed,
+                "wall_ms": round(1000 * (time.monotonic() - t0), 3),
+            }) + "\n")
+            if k + 1 == per_epoch and step + 1 < last:
+                save_training_checkpoint(ckpt_path, params, state, config,
+                                         optim_config, epoch + 1)
+    save_training_checkpoint(ckpt_path, params, state, config, optim_config,
+                             state.step_num // per_epoch)
 
     return {
         "checkpoint": ckpt_path,

@@ -45,8 +45,8 @@ class ModelConfig:
         for name in ("d_model", "n_encoders", "n_heads", "dff", "max_pos", "d_class"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"ModelConfig.{name} must be positive")
-        if self.n_heads > self.d_model:
-            raise ValueError("n_heads exceeds d_model; heads would have width 0")
+        if self.d_model % self.n_heads:
+            raise ValueError(f"n_heads={self.n_heads} does not divide d_model={self.d_model}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.head not in (GENERATIVE, CLASSIFIER):
@@ -108,29 +108,26 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
     sequence by sequence; rows: their flat positions b*seq + p; allowed:
     the [batch, 1, seq, seq] mask. Only the attention core sees the padded
     layout: q, k and v are scattered into [batch, h, seq, dk] (padded rows
-    zero) and its output is gathered back to [N, used] before wo. The q/k/v
-    projections are d_model -> d_model and the first n_heads*dk columns
-    split into heads of width dk = d_model // n_heads.
+    zero) and its output is gathered back to [N, d_model] before wo. The
+    q/k/v projections are d_model -> d_model, split into n_heads heads of
+    width dk = d_model // n_heads.
     """
     batch, seq = allowed.shape[0], allowed.shape[-1]
     if seq > config.max_pos:
         raise ValueError(f"sequence length {seq} exceeds max_pos {config.max_pos}")
-    h, dk = config.n_heads, config.d_model // config.n_heads
-    used = h * dk
+    h, d = config.n_heads, config.d_model
     # [batch, seq, h, dk] <-> [batch, h, seq, dk]; the permutation is its own inverse
     axes = (0, 2, 1, 3)
 
     def split_heads(t: Tensor) -> Tensor:
-        if used < config.d_model:
-            t = t[..., :used]
-        t = ad.scatter_rows(t, rows, (batch, seq, used))
-        return ad.transpose(ad.reshape(t, (batch, seq, h, dk)), axes)
+        t = ad.scatter_rows(t, rows, (batch, seq, d))
+        return ad.transpose(ad.reshape(t, (batch, seq, h, d // h)), axes)
 
     q = split_heads(_linear(x, params, f"{prefix}.wq"))
     k = split_heads(_linear(x, params, f"{prefix}.wk"))
     v = split_heads(_linear(x, params, f"{prefix}.wv"))
     attended = scaled_dot_attention(q, k, v, allowed)
-    merged = ad.reshape(ad.transpose(attended, axes), (batch, seq, used))
+    merged = ad.reshape(ad.transpose(attended, axes), (batch, seq, d))
     return _linear(ad.gather_rows(merged, rows), params, f"{prefix}.wo")
 
 
@@ -196,13 +193,13 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
 
 def param_shapes(config: ModelConfig):
     """Yield (name, shape, kind) for every trainable parameter, in registry order."""
-    d, used = config.d_model, config.n_heads * (config.d_model // config.n_heads)
+    d = config.d_model
     for i in range(config.n_encoders):
         p = f"enc{i}"
         for proj in ("wq", "wk", "wv"):
             yield f"{p}.attn.{proj}.w", (d, d), "weight"
             yield f"{p}.attn.{proj}.b", (d,), "bias"
-        yield f"{p}.attn.wo.w", (used, d), "weight"
+        yield f"{p}.attn.wo.w", (d, d), "weight"
         yield f"{p}.attn.wo.b", (d,), "bias"
         yield f"{p}.ffn.w1.w", (d, config.dff), "weight"
         yield f"{p}.ffn.w1.b", (config.dff,), "bias"

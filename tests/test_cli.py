@@ -281,6 +281,32 @@ class TestPreprocess:
         skips = (out / "skip_report.txt").read_text()
         assert "r4" in skips
 
+    @pytest.mark.parametrize("lead, skip", [(None, None),
+                                            ("II", "no beats detected"),
+                                            ("V9", "no lead named 'V9'")])
+    def test_detection_lead(self, tmp_path, lead, skip):
+        d = tmp_path / "records"
+        d.mkdir()
+        synth.wavelet_csv(d / "r.csv", lead_scales=(1.0, 0.0))  # lead II is flat
+        out = tmp_path / "out"
+        argv = ["preprocess", str(d), "--out", str(out)]
+        if lead:
+            (tmp_path / "lead.cfg").write_text(f"data.lead={lead}\n")
+            argv += ["--config", str(tmp_path / "lead.cfg")]
+        assert main(argv) == (0 if skip is None else 1)
+        skips = (out / "skip_report.txt").read_text()
+        assert skips == ("" if skip is None else f"{d / 'r.csv'}\t{skip}\n")
+
+    @pytest.mark.parametrize("line", ["data.target_fs=0", "data.target_fs=-250",
+                                      "data.highpass_hz=0", "data.highpass_hz=-1"])
+    def test_non_positive_rate_is_an_error_line(self, record_dir, tmp_path, capsys,
+                                                line):
+        (tmp_path / "rate.cfg").write_text(line + "\n")
+        rc = main(["preprocess", str(record_dir), "--out", str(tmp_path / "out"),
+                   "--config", str(tmp_path / "rate.cfg")])
+        assert rc == 1
+        assert f"{line.split('=')[0]} must be positive" in error_line(capsys)
+
     def test_parallel_workers_match_serial(self, record_dir, tmp_path,
                                            label_map):
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -344,6 +370,26 @@ class TestTrainCli:
         mcfg, _, _, _, _ = tr.load_training_checkpoint(summary["checkpoint"])
         assert mcfg.head == tfm.CLASSIFIER
         assert mcfg.d_class == 3
+
+    def test_resume_after_max_steps_matches_uninterrupted_run(self, token_workspace):
+        # 8 samples in batches of 3 make 3 steps an epoch; step 2 is mid-epoch
+        ws = token_workspace
+        (ws / "b3.cfg").write_text(small_cfg_text(**{"optim.batch_size": 3}))
+        common = ["--config", str(ws / "b3.cfg"), "--manifest",
+                  str(ws / "manifest.tsv"), "--seed", "1"]
+        assert main(["pretrain", "--out", str(ws / "full")] + common) == 0
+        assert main(["pretrain", "--out", str(ws / "part"), "--max-steps", "2"]
+                    + common) == 0
+        assert main(["pretrain", "--out", str(ws / "part"), "--resume",
+                     str(ws / "part" / "model.ckpt")] + common) == 0
+
+        def rows(run):
+            lines = (ws / run / "train_log.ndjson").read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                    for line in lines]
+        assert len(rows("full")) == 6 and rows("part") == rows("full")
+        assert (ws / "full" / "model.ckpt").read_bytes() \
+            == (ws / "part" / "model.ckpt").read_bytes()
 
     def test_missing_manifest_flag(self, token_workspace, capsys):
         ws = token_workspace
@@ -621,6 +667,12 @@ class TestEvaluatePredictInspect:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_inspect_zero_width_cache(self, tmp_path, capsys):
+        p = tmp_path / "z.tokens"
+        p.write_bytes(b"BFTS" + struct.pack("<III", 2, 3, 0))  # as long as it claims
+        assert main(["inspect", str(p)]) == 1
+        assert "width 0" in error_line(capsys)
+
 def payload_spans(path):
     """{entry name: (start, end)} byte offsets of each checkpoint payload."""
     with open(path, "rb") as fh:
@@ -694,6 +746,22 @@ class TestBadInputIsAnErrorLine:
         assert main(["train", "--out", str(ws / "t")] + common) == 1
         err = error_line(capsys)
         assert "s1.tokens" in err and "5" in err and "d_class=3" in err
+
+    def test_predict_label_map_class_count(self, token_workspace, tmp_path, capsys):
+        ws = token_workspace
+        mcfg = tfm.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16,
+                               d_class=3, head=tfm.CLASSIFIER)
+        params = tfm.init_params(mcfg, seed=0)
+        params["head.b"].data[:] = 10.0  # every class fires, class 2 too
+        tr.save_training_checkpoint(str(ws / "pos.ckpt"), params,
+                                    tr.AdamState.for_params(params), mcfg,
+                                    tr.OptimizerConfig(d_model=8), 0)
+        lm = tmp_path / "two.txt"
+        lm.write_text("AF,0\nPVC,1\n")
+        rc = main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                   "--checkpoint", str(ws / "pos.ckpt"), "--label-map", str(lm)])
+        assert rc == 1
+        assert "label map has 2 classes but model.d_class is 3" in error_line(capsys)
 
     def test_resume_with_init_checkpoint(self, token_workspace, capsys):
         ws = token_workspace

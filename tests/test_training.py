@@ -749,6 +749,27 @@ class TestTrainLoop:
             == open(resumed["checkpoint"], "rb").read()
         assert self.strip_wall(full["log"]) == self.strip_wall(resumed["log"])
 
+    @pytest.mark.parametrize("max_steps", [2, 5])
+    @pytest.mark.parametrize("mode", [tr.PRETRAIN, tr.CLASSIFY])
+    def test_resume_after_mid_epoch_stop(self, tmp_path, mode, max_steps):
+        # 6 samples in batches of 2 make 3 steps an epoch; both stops fall mid-epoch
+        data = (self.pretrain_data(n=6) if mode == tr.PRETRAIN
+                else self.classify_data(n=6))
+        optim = tiny_optim(batch_size=2, epochs=2)
+        full = tr.train(data, tiny_model(), optim, mode, seed=6,
+                        out_dir=str(tmp_path / "full"))
+        part = tr.train(data, tiny_model(), optim, mode, seed=6,
+                        out_dir=str(tmp_path / "part"), max_steps=max_steps)
+        *_, epoch = tr.load_training_checkpoint(part["checkpoint"])
+        assert part["steps"] == max_steps and epoch == max_steps // 3
+        resumed = tr.train(data, tiny_model(), optim, mode, seed=6,
+                           out_dir=str(tmp_path / "part"),
+                           resume=part["checkpoint"])
+        assert resumed["steps"] == full["steps"] == 6
+        assert open(full["checkpoint"], "rb").read() \
+            == open(resumed["checkpoint"], "rb").read()
+        assert self.strip_wall(full["log"]) == self.strip_wall(resumed["log"])
+
     def test_resume_rejects_model_mismatch(self, tmp_path):
         data = self.pretrain_data()
         part = tr.train(data, tiny_model(), tiny_optim(epochs=1),

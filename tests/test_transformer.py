@@ -27,12 +27,11 @@ class TestModelConfig:
         assert cfg.head == tfm.GENERATIVE and cfg.causal
 
     def test_head_width_derived(self):
-        # heads are d_model // n_heads wide; wo maps their concatenation back
+        # heads are d_model // n_heads wide and tile d_model exactly
         shapes = {n: s for n, s, _ in tfm.param_shapes(small_config())}
         assert shapes["enc0.attn.wo.w"] == (8, 8)
-        cfg = tfm.ModelConfig(d_model=12, n_heads=5, n_encoders=1)
-        shapes = {n: s for n, s, _ in tfm.param_shapes(cfg)}
-        assert shapes["enc0.attn.wo.w"] == (10, 12)
+        with pytest.raises(ValueError, match="does not divide"):
+            tfm.ModelConfig(d_model=12, n_heads=5, n_encoders=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
