@@ -34,12 +34,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional array participating in the backward graph.
 
-    `requires_grad` marks the leaves that receive gradients: `backward`
-    fills `.grad` on those leaves only, never on an interior node. `grad`
-    accumulates across calls to `backward` until `zero_grad` (no implicit
-    reset). It is one buffer, kept in the data's dtype and reused:
-    `zero_grad` and later backward sweeps write into it in place, so copy
-    `.grad` to keep a snapshot.
+    `requires_grad` marks the leaves that receive gradients: a plain
+    `backward()` fills `.grad` on those leaves only, never on an interior
+    node. `grad` accumulates across calls to `backward` until `zero_grad`
+    (no implicit reset). It is one buffer, kept in the data's dtype and
+    reused: `zero_grad` and later backward sweeps write into it in place,
+    so copy `.grad` to keep a snapshot. Training never fills `.grad`: its
+    sweep hands each leaf's gradient to the optimizer instead
+    (`backward(on_leaf)`).
     """
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -88,7 +90,7 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
+    def backward(self, on_leaf=None):
         """Reverse topological sweep from a scalar loss.
 
         Gradients sum across fan-out; leaves without requires_grad are
@@ -96,6 +98,10 @@ class Tensor:
         parents and closure once processed, so an activation is freed as
         soon as the sweep has passed every node that used it; the graph
         cannot be swept twice.
+
+        A leaf is reached once, after every node that used it, with its
+        complete gradient. That gradient is added into `.grad`, or, when
+        on_leaf is given, passed as on_leaf(leaf, g) and not kept.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -121,9 +127,12 @@ class Tensor:
             node = topo.pop()
             g = grads.pop(id(node), None)
             fn = node._backward_fn
-            if fn is None:  # leaf: accumulate
+            if fn is None:  # leaf: accumulate or hand over
                 if g is not None and node.requires_grad:
-                    node._accumulate(g)
+                    if on_leaf is None:
+                        node._accumulate(g)
+                    else:
+                        on_leaf(node, g)
                 continue
             # interior: propagate to the parents that lead to a grad leaf
             node._parents, node._backward_fn = (), None

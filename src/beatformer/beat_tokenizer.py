@@ -133,5 +133,9 @@ def load_tokens(path: str) -> BeatSequence:
     need = 16 + n_real * d_model * 4
     if len(blob) != need:
         raise FormatError(f"{path}: {len(blob)} bytes, expected {need}")
-    return BeatSequence(np.frombuffer(blob, dtype="<f4", offset=16)
-                        .reshape(n_real, d_model).copy())
+    tokens = np.frombuffer(blob, dtype="<f4", offset=16).reshape(n_real, d_model)
+    finite = np.isfinite(tokens).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: beat {int(np.argmin(finite))} holds a "
+                          f"non-finite value")
+    return BeatSequence(tokens.copy())

@@ -44,3 +44,8 @@ class CheckpointMismatchError(BeatformerError):
 
 class ConfigError(BeatformerError):
     """Bad pipeline configuration (unknown key, unparsable value)."""
+
+
+class NonFiniteLossError(BeatformerError):
+    """A training step's loss is NaN or infinite; the run stops before that
+    step changes the weights."""

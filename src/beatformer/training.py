@@ -16,7 +16,8 @@ from . import transformer as tf
 from .autodiff import Parameter, Tensor
 from .beat_tokenizer import load_tokens
 from .ecg_io import read_lines
-from .errors import CheckpointMismatchError, ConfigError, EmptyInputError, FormatError
+from .errors import (CheckpointMismatchError, ConfigError, EmptyInputError, FormatError,
+                     NonFiniteLossError)
 
 PRETRAIN = "pretrain"
 CLASSIFY = "classify"
@@ -74,59 +75,92 @@ def lr_schedule(step_num: int, d_model: int = 1000, warmup_steps: int = 4000) ->
     return min(decay, warm)
 
 
-# elements per pass of adam_step: a block of the parameter, its gradient,
+# elements per pass of adam_update: a block of the parameter, its gradient,
 # both moments and two scratch rows (6 x 128 KiB in float32) stays in L2
 ADAM_BLOCK = 1 << 15
 
 
-def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig) -> float:
-    """One Adam update with bias correction from each parameter's
-    accumulated .grad; returns the learning rate used.
+def adam_update(name: str, p: Parameter, g, state: AdamState, cfg: OptimizerConfig,
+                lr: float, bc1: float, bc2: float) -> None:
+    """Adam's update of one parameter by its gradient g, with the learning
+    rate and bias corrections of the step.
+
+    The parameter array and its two moments are updated in place,
+    ADAM_BLOCK elements at a time; per element the operations are those of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, so the result
+    does not depend on the block size.
+    """
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    if not p.data.flags.c_contiguous:
+        p.data = np.ascontiguousarray(p.data)
+    dtype = p.data.dtype
+    g = np.asarray(g, dtype=dtype).reshape(-1)
+    if name not in state.m:
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
+    # reshape(-1) of a C-contiguous array is a view, so the writes land
+    pf, mf, vf = (a.reshape(-1) for a in (p.data, state.m[name], state.v[name]))
+    n = min(ADAM_BLOCK, pf.size)
+    s1, s2 = np.empty(n, dtype), np.empty(n, dtype)
+    for lo in range(0, pf.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, pf.size)
+        gb, m, v = g[lo:hi], mf[lo:hi], vf[lo:hi]
+        t1, t2 = s1[: hi - lo], s2[: hi - lo]
+        m *= b1
+        np.multiply(gb, 1.0 - b1, out=t1)
+        m += t1
+        v *= b2
+        np.multiply(gb, gb, out=t1)
+        t1 *= 1.0 - b2
+        v += t1
+        np.divide(m, bc1, out=t1)
+        np.divide(v, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 *= lr
+        t1 /= t2
+        pf[lo:hi] -= t1
+
+
+def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig,
+              loss: Tensor | None = None) -> float:
+    """One Adam step over `params`; returns the learning rate used.
 
     Only the parameters present in `params` are updated (frozen ones are
-    simply not passed in). Each parameter array and its two moments are
-    updated in place, ADAM_BLOCK elements at a time; per element the
-    operations are those of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, so the
-    result does not depend on the block size.
+    simply not passed in), each by adam_update. Without `loss`, the
+    gradients are the accumulated `.grad` buffers. With `loss`, the step
+    runs loss's backward sweep and updates each parameter where the sweep
+    completes its gradient, which is then dropped, so no `.grad` buffer is
+    made; a parameter the sweep does not reach is updated with a zero
+    gradient, as after zero_grads. A gradient leaf missing from `params`,
+    or one reached twice, is a ValueError.
     """
     t = state.step_num + 1
     lr = lr_schedule(t, cfg.d_model, cfg.warmup_steps)
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        if p.grad is None:
-            raise ValueError(f"missing gradient for parameter {name}")
-        if not p.data.flags.c_contiguous:
-            p.data = np.ascontiguousarray(p.data)
-        dtype = p.data.dtype
-        g = np.asarray(p.grad, dtype=dtype).reshape(-1)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        # reshape(-1) of a C-contiguous array is a view, so the writes land
-        pf, mf, vf = (a.reshape(-1) for a in (p.data, state.m[name], state.v[name]))
-        n = min(ADAM_BLOCK, pf.size)
-        s1, s2 = np.empty(n, dtype), np.empty(n, dtype)
-        for lo in range(0, pf.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, pf.size)
-            gb, m, v = g[lo:hi], mf[lo:hi], vf[lo:hi]
-            t1, t2 = s1[: hi - lo], s2[: hi - lo]
-            m *= b1
-            np.multiply(gb, 1.0 - b1, out=t1)
-            m += t1
-            v *= b2
-            np.multiply(gb, gb, out=t1)
-            t1 *= 1.0 - b2
-            v += t1
-            np.divide(m, bc1, out=t1)
-            np.divide(v, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps
-            t1 *= lr
-            t1 /= t2
-            pf[lo:hi] -= t1
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    if loss is None:
+        for name, p in params.items():
+            if p.grad is None:
+                raise ValueError(f"missing gradient for parameter {name}")
+            adam_update(name, p, p.grad, state, cfg, lr, bc1, bc2)
+    else:
+        pending = {id(p): name for name, p in params.items()}
+
+        def on_leaf(leaf, g):
+            name = pending.pop(id(leaf), None)
+            if name is None:
+                raise ValueError(
+                    f"{leaf!r} reached twice in one sweep"
+                    if any(p is leaf for p in params.values())
+                    else f"{leaf!r} needs a gradient but is not a trained parameter")
+            adam_update(name, leaf, g, state, cfg, lr, bc1, bc2)
+
+        loss.backward(on_leaf)
+        for name in pending.values():
+            p = params[name]
+            adam_update(name, p, np.zeros_like(p.data), state, cfg, lr, bc1, bc2)
     state.step_num = t
     return lr
 
@@ -377,13 +411,18 @@ def config_diff(a, b, names) -> list:
 
 def save_training_checkpoint(path: str, params: dict, state: AdamState,
                              mcfg: tf.ModelConfig, ocfg: OptimizerConfig,
-                             epoch: int):
+                             epoch: int, samples: int | None = None):
+    """samples, when given, is the count of usable training samples, which
+    with the batch size places the step count in the data; --resume
+    refuses a dataset of another size."""
     entries = {name: p.data for name, p in params.items()}
     for name in state.m:
         entries[f"opt.m.{name}"] = state.m[name]
         entries[f"opt.v.{name}"] = state.v[name]
     entries["opt.step"] = np.array([state.step_num], dtype=np.float32)
     entries["meta.epoch"] = np.array([epoch], dtype=np.float32)
+    if samples is not None:
+        entries["meta.samples"] = np.array([samples], dtype=np.float32)
     ad.save_checkpoint(path, entries, config_text({"model": mcfg, "optim": ocfg}))
 
 
@@ -392,6 +431,7 @@ def load_training_checkpoint(path: str, keep=None):
 
     keep(name) selects the entries read, as in autodiff.load_checkpoint;
     what it leaves out stays at its default (empty moments, step 0, epoch 0).
+    No meta.* entry lands among the param arrays.
     """
     header, entries = ad.load_checkpoint(path, keep)
     kwargs = parse_config(read_config_text(header, path),
@@ -413,7 +453,7 @@ def load_training_checkpoint(path: str, keep=None):
             state.step_num = int(arr[0])
         elif name == "meta.epoch":
             epoch = int(arr[0])
-        else:
+        elif not name.startswith("meta."):
             params[name] = arr
     return mcfg, ocfg, params, state, epoch
 
@@ -431,12 +471,15 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     (BeatSequence, multi-hot/None) pairs. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
-    resume continues an interrupted run (configs must match exactly) from
-    its step count, as if it had never stopped; init_checkpoint transfers a
-    pre-trained trunk under a fresh head. max_steps stops the run once the
-    step count reaches it, mid-epoch or not; at or below the starting step
-    count no step is taken. The checkpoint is written at each epoch end and
-    when the run stops, and its meta.epoch counts the epochs completed.
+    resume continues an interrupted run (configs and sample count must
+    match exactly) from its step count, as if it had never stopped;
+    init_checkpoint transfers a pre-trained trunk under a fresh head.
+    max_steps stops the run once the step count reaches it, mid-epoch or
+    not; at or below the starting step count no step is taken. The
+    checkpoint is written at each epoch end and when the run stops, and
+    its meta.epoch counts the epochs completed. A non-finite loss stops
+    the run before that step changes the weights, with the checkpoint of
+    the step before, and raises NonFiniteLossError.
     """
     if mode not in (PRETRAIN, CLASSIFY):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -480,6 +523,13 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             raise CheckpointMismatchError(
                 "checkpoint does not match the requested configuration:\n  "
                 + "\n  ".join(diff))
+        # a header walk that reads this one payload; older checkpoints lack it
+        _, meta = ad.load_checkpoint(resume, lambda name: name == "meta.samples")
+        if "meta.samples" in meta and int(meta["meta.samples"][0]) != len(samples):
+            raise CheckpointMismatchError(
+                f"{resume}: checkpoint was trained on {int(meta['meta.samples'][0])} "
+                f"samples, this dataset has {len(samples)}; --resume must continue "
+                f"over the same dataset")
         params = tf.params_from_arrays(arrays, config)
     elif init_checkpoint:
         # only the trunk is read: the Adam moments and the old head are skipped
@@ -518,7 +568,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     last = optim_config.epochs * per_epoch
     if max_steps is not None:
         last = min(last, max_steps)
-    last_loss = None
+    last_loss = stop = None
     with open(log_path, log_mode, encoding="utf-8") as log:
         for step in range(state.step_num, last):
             t0 = time.monotonic()
@@ -527,10 +577,15 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             rng = ad.RngStream(seed, "dropout", step + 1)
             loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], mode,
                                config, params, rng)
-            ad.zero_grads(trainable.values())
-            loss.backward()
-            lr = adam_step(trainable, state, optim_config)
             last_loss = float(loss.item())
+            # adam_step writes the weights during the sweep: check first, and
+            # leave the checkpoint of the last finite step
+            if not math.isfinite(last_loss):
+                stop = NonFiniteLossError(
+                    f"step {step + 1}: loss is {last_loss}; stopped before the "
+                    f"step changed the weights")
+                break
+            lr = adam_step(trainable, state, optim_config, loss)
             log.write(json.dumps({
                 "epoch": epoch + 1, "step": state.step_num, "lr": lr,
                 "loss": last_loss, "mode": mode, "seed": seed,
@@ -538,10 +593,11 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             }) + "\n")
             if k + 1 == per_epoch and step + 1 < last:
                 save_training_checkpoint(ckpt_path, params, state, config,
-                                         optim_config, epoch + 1)
+                                         optim_config, epoch + 1, len(samples))
     save_training_checkpoint(ckpt_path, params, state, config, optim_config,
-                             state.step_num // per_epoch)
-
+                             state.step_num // per_epoch, len(samples))
+    if stop:
+        raise stop
     return {
         "checkpoint": ckpt_path,
         "log": log_path,

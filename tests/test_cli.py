@@ -773,6 +773,71 @@ class TestBadInputIsAnErrorLine:
         assert rc == 1
         assert "mutually exclusive" in error_line(capsys)
 
+    def test_resume_over_another_dataset(self, token_workspace, capsys):
+        ws = token_workspace
+        write_caches(ws, [5] * 9)
+        (ws / "six.tsv").write_text("".join(f"s{i}.tokens\t0\n" for i in range(6)))
+        (ws / "b2.cfg").write_text(small_cfg_text(**{"optim.batch_size": 2}))
+        common = ["--config", str(ws / "b2.cfg"), "--out", str(ws / "o")]
+        assert main(["pretrain", "--manifest", str(ws / "six.tsv"),
+                     "--max-steps", "2"] + common) == 0
+        ckpt = str(ws / "o" / "model.ckpt")
+        rows = (ws / "o" / "train_log.ndjson").read_text()
+        capsys.readouterr()
+        assert main(["pretrain", "--manifest", str(ws / "manifest.tsv"),
+                     "--resume", ckpt] + common) == 1
+        err = error_line(capsys)
+        assert "6 samples" in err and "has 9" in err
+        assert (ws / "o" / "train_log.ndjson").read_text() == rows
+        assert main(["pretrain", "--manifest", str(ws / "six.tsv"),
+                     "--resume", ckpt] + common) == 0
+
+    def test_non_finite_loss_stops_before_the_step(self, token_workspace, capsys,
+                                                   monkeypatch):
+        # 8 samples in batches of 3 make 3 steps an epoch; step 3 ends the first
+        ws = token_workspace
+        (ws / "b3.cfg").write_text(small_cfg_text(**{"optim.batch_size": 3}))
+        batch_loss, adam_step = tr._batch_loss, tr.adam_step
+        calls = {"loss": 0, "adam": 0}
+
+        def nan_at_step_3(*args):
+            calls["loss"] += 1
+            loss = batch_loss(*args)
+            return ad.mul(loss, np.nan) if calls["loss"] == 3 else loss
+
+        def counted_adam(*args):
+            calls["adam"] += 1
+            return adam_step(*args)
+
+        common = ["pretrain", "--config", str(ws / "b3.cfg"), "--manifest",
+                  str(ws / "manifest.tsv")]
+        assert main(common + ["--out", str(ws / "two"), "--max-steps", "2"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tr, "_batch_loss", nan_at_step_3)
+        monkeypatch.setattr(tr, "adam_step", counted_adam)
+        assert main(common + ["--out", str(ws / "o")]) == 1
+        assert "step 3: loss is nan" in error_line(capsys)
+        assert calls == {"loss": 3, "adam": 2}
+        rows = [json.loads(line) for line in
+                (ws / "o" / "train_log.ndjson").read_text().splitlines()]
+        assert [r["step"] for r in rows] == [1, 2]
+        # the checkpoint is that of a run stopped after step 2
+        assert (ws / "o" / "model.ckpt").read_bytes() \
+            == (ws / "two" / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_token_value(self, token_workspace, capsys, value):
+        ws = token_workspace
+        bad = ws / "s5.tokens"
+        seq = load_tokens(str(bad))
+        seq.tokens[1, 3] = value
+        save_tokens(str(bad), seq)
+        rc = main(["pretrain", "--config", str(ws / "model.cfg"), "--manifest",
+                   str(ws / "manifest.tsv"), "--out", str(ws / "o")])
+        assert rc == 1
+        err = error_line(capsys)
+        assert str(bad) in err and "beat 1" in err and "non-finite" in err
+
     def test_max_pos_below_50(self, token_workspace, capsys):
         ws = token_workspace
         (ws / "short.cfg").write_text(small_cfg_text(**{"model.max_pos": 20}))

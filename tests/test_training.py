@@ -193,6 +193,106 @@ class TestAdam:
             tr.OptimizerConfig(epochs=-1)
 
 
+def fused_case(dtype, freeze_trunk, d_model=8, dff=16, lengths=(2, 7, 4, 5)):
+    """(config, params, trainable, samples) for comparing Adam steps: a tiny
+    model with dropout, plus a trained parameter `extra` outside it."""
+    cfg = tiny_model(d_model=d_model, dff=dff, max_pos=8).with_head(tfm.CLASSIFIER)
+    params = tfm.init_params(cfg, seed=4, dtype=dtype)
+    rng = ad.seeded_rng(4, "batch")
+    samples = [(rng.normal(size=(n, cfg.d_model)).astype(dtype),
+                (rng.random(cfg.d_class) < 0.5).astype(np.int8)) for n in lengths]
+    trainable = dict(tr._trainable(params, freeze_trunk))
+    for name, p in params.items():
+        p.requires_grad = name in trainable
+    trainable["extra"] = Parameter(rng.normal(size=3).astype(dtype), "extra")
+    return cfg, params, trainable, samples
+
+
+class TestFusedAdam:
+    """adam_step(..., loss) updates each weight inside the backward sweep."""
+
+    def loss(self, cfg, params, trainable, samples, t):
+        loss = tr._batch_loss(samples, np.arange(len(samples)), tr.CLASSIFY, cfg,
+                              params, ad.RngStream(0, "dropout", t))
+        if t == 1:  # later steps leave `extra` unreached, with non-zero moments
+            loss = ad.add(loss, ad.sum_(ad.mul(trainable["extra"], 0.5)))
+        return loss
+
+    @pytest.mark.parametrize("freeze_trunk", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_zero_backward_step(self, dtype, freeze_trunk):
+        ocfg = tr.OptimizerConfig(d_model=8, warmup_steps=2)
+        cfg, ref, ref_train, samples = fused_case(dtype, freeze_trunk)
+        _, fused, fused_train, _ = fused_case(dtype, freeze_trunk)
+        every = {**fused, **fused_train}
+        before = {n: p.data.copy() for n, p in every.items()}
+        ref_state = tr.AdamState.for_params(ref_train)
+        state = tr.AdamState.for_params(fused_train)
+        for t in (1, 2, 3):
+            loss = self.loss(cfg, ref, ref_train, samples, t)
+            ad.zero_grads(ref_train)
+            loss.backward()
+            ref_lr = tr.adam_step(ref_train, ref_state, ocfg)
+            lr = tr.adam_step(fused_train, state, ocfg,
+                              self.loss(cfg, fused, fused_train, samples, t))
+            assert lr == ref_lr and state.step_num == t
+            for name, p in fused_train.items():
+                assert p.grad is None, name
+                assert np.array_equal(p.data, ref_train[name].data), name
+                assert np.array_equal(state.m[name], ref_state.m[name]), name
+                assert np.array_equal(state.v[name], ref_state.v[name]), name
+        for name, p in every.items():
+            assert np.array_equal(p.data, {**ref, **ref_train}[name].data), name
+            # trained weights moved, `extra` too; frozen ones did not
+            assert (name in fused_train) != np.array_equal(p.data, before[name]), name
+
+    def test_unknown_leaf_is_an_error(self):
+        p = Parameter(np.ones(2), "w")
+        stray = Parameter(np.ones(2), "stray")
+        loss = ad.sum_(ad.mul(p, stray))
+        with pytest.raises(ValueError, match="stray.*not a trained parameter"):
+            tr.adam_step({"w": p}, tr.AdamState(), tr.OptimizerConfig(), loss)
+
+    def test_leaf_reached_twice_is_an_error(self):
+        p = Parameter(np.ones(2), "w")
+
+        class TwiceLoss:
+            def backward(self, on_leaf):
+                on_leaf(p, np.ones(2))
+                on_leaf(p, np.ones(2))
+
+        with pytest.raises(ValueError, match="reached twice"):
+            tr.adam_step({"w": p}, tr.AdamState(), tr.OptimizerConfig(), TwiceLoss())
+
+    def test_peak_memory_holds_no_gradient_buffers(self):
+        # activations dominate this step, so both peaks fall at the start of
+        # the sweep, where the reference also holds every zeroed .grad
+        def peak(fused):
+            cfg, params, trainable, samples = fused_case(np.float32, False, d_model=32,
+                                                         dff=64, lengths=(3, 8, 7, 8))
+            state = tr.AdamState.for_params(trainable)
+            ocfg = tr.OptimizerConfig(d_model=32)
+            tracemalloc.start()
+            try:
+                loss = self.loss(cfg, params, trainable, samples, 2)
+                if fused:
+                    tr.adam_step(trainable, state, ocfg, loss)
+                else:
+                    ad.zero_grads(trainable)
+                    loss.backward()
+                    tr.adam_step(trainable, state, ocfg)
+                return tracemalloc.get_traced_memory()[1], trainable
+            finally:
+                tracemalloc.stop()
+
+        for fused in (False, True):  # first calls allocate lazily
+            peak(fused)
+        ref_peak, trainable = peak(False)
+        fused_peak, _ = peak(True)
+        grad_bytes = sum(p.data.nbytes for p in trainable.values())
+        assert ref_peak - fused_peak >= grad_bytes
+
+
 class TestLosses:
     def test_mse_zero_at_identity(self):
         x = ad.seeded_rng(0).normal(size=(4, 3))
@@ -769,6 +869,46 @@ class TestTrainLoop:
         assert open(full["checkpoint"], "rb").read() \
             == open(resumed["checkpoint"], "rb").read()
         assert self.strip_wall(full["log"]) == self.strip_wall(resumed["log"])
+
+    def test_resume_without_sample_count_runs_as_before(self, tmp_path):
+        # a checkpoint written before meta.samples existed still resumes
+        data = self.pretrain_data(n=6)
+        optim = tiny_optim(batch_size=2, epochs=2)
+        full = tr.train(data, tiny_model(), optim, tr.PRETRAIN, seed=6,
+                        out_dir=str(tmp_path / "full"))
+        part = tr.train(data, tiny_model(), optim, tr.PRETRAIN, seed=6,
+                        out_dir=str(tmp_path / "part"), max_steps=2)
+        header, entries = ad.load_checkpoint(part["checkpoint"])
+        assert entries.pop("meta.samples").tolist() == [6.0]
+        ad.save_checkpoint(part["checkpoint"], entries, header)
+        tr.train(data, tiny_model(), optim, tr.PRETRAIN, seed=6,
+                 out_dir=str(tmp_path / "part"), resume=part["checkpoint"])
+        assert self.strip_wall(full["log"]) == self.strip_wall(part["log"])
+
+    def test_resume_of_frozen_trunk_run(self, tmp_path):
+        # 6 samples in batches of 2 make 3 steps an epoch; step 2 is mid-epoch
+        pre = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
+                       tr.PRETRAIN, seed=15, out_dir=str(tmp_path / "pre"))
+        _, _, trunk, _, _ = tr.load_training_checkpoint(
+            pre["checkpoint"], lambda name: not name.startswith(("opt.", "head.")))
+        data = self.classify_data(n=6)
+        optim = tiny_optim(batch_size=2, epochs=2)
+        runs = {}
+        for run, max_steps in (("full", None), ("part", 2)):
+            runs[run] = tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
+                                 out_dir=str(tmp_path / run), max_steps=max_steps,
+                                 init_checkpoint=pre["checkpoint"], freeze_trunk=True)
+        resumed = tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
+                           out_dir=str(tmp_path / "part"), freeze_trunk=True,
+                           resume=runs["part"]["checkpoint"])
+        assert resumed["steps"] == runs["full"]["steps"] == 6
+        assert open(runs["full"]["checkpoint"], "rb").read() \
+            == open(resumed["checkpoint"], "rb").read()
+        assert self.strip_wall(runs["full"]["log"]) == self.strip_wall(resumed["log"])
+        _, _, arrays, state, _ = tr.load_training_checkpoint(resumed["checkpoint"])
+        for name, arr in trunk.items():
+            assert np.array_equal(arrays[name], arr), name
+        assert sorted(state.m) == ["head.b", "head.w"]
 
     def test_resume_rejects_model_mismatch(self, tmp_path):
         data = self.pretrain_data()
