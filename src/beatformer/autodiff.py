@@ -34,14 +34,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-dimensional array participating in the backward graph.
 
-    `requires_grad` marks the leaves that receive gradients: a plain
-    `backward()` fills `.grad` on those leaves only, never on an interior
-    node. `grad` accumulates across calls to `backward` until `zero_grad`
-    (no implicit reset). It is one buffer, kept in the data's dtype and
-    reused: `zero_grad` and later backward sweeps write into it in place,
-    so copy `.grad` to keep a snapshot. Training never fills `.grad`: its
-    sweep hands each leaf's gradient to the optimizer instead
-    (`backward(on_leaf)`).
+    `requires_grad` marks the leaves that receive gradients: each plain
+    `backward()` adds a leaf's gradient into its `.grad`, in the data's
+    dtype, until `zero_grad` resets it to a fresh zero array; interior
+    nodes get none. Training never fills `.grad`: adam_step hands each
+    leaf's gradient to the optimizer inside the sweep (`backward(on_leaf)`).
     """
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -78,17 +75,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        if (self.grad is not None and self.grad.shape == self.data.shape
-                and self.grad.dtype == self.data.dtype):
-            self.grad.fill(0)
-        else:
-            self.grad = np.zeros_like(self.data)
-
-    def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        self.grad = np.zeros_like(self.data)
 
     def backward(self, on_leaf=None):
         """Reverse topological sweep from a scalar loss.
@@ -127,12 +114,14 @@ class Tensor:
             node = topo.pop()
             g = grads.pop(id(node), None)
             fn = node._backward_fn
-            if fn is None:  # leaf: accumulate or hand over
+            if fn is None:  # leaf: hand over or accumulate
                 if g is not None and node.requires_grad:
-                    if on_leaf is None:
-                        node._accumulate(g)
-                    else:
+                    if on_leaf is not None:
                         on_leaf(node, g)
+                    elif node.grad is None:
+                        node.grad = g.astype(node.data.dtype, copy=True)
+                    else:
+                        node.grad += g
                 continue
             # interior: propagate to the parents that lead to a grad leaf
             node._parents, node._backward_fn = (), None

@@ -78,8 +78,9 @@ def build_config(file_values: dict | None = None,
             continue
         cfg = replace(cfg, **{name: value})
     for name in ("target_fs", "highpass_hz"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"data.{name} must be positive, got {getattr(cfg, name)}")
+        if not 0 < getattr(cfg, name) < np.inf:
+            raise ConfigError(
+                f"data.{name} must be positive and finite, got {getattr(cfg, name)}")
     if cfg.detector not in DETECTORS:
         raise ConfigError(
             f"unknown detector {cfg.detector!r}; choose from {sorted(DETECTORS)}")
@@ -227,20 +228,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_inference(checkpoint: str):
-    """Config and parameters only; the Adam moments and counters are never read."""
+def _load_for_inference(checkpoint: str, command: str):
+    """Config and parameters of a classifier checkpoint; moments and counters are never read."""
     mcfg, ocfg, arrays, _, _ = training.load_training_checkpoint(
         checkpoint, lambda name: not name.startswith(("opt.", "meta.")))
+    if mcfg.head != tf.CLASSIFIER:
+        raise CheckpointMismatchError(
+            f"{command} needs a classifier checkpoint, got head={mcfg.head!r}")
     params = tf.params_from_arrays(arrays, mcfg)
     return mcfg, ocfg, params
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    mcfg, ocfg, params = _load_for_inference(args.checkpoint)
-    if mcfg.head != tf.CLASSIFIER:
-        raise CheckpointMismatchError(
-            f"evaluate needs a classifier checkpoint, got head={mcfg.head!r}")
+    mcfg, ocfg, params = _load_for_inference(args.checkpoint, "evaluate")
     dataset = training.load_dataset(_require_manifest(cfg), mcfg, require_labels=True)
     metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
     print(json.dumps(metrics, indent=2))
@@ -249,10 +250,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _config_from_args(args)
-    mcfg, ocfg, params = _load_for_inference(args.checkpoint)
-    if mcfg.head != tf.CLASSIFIER:
-        raise CheckpointMismatchError(
-            f"predict needs a classifier checkpoint, got head={mcfg.head!r}")
+    mcfg, ocfg, params = _load_for_inference(args.checkpoint, "predict")
     entries = training.load_manifest(_require_manifest(cfg))
     dataset = training.load_dataset(entries, mcfg)
 

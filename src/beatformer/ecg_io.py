@@ -30,8 +30,8 @@ class EcgRecord:
 
     def __post_init__(self):
         self.leads = np.atleast_2d(np.asarray(self.leads, dtype=np.float64))
-        if self.fs <= 0:
-            raise InvalidMetadataError(f"sampling frequency must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise InvalidMetadataError(f"sampling frequency must be finite and > 0, got {self.fs}")
         if len(self.lead_names) != self.leads.shape[0]:
             raise InconsistencyError(
                 f"{len(self.lead_names)} lead names for {self.leads.shape[0]} leads")
@@ -174,8 +174,8 @@ def _load_csv(path: str) -> EcgRecord:
 
     if fs is None:
         raise FormatError(f"{path}: missing #fs= metadata line")
-    if fs <= 0:
-        raise InvalidMetadataError(f"{path}: fs must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise InvalidMetadataError(f"{path}: fs must be finite and > 0, got {fs}")
     if gains is None:
         raise FormatError(f"{path}: missing #gain= metadata line")
     if header is None or not body:
@@ -253,8 +253,8 @@ def _load_wfdb(header_path: str) -> EcgRecord:
         num_samples = int(fields_[3])
     except ValueError as exc:
         raise FormatError(f"{header_path}: bad record line {record_line!r}") from exc
-    if fs <= 0:
-        raise InvalidMetadataError(f"{header_path}: fs must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise InvalidMetadataError(f"{header_path}: fs must be finite and > 0, got {fs}")
     if len(signal_lines) < num_leads:
         raise FormatError(
             f"{header_path}: {len(signal_lines)} signal lines for {num_leads} leads")

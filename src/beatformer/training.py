@@ -96,9 +96,6 @@ def adam_update(name: str, p: Parameter, g, state: AdamState, cfg: OptimizerConf
         p.data = np.ascontiguousarray(p.data)
     dtype = p.data.dtype
     g = np.asarray(g, dtype=dtype).reshape(-1)
-    if name not in state.m:
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
     # reshape(-1) of a C-contiguous array is a view, so the writes land
     pf, mf, vf = (a.reshape(-1) for a in (p.data, state.m[name], state.v[name]))
     n = min(ADAM_BLOCK, pf.size)
@@ -124,43 +121,36 @@ def adam_update(name: str, p: Parameter, g, state: AdamState, cfg: OptimizerConf
 
 
 def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig,
-              loss: Tensor | None = None) -> float:
-    """One Adam step over `params`; returns the learning rate used.
+              loss: Tensor) -> float:
+    """One Adam step over `params`, whose moments state holds, by the
+    gradients of `loss`; returns the learning rate used.
 
-    Only the parameters present in `params` are updated (frozen ones are
-    simply not passed in), each by adam_update. Without `loss`, the
-    gradients are the accumulated `.grad` buffers. With `loss`, the step
-    runs loss's backward sweep and updates each parameter where the sweep
-    completes its gradient, which is then dropped, so no `.grad` buffer is
-    made; a parameter the sweep does not reach is updated with a zero
-    gradient, as after zero_grads. A gradient leaf missing from `params`,
-    or one reached twice, is a ValueError.
+    Frozen parameters are simply not passed in. The step runs loss's
+    backward sweep and updates each parameter by adam_update where the
+    sweep completes its gradient, which is then dropped, so no `.grad`
+    buffer is made; a parameter the sweep does not reach is updated with a
+    zero gradient. A gradient leaf missing from `params`, or one reached
+    twice, is a ValueError.
     """
     t = state.step_num + 1
     lr = lr_schedule(t, cfg.d_model, cfg.warmup_steps)
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    if loss is None:
-        for name, p in params.items():
-            if p.grad is None:
-                raise ValueError(f"missing gradient for parameter {name}")
-            adam_update(name, p, p.grad, state, cfg, lr, bc1, bc2)
-    else:
-        pending = {id(p): name for name, p in params.items()}
+    pending = {id(p): name for name, p in params.items()}
 
-        def on_leaf(leaf, g):
-            name = pending.pop(id(leaf), None)
-            if name is None:
-                raise ValueError(
-                    f"{leaf!r} reached twice in one sweep"
-                    if any(p is leaf for p in params.values())
-                    else f"{leaf!r} needs a gradient but is not a trained parameter")
-            adam_update(name, leaf, g, state, cfg, lr, bc1, bc2)
+    def on_leaf(leaf, g):
+        name = pending.pop(id(leaf), None)
+        if name is None:
+            raise ValueError(
+                f"{leaf!r} reached twice in one sweep"
+                if any(p is leaf for p in params.values())
+                else f"{leaf!r} needs a gradient but is not a trained parameter")
+        adam_update(name, leaf, g, state, cfg, lr, bc1, bc2)
 
-        loss.backward(on_leaf)
-        for name in pending.values():
-            p = params[name]
-            adam_update(name, p, np.zeros_like(p.data), state, cfg, lr, bc1, bc2)
+    loss.backward(on_leaf)
+    for name in pending.values():
+        p = params[name]
+        adam_update(name, p, np.zeros_like(p.data), state, cfg, lr, bc1, bc2)
     state.step_num = t
     return lr
 
@@ -426,12 +416,20 @@ def save_training_checkpoint(path: str, params: dict, state: AdamState,
     ad.save_checkpoint(path, entries, config_text({"model": mcfg, "optim": ocfg}))
 
 
-def load_training_checkpoint(path: str, keep=None):
-    """Returns (model cfg, optim cfg, param arrays, AdamState, epoch).
+def _count(path: str, name: str, arr: np.ndarray) -> int:
+    """The one finite, non-negative integer a counter entry holds."""
+    value = float(arr.flat[0]) if arr.size == 1 else math.nan
+    if not (value >= 0 and value.is_integer()):
+        raise FormatError(f"{path}: {name} holds {arr.ravel()[:3].tolist()}, not one count")
+    return int(value)
 
-    keep(name) selects the entries read, as in autodiff.load_checkpoint;
-    what it leaves out stays at its default (empty moments, step 0, epoch 0).
-    No meta.* entry lands among the param arrays.
+
+def load_training_checkpoint(path: str, keep=None):
+    """Returns (model cfg, optim cfg, param arrays, AdamState, counters).
+
+    counters maps each meta.* entry read, by its name after "meta.", to its
+    count; a counter or opt.step that is not one finite, non-negative
+    integer is a FormatError. keep(name) selects the entries read.
     """
     header, entries = ad.load_checkpoint(path, keep)
     kwargs = parse_config(read_config_text(header, path),
@@ -441,21 +439,20 @@ def load_training_checkpoint(path: str, keep=None):
         ocfg = OptimizerConfig(**kwargs["optim"])
     except ValueError as exc:
         raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
-    params = {}
+    params, counters = {}, {}
     state = AdamState()
-    epoch = 0
     for name, arr in entries.items():
         if name.startswith("opt.m."):
             state.m[name[len("opt.m.") :]] = arr
         elif name.startswith("opt.v."):
             state.v[name[len("opt.v.") :]] = arr
         elif name == "opt.step":
-            state.step_num = int(arr[0])
-        elif name == "meta.epoch":
-            epoch = int(arr[0])
-        elif not name.startswith("meta."):
+            state.step_num = _count(path, name, arr)
+        elif name.startswith("meta."):
+            counters[name[len("meta.") :]] = _count(path, name, arr)
+        else:
             params[name] = arr
-    return mcfg, ocfg, params, state, epoch
+    return mcfg, ocfg, params, state, counters
 
 
 def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
@@ -471,8 +468,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     (BeatSequence, multi-hot/None) pairs. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
-    resume continues an interrupted run (configs and sample count must
-    match exactly) from its step count, as if it had never stopped;
+    resume continues an interrupted run (configs, sample count and trained
+    parameters must match) from its step count, as if it had never stopped;
     init_checkpoint transfers a pre-trained trunk under a fresh head.
     max_steps stops the run once the step count reaches it, mid-epoch or
     not; at or below the starting step count no step is taken. The
@@ -513,7 +510,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         raise EmptyInputError("no sequence has >= 2 beats; nothing to pre-train on")
 
     if resume:
-        ck_m, ck_o, arrays, state, _ = load_training_checkpoint(resume)
+        ck_m, ck_o, arrays, state, counters = load_training_checkpoint(resume)
         # epochs is the run-length target, not a trajectory parameter; a
         # resumed run may extend it
         diff = (config_diff(ck_m, config, [f.name for f in fields(config)])
@@ -523,11 +520,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             raise CheckpointMismatchError(
                 "checkpoint does not match the requested configuration:\n  "
                 + "\n  ".join(diff))
-        # a header walk that reads this one payload; older checkpoints lack it
-        _, meta = ad.load_checkpoint(resume, lambda name: name == "meta.samples")
-        if "meta.samples" in meta and int(meta["meta.samples"][0]) != len(samples):
+        # older checkpoints lack meta.samples
+        if counters.get("samples", len(samples)) != len(samples):
             raise CheckpointMismatchError(
-                f"{resume}: checkpoint was trained on {int(meta['meta.samples'][0])} "
+                f"{resume}: checkpoint was trained on {counters['samples']} "
                 f"samples, this dataset has {len(samples)}; --resume must continue "
                 f"over the same dataset")
         params = tf.params_from_arrays(arrays, config)
@@ -550,7 +546,9 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         params = tf.init_params(config, seed)
 
     trainable = _trainable(params, freeze_trunk)
-    if not resume:
+    if resume:
+        _check_moments(resume, state, trainable)
+    else:
         state = AdamState.for_params(trainable)
     if freeze_trunk:
         for name, p in params.items():
@@ -611,10 +609,21 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
 def _trainable(params: dict, freeze_trunk: bool) -> dict:
     if not freeze_trunk:
         return params
-    head = {n: p for n, p in params.items() if n.startswith("head.")}
-    if not head:
-        raise ValueError("freeze_trunk leaves nothing to train")
-    return head
+    return {n: p for n, p in params.items() if n.startswith("head.")}
+
+
+def _check_moments(path: str, state: AdamState, trainable: dict) -> None:
+    """A resume's moments: one opt.m and opt.v entry per trained parameter."""
+    want = {name: p.shape for name, p in trainable.items()}
+    for slot, moments in (("m", state.m), ("v", state.v)):
+        have = {name: a.shape for name, a in moments.items()}
+        bad = sorted(n for n in have.keys() | want.keys() if have.get(n) != want.get(n))
+        if bad:
+            raise CheckpointMismatchError(
+                f"{path}: the Adam moments do not match the trained parameters "
+                f"({len(bad)} mismatched), first opt.{slot}.{bad[0]}: shape "
+                f"{have.get(bad[0], 'absent')} in the checkpoint, {want.get(bad[0], 'absent')} "
+                f"here; resume with --freeze-trunk exactly when the interrupted run used it")
 
 
 def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,

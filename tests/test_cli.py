@@ -298,7 +298,9 @@ class TestPreprocess:
         assert skips == ("" if skip is None else f"{d / 'r.csv'}\t{skip}\n")
 
     @pytest.mark.parametrize("line", ["data.target_fs=0", "data.target_fs=-250",
-                                      "data.highpass_hz=0", "data.highpass_hz=-1"])
+                                      "data.highpass_hz=0", "data.highpass_hz=-1",
+                                      "data.target_fs=inf", "data.target_fs=nan",
+                                      "data.highpass_hz=inf"])
     def test_non_positive_rate_is_an_error_line(self, record_dir, tmp_path, capsys,
                                                 line):
         (tmp_path / "rate.cfg").write_text(line + "\n")
@@ -610,7 +612,7 @@ class TestEvaluatePredictInspect:
         param_bytes = sum(p.data.nbytes for p in params.values())
         tracemalloc.start()
         try:
-            _, _, loaded = cli._load_for_inference(ckpt)
+            _, _, loaded = cli._load_for_inference(ckpt, "predict")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -791,6 +793,23 @@ class TestBadInputIsAnErrorLine:
         assert (ws / "o" / "train_log.ndjson").read_text() == rows
         assert main(["pretrain", "--manifest", str(ws / "six.tsv"),
                      "--resume", ckpt] + common) == 0
+
+    @pytest.mark.parametrize("entry, value", [
+        ("opt.step", [np.nan]), ("opt.step", [-3.0]), ("opt.step", [2.5]),
+        ("meta.epoch", []), ("meta.samples", [np.inf]), ("meta.samples", [8.0, 8.0])],
+        ids=["nan", "negative", "fraction", "empty", "inf", "two-values"])
+    def test_damaged_counter(self, token_workspace, capsys, entry, value):
+        ws = token_workspace
+        common = ["--config", str(ws / "model.cfg"), "--manifest",
+                  str(ws / "manifest.tsv"), "--out", str(ws / "o")]
+        assert main(["train", "--max-steps", "1"] + common) == 0
+        ckpt = str(ws / "o" / "model.ckpt")
+        header, entries = ad.load_checkpoint(ckpt)
+        entries[entry] = np.array(value, dtype=np.float32)
+        ad.save_checkpoint(ckpt, entries, header)
+        capsys.readouterr()
+        assert main(["train", "--resume", ckpt] + common) == 1
+        assert f"{ckpt}: {entry}" in error_line(capsys)
 
     def test_non_finite_loss_stops_before_the_step(self, token_workspace, capsys,
                                                    monkeypatch):

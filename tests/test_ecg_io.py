@@ -81,6 +81,13 @@ class TestCsvLoader:
         with pytest.raises(InvalidMetadataError):
             ecg_io.load_record(p)
 
+    @pytest.mark.parametrize("fs", ["nan", "inf"])
+    def test_non_finite_fs(self, tmp_path, fs):
+        p = write_csv(tmp_path / "r.csv", f"#fs={fs}\n#gain=1000\nI\n10\n")
+        with pytest.raises(InvalidMetadataError,
+                           match=f"r.csv: fs must be finite and > 0, got {fs}"):
+            ecg_io.load_record(p)
+
     def test_ragged_rows(self, tmp_path):
         p = write_csv(tmp_path / "r.csv",
                       "#fs=500\n#gain=1000,1000\nI,II\n10,20\n30\n")
@@ -164,6 +171,13 @@ class TestWfdbLoader:
         with pytest.raises(InvalidMetadataError):
             ecg_io.load_record(p)
 
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
+    def test_non_finite_fs(self, tmp_path, fs):
+        p = write_wfdb(tmp_path, "nf", np.ones((1, 10), dtype=int), fs, [1000])
+        with pytest.raises(InvalidMetadataError,
+                           match=f"nf.hea: fs must be finite and > 0, got {fs}"):
+            ecg_io.load_record(p)
+
     def test_short_record_line(self, tmp_path):
         (tmp_path / "bad.hea").write_text("bad 2\n")
         with pytest.raises(FormatError):
@@ -202,6 +216,11 @@ class TestEcgRecord:
     def test_bad_fs(self):
         with pytest.raises(InvalidMetadataError):
             EcgRecord(np.zeros((1, 4)), 0.0, ["I"])
+
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
+    def test_non_finite_fs(self, fs):
+        with pytest.raises(InvalidMetadataError, match="finite"):
+            EcgRecord(np.zeros((1, 4)), fs, ["I"])
 
 
 class TestResample:

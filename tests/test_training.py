@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,18 +55,44 @@ class TestLrSchedule:
             tr.lr_schedule(0)
 
 
+def step_constants(cfg, t):
+    """The learning rate and bias corrections adam_step uses at step t."""
+    return (tr.lr_schedule(t, cfg.d_model, cfg.warmup_steps),
+            1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t)
+
+
+def reference_adam_step(params, state, cfg, loss):
+    """adam_step's reference: a plain backward sweep into zeroed .grad
+    buffers, then adam_update of every parameter by its buffer."""
+    state.step_num += 1
+    lr, bc1, bc2 = step_constants(cfg, state.step_num)
+    ad.zero_grads(params)
+    loss.backward()
+    for name, p in params.items():
+        tr.adam_update(name, p, p.grad, state, cfg, lr, bc1, bc2)
+    return lr
+
+
+def linear_loss(p, g):
+    """A loss whose gradient with respect to p is exactly g."""
+    return ad.sum_(ad.mul(p, np.asarray(g, dtype=p.dtype)))
+
+
 class TestAdam:
     def cfg(self, **kw):
         base = dict(d_model=4, warmup_steps=10, epochs=1, batch_size=1)
         base.update(kw)
         return tr.OptimizerConfig(**base)
 
+    def update(self, p, g, state, t=1):
+        cfg = self.cfg()
+        tr.adam_update("w", p, g, state, cfg, *step_constants(cfg, t))
+
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter(np.array([1.5, -2.5], dtype=np.float32), "w")
         before = p.data.copy()
         state = tr.AdamState.for_params({"w": p})
-        p.grad = np.zeros(2, np.float32)
-        tr.adam_step({"w": p}, state, self.cfg())
+        self.update(p, np.zeros(2, np.float32), state)
         assert np.array_equal(p.data, before)
 
     def test_first_step_moves_by_lr(self):
@@ -73,8 +100,7 @@ class TestAdam:
         p = Parameter(np.zeros(3), "w")
         state = tr.AdamState.for_params({"w": p})
         cfg = self.cfg()
-        p.grad = np.ones(3)
-        lr = tr.adam_step({"w": p}, state, cfg)
+        lr = tr.adam_step({"w": p}, state, cfg, linear_loss(p, np.ones(3)))
         assert lr == tr.lr_schedule(1, 4, 10)
         assert np.allclose(p.data, -lr, atol=1e-9 * lr + 1e-15)
 
@@ -85,8 +111,7 @@ class TestAdam:
         x = 1.0
         m = v = 0.0
         for t, g in ((1, 0.3), (2, -0.7)):
-            p.grad = np.array([g])
-            tr.adam_step({"w": p}, state, cfg)
+            tr.adam_step({"w": p}, state, cfg, linear_loss(p, [g]))
             lr = tr.lr_schedule(t, 4, 10)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
@@ -96,32 +121,17 @@ class TestAdam:
         assert p.data[0] == pytest.approx(x, rel=1e-12)
         assert state.step_num == 2
 
-    def test_reads_accumulated_grads_when_none(self):
-        p = Parameter(np.array([2.0]), "w")
-        for _ in range(2):  # .grad holds the sum of both sweeps, 1.0
-            ad.sum_(ad.mul(p, 0.5)).backward()
-        state = tr.AdamState.for_params({"w": p})
-        tr.adam_step({"w": p}, state, self.cfg())
-        assert p.data[0] < 2.0
-
-    def test_missing_grad_names_parameter(self):
-        p = Parameter(np.array([2.0]), "w")
-        state = tr.AdamState.for_params({"w": p})
-        with pytest.raises(ValueError, match="w"):
-            tr.adam_step({"w": p}, state, self.cfg())
-
-    def test_state_lazily_initialized(self):
+    def test_update_never_makes_moments(self):
         p = Parameter(np.array([1.0]), "w")
-        state = tr.AdamState()  # empty slot dicts
-        p.grad = np.array([0.5])
-        tr.adam_step({"w": p}, state, self.cfg())
-        assert "w" in state.m and "w" in state.v
+        state = tr.AdamState()
+        with pytest.raises(KeyError, match="w"):
+            self.update(p, np.array([0.5]), state)
+        assert state.m == {} and state.v == {} and p.data[0] == 1.0
 
     def test_state_kept_float32_for_float32_params(self):
         p = Parameter(np.ones(2, np.float32), "w")
         state = tr.AdamState.for_params({"w": p})
-        p.grad = np.ones(2, np.float32)
-        tr.adam_step({"w": p}, state, self.cfg())
+        self.update(p, np.ones(2, np.float32), state)
         assert state.m["w"].dtype == np.float32
         assert state.v["w"].dtype == np.float32
         assert p.data.dtype == np.float32
@@ -131,8 +141,7 @@ class TestAdam:
         state = tr.AdamState.for_params({"w": p})
         arrays = (p.data, state.m["w"], state.v["w"])
         before = p.data.copy()
-        p.grad = np.ones(3, np.float32)
-        tr.adam_step({"w": p}, state, self.cfg())
+        self.update(p, np.ones(3, np.float32), state)
         assert all(new is old for new, old in
                    zip((p.data, state.m["w"], state.v["w"]), arrays))
         assert not np.array_equal(p.data, before)
@@ -140,11 +149,11 @@ class TestAdam:
     def test_peak_memory_stays_within_blocks(self):
         # an out-of-place update allocates several 4 MiB temporaries here
         p = Parameter(np.zeros((1024, 1024), dtype=np.float32), "w")
-        p.grad = np.full(p.shape, 0.25, dtype=np.float32)
+        g = np.full(p.shape, 0.25, dtype=np.float32)
         state = tr.AdamState.for_params({"w": p})
         tracemalloc.start()
         try:
-            tr.adam_step({"w": p}, state, self.cfg())
+            self.update(p, g, state)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -152,10 +161,8 @@ class TestAdam:
 
     @staticmethod
     def reference_step(p, g, m, v, t, cfg):
-        """The out-of-place update adam_step must match bit for bit."""
-        lr = tr.lr_schedule(t, cfg.d_model, cfg.warmup_steps)
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
+        """The out-of-place update adam_update must match bit for bit."""
+        lr, bc1, bc2 = step_constants(cfg, t)
         g = np.asarray(g, dtype=p.dtype)
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
@@ -174,8 +181,7 @@ class TestAdam:
         ref_p, ref_m, ref_v = p.data.copy(), state.m["w"].copy(), state.v["w"].copy()
         for t in (1, 2, 3):
             g = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2, size=shape)).astype(dtype)
-            p.grad = g
-            tr.adam_step({"w": p}, state, cfg)
+            self.update(p, g, state, t)
             ref_p, ref_m, ref_v = self.reference_step(ref_p, g, ref_m, ref_v, t, cfg)
             assert np.array_equal(p.data, ref_p)
             assert np.array_equal(state.m["w"], ref_m)
@@ -229,10 +235,8 @@ class TestFusedAdam:
         ref_state = tr.AdamState.for_params(ref_train)
         state = tr.AdamState.for_params(fused_train)
         for t in (1, 2, 3):
-            loss = self.loss(cfg, ref, ref_train, samples, t)
-            ad.zero_grads(ref_train)
-            loss.backward()
-            ref_lr = tr.adam_step(ref_train, ref_state, ocfg)
+            ref_lr = reference_adam_step(ref_train, ref_state, ocfg,
+                                         self.loss(cfg, ref, ref_train, samples, t))
             lr = tr.adam_step(fused_train, state, ocfg,
                               self.loss(cfg, fused, fused_train, samples, t))
             assert lr == ref_lr and state.step_num == t
@@ -251,7 +255,8 @@ class TestFusedAdam:
         stray = Parameter(np.ones(2), "stray")
         loss = ad.sum_(ad.mul(p, stray))
         with pytest.raises(ValueError, match="stray.*not a trained parameter"):
-            tr.adam_step({"w": p}, tr.AdamState(), tr.OptimizerConfig(), loss)
+            tr.adam_step({"w": p}, tr.AdamState.for_params({"w": p}),
+                         tr.OptimizerConfig(), loss)
 
     def test_leaf_reached_twice_is_an_error(self):
         p = Parameter(np.ones(2), "w")
@@ -262,7 +267,8 @@ class TestFusedAdam:
                 on_leaf(p, np.ones(2))
 
         with pytest.raises(ValueError, match="reached twice"):
-            tr.adam_step({"w": p}, tr.AdamState(), tr.OptimizerConfig(), TwiceLoss())
+            tr.adam_step({"w": p}, tr.AdamState.for_params({"w": p}),
+                         tr.OptimizerConfig(), TwiceLoss())
 
     def test_peak_memory_holds_no_gradient_buffers(self):
         # activations dominate this step, so both peaks fall at the start of
@@ -275,12 +281,7 @@ class TestFusedAdam:
             tracemalloc.start()
             try:
                 loss = self.loss(cfg, params, trainable, samples, 2)
-                if fused:
-                    tr.adam_step(trainable, state, ocfg, loss)
-                else:
-                    ad.zero_grads(trainable)
-                    loss.backward()
-                    tr.adam_step(trainable, state, ocfg)
+                (tr.adam_step if fused else reference_adam_step)(trainable, state, ocfg, loss)
                 return tracemalloc.get_traced_memory()[1], trainable
             finally:
                 tracemalloc.stop()
@@ -806,9 +807,9 @@ class TestTrainLoop:
     def test_classify_runs(self, tmp_path):
         res = tr.train(self.classify_data(), tiny_model(), tiny_optim(),
                        tr.CLASSIFY, seed=3, out_dir=str(tmp_path))
-        m, o, arrays, state, epoch = tr.load_training_checkpoint(res["checkpoint"])
+        m, o, arrays, state, counters = tr.load_training_checkpoint(res["checkpoint"])
         assert m.head == tfm.CLASSIFIER
-        assert epoch == 2
+        assert counters == {"epoch": 2, "samples": 10}
         assert state.step_num == res["steps"]
         assert "head.w" in arrays and arrays["head.w"].shape == (8, 3)
 
@@ -860,8 +861,8 @@ class TestTrainLoop:
                         out_dir=str(tmp_path / "full"))
         part = tr.train(data, tiny_model(), optim, mode, seed=6,
                         out_dir=str(tmp_path / "part"), max_steps=max_steps)
-        *_, epoch = tr.load_training_checkpoint(part["checkpoint"])
-        assert part["steps"] == max_steps and epoch == max_steps // 3
+        *_, counters = tr.load_training_checkpoint(part["checkpoint"])
+        assert part["steps"] == max_steps and counters["epoch"] == max_steps // 3
         resumed = tr.train(data, tiny_model(), optim, mode, seed=6,
                            out_dir=str(tmp_path / "part"),
                            resume=part["checkpoint"])
@@ -910,6 +911,48 @@ class TestTrainLoop:
             assert np.array_equal(arrays[name], arr), name
         assert sorted(state.m) == ["head.b", "head.w"]
 
+    def test_resume_reads_checkpoint_once(self, tmp_path, monkeypatch):
+        data = self.pretrain_data(n=6)
+        optim = tiny_optim(batch_size=2, epochs=2)
+        part = tr.train(data, tiny_model(), optim, tr.PRETRAIN, seed=6,
+                        out_dir=str(tmp_path), max_steps=2)
+        reads, load = [], ad.load_checkpoint
+
+        def spy_load(path, keep=None):
+            reads.append(path)
+            return load(path, keep)
+
+        monkeypatch.setattr(ad, "load_checkpoint", spy_load)
+        res = tr.train(data, tiny_model(), optim, tr.PRETRAIN, seed=6,
+                       out_dir=str(tmp_path), resume=part["checkpoint"])
+        assert res["steps"] == 6 and reads == [part["checkpoint"]]
+
+    @pytest.mark.parametrize("frozen, resume_frozen, damage, problem", [
+        (True, False, None, r"opt\.m\.enc0\.\S+: shape absent in the checkpoint, \(8"),
+        (False, True, None, r"opt\.m\.enc0\.\S+: shape \(8.*\) in the checkpoint, absent here"),
+        (True, True, "reshape", r"opt\.m\.head\.b: shape \(5,\) in the checkpoint, \(3,\) here"),
+        (True, True, "drop", r"opt\.v\.head\.b: shape absent in the checkpoint, \(3,\) here"),
+    ], ids=["unfrozen-resume", "frozen-resume", "moment-shape", "missing-moment"])
+    def test_resume_refuses_moments_of_another_run(self, tmp_path, frozen, resume_frozen,
+                                                   damage, problem):
+        data = self.classify_data(n=6)
+        optim = tiny_optim(batch_size=2, epochs=2)
+        part = tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
+                        out_dir=str(tmp_path), max_steps=2, freeze_trunk=frozen)
+        header, entries = ad.load_checkpoint(part["checkpoint"])
+        if damage == "reshape":
+            entries["opt.m.head.b"] = np.zeros(5, np.float32)
+        elif damage == "drop":
+            del entries["opt.v.head.b"]
+        ad.save_checkpoint(part["checkpoint"], entries, header)
+        log = open(part["log"], encoding="utf-8").read()
+        with pytest.raises(CheckpointMismatchError, match="--freeze-trunk") as exc:
+            tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
+                     out_dir=str(tmp_path), freeze_trunk=resume_frozen,
+                     resume=part["checkpoint"])
+        assert re.search(problem, str(exc.value))
+        assert open(part["log"], encoding="utf-8").read() == log
+
     def test_resume_rejects_model_mismatch(self, tmp_path):
         data = self.pretrain_data()
         part = tr.train(data, tiny_model(), tiny_optim(epochs=1),
@@ -946,8 +989,8 @@ class TestTrainLoop:
                        tiny_optim(epochs=0), tr.PRETRAIN, seed=10,
                        out_dir=str(tmp_path))
         assert res["steps"] == 0
-        m, o, arrays, state, epoch = tr.load_training_checkpoint(res["checkpoint"])
-        assert epoch == 0 and state.step_num == 0
+        m, o, arrays, state, counters = tr.load_training_checkpoint(res["checkpoint"])
+        assert counters["epoch"] == 0 and state.step_num == 0
         fresh = tfm.init_params(m.with_head(tfm.GENERATIVE), seed=10)
         assert np.array_equal(arrays["enc0.attn.wq.w"],
                               fresh["enc0.attn.wq.w"].data)
@@ -963,8 +1006,8 @@ class TestTrainLoop:
                        tr.PRETRAIN, seed=10, out_dir=str(tmp_path), max_steps=0)
         assert res["steps"] == 0 and res["final_loss"] is None
         assert open(res["log"], encoding="utf-8").read() == ""
-        m, _, arrays, state, epoch = tr.load_training_checkpoint(res["checkpoint"])
-        assert epoch == 0 and state.step_num == 0
+        m, _, arrays, state, counters = tr.load_training_checkpoint(res["checkpoint"])
+        assert counters["epoch"] == 0 and state.step_num == 0
         fresh = tfm.init_params(m.with_head(tfm.GENERATIVE), seed=10)
         for name, p in fresh.items():
             assert np.array_equal(arrays[name], p.data), name
