@@ -2,7 +2,8 @@
 
 Just enough machinery for the encoder model: matmul with broadcastable
 batch dimensions, elementwise arithmetic, softmax, reductions, masking,
-dropout, row gather/scatter, fused layer norm and BCE-with-logits, and a
+dropout, row gather/scatter, fused linear, attention-head layout,
+attention core, (residual) layer norm and BCE-with-logits nodes, and a
 topological backward sweep. Data lives in numpy arrays; float64 is the
 default so gradient checks are meaningful, float32 is the training dtype.
 """
@@ -86,9 +87,9 @@ class Tensor:
         soon as the sweep has passed every node that used it; the graph
         cannot be swept twice.
 
-        A leaf is reached once, after every node that used it, with its
-        complete gradient. That gradient is added into `.grad`, or, when
-        on_leaf is given, passed as on_leaf(leaf, g) and not kept.
+        A leaf is reached once, right after the last node that used it,
+        with its complete gradient. That gradient is added into `.grad`, or,
+        when on_leaf is given, passed as on_leaf(leaf, g) and not kept.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -106,9 +107,12 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            # leaf parents below the interior ones: they are sorted last
+            # under this node, so swept right after it
+            for interior in (False, True):
+                for p in node._parents:
+                    if (p._backward_fn is not None) == interior and id(p) not in visited:
+                        stack.append((p, False))
         grads = {id(self): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
@@ -216,26 +220,12 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product; backward is dA = dC·Bᵀ, dB = Aᵀ·dC.
-
-    A 2-D right operand (a weight) acts on every row of `a` alone, so the
-    product and both gradients run as one flat [rows, k] GEMM each.
-    """
+    """Batched matrix product; backward is dA = dC·Bᵀ, dB = Aᵀ·dC."""
     a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2:
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
-
-        def backward(g):
-            g2 = g.reshape(-1, n)
-            return ((a, (g2 @ b.data.T).reshape(a.shape)), (b, a2.T @ g2))
-
-        return _make(data, (a, b), backward)
     data = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -244,6 +234,28 @@ def matmul(a, b) -> Tensor:
         return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
 
     return _make(data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """x·w + b for a weight w [k, n] acting on every row of x [..., k]; one node.
+
+    The product and each gradient run as one flat [rows, k] GEMM, the bias
+    is added in place; backward is dx = g·wᵀ, dw = xᵀ·g, db = Σ_rows g.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    k, n = w.shape
+    if x.shape[-1] != k:
+        raise ValueError(f"linear inner dims disagree: {x.shape} x {w.shape}")
+    x2 = x.data.reshape(-1, k)
+    data = x2 @ w.data
+    data += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        return ((x, (g2 @ w.data.T).reshape(x.shape)), (w, x2.T @ g2),
+                (b, g2.sum(axis=0)))
+
+    return _make(data.reshape(x.shape[:-1] + (n,)), (x, w, b), backward)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -296,6 +308,34 @@ def scatter_rows(a, rows, shape) -> Tensor:
     a = _as_tensor(a)
     return _make(_scatter(a.data, rows, shape), (a,),
                  lambda g: ((a, g.reshape(-1, g.shape[-1])[rows]),))
+
+
+def _to_heads(x2: np.ndarray, at: tuple, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape, dtype=x2.dtype)
+    out[at] = x2.reshape(-1, shape[1], shape[3])
+    return out
+
+
+def split_heads(a, rows, shape) -> Tensor:
+    """Zeros of `shape` [B, h, S, dk] holding the rows of `a` [len(rows),
+    h*dk]: the row at flat position rows[i] = b*S + p goes to [b, :, p],
+    its channels j*dk..(j+1)*dk to head j. The inverse of merge_heads."""
+    a = _as_tensor(a)
+    b, p = np.divmod(rows, shape[2])
+    at = (b, slice(None), p)
+    return _make(_to_heads(a.data, at, shape), (a,),
+                 lambda g: ((a, g[at].reshape(a.shape)),))
+
+
+def merge_heads(a, rows) -> Tensor:
+    """The rows of `a` [B, h, S, dk] at flat positions rows (b*S + p), its
+    heads side by side, as [len(rows), h*dk]; split_heads' forward is its
+    backward."""
+    a = _as_tensor(a)
+    b, p = np.divmod(rows, a.shape[2])
+    at = (b, slice(None), p)
+    return _make(a.data[at].reshape(len(rows), -1), (a,),
+                 lambda g: ((a, _to_heads(g, at, a.shape)),))
 
 
 # -- reductions ----------------------------------------------------------
@@ -386,26 +426,72 @@ def masked_fill(a, fill_mask: np.ndarray, value: float) -> Tensor:
                  lambda g: ((a, _unbroadcast(np.where(fill_mask, 0.0, g), a.shape)),))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine; one node.
+def layer_norm(x, gamma, beta, residual=None, eps: float = 1e-6) -> Tensor:
+    """Zero-mean unit-variance over the last axis of x (+ residual), then
+    affine; one node, which keeps xhat and its output.
 
     With xhat = (x - mean) * rstd and rstd = 1/sqrt(var + eps), the backward
-    is dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gamma.
+    is dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gamma;
+    the residual gets the same dx.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * rstd
+    if residual is None:
+        parents = (x, gamma, beta)
+        xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    else:
+        residual = _as_tensor(residual)
+        parents = (x, residual, gamma, beta)
+        xhat = x.data + residual.data
+        xhat -= xhat.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= rstd
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward(g):
         gx = g * gamma.data
         dx = gx - gx.mean(axis=-1, keepdims=True)
         dx -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         dx *= rstd
-        return ((x, dx), (gamma, _unbroadcast(g * xhat, gamma.shape)),
-                (beta, _unbroadcast(g, beta.shape)))
+        pairs = ((x, dx), (gamma, _unbroadcast(g * xhat, gamma.shape)),
+                 (beta, _unbroadcast(g, beta.shape)))
+        return pairs if residual is None else pairs + ((residual, dx),)
 
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    return _make(out, parents, backward)
+
+
+NEG_INF = -1e9  # blocked attention score; large-negative instead of -inf to keep float32 NaN-free
+
+
+def attention(q, k, v, allowed=None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q·kᵀ/√d_k)·v over the last two axes, scores where `allowed`
+    is false set to NEG_INF before the softmax; one node, which keeps only
+    the weights w. Returns the output and w.
+
+    With gw = g·vᵀ, the scores' gradient is w * (gw - Σ_keys gw * w), zero
+    where blocked, times the scale; dq = gs·k, dk = gsᵀ·q, dv = wᵀ·g.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1])).astype(w.dtype)
+    w *= scale
+    if allowed is not None:
+        blocked = ~allowed
+        w = np.where(blocked, np.asarray(NEG_INF, dtype=w.dtype), w)
+    w = np.exp(w - w.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        if allowed is not None:
+            gs = np.where(blocked, 0.0, gs)
+        gs *= scale
+        gk = np.matmul(np.swapaxes(q.data, -1, -2), gs)
+        return ((q, np.matmul(gs, k.data)), (k, np.swapaxes(gk, -1, -2)),
+                (v, np.matmul(np.swapaxes(w, -1, -2), g)))
+
+    return _make(np.matmul(w, v.data), (q, k, v), backward), w
 
 
 def bce_with_logits(z, y) -> Tensor:

@@ -470,7 +470,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs, sample count and trained
     parameters must match) from its step count, as if it had never stopped;
-    init_checkpoint transfers a pre-trained trunk under a fresh head.
+    init_checkpoint transfers a pre-trained trunk under a fresh head;
+    freeze_trunk trains the head alone, so it needs one of the two.
     max_steps stops the run once the step count reaches it, mid-epoch or
     not; at or below the starting step count no step is taken. The
     checkpoint is written at each epoch end and when the run stops, and
@@ -484,6 +485,9 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
     if resume and init_checkpoint:
         raise ConfigError("--resume and --init-checkpoint are mutually exclusive")
+    if freeze_trunk and not (resume or init_checkpoint):
+        raise ConfigError("--freeze-trunk needs a trained trunk: give --init-checkpoint "
+                          "(or --resume a frozen run)")
     config = model_config.with_head(
         tf.GENERATIVE if mode == PRETRAIN else tf.CLASSIFIER)
 

@@ -18,8 +18,6 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import FormatError
 
-NEG_INF = -1e9  # blocked attention score; large-negative instead of -inf to keep float32 NaN-free
-
 GENERATIVE = "generative"
 CLASSIFIER = "classifier"
 
@@ -83,20 +81,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          allowed: np.ndarray | None,
                          return_weights: bool = False):
     """softmax(QKᵀ/√d_k)V with blocked scores set to -1e9 before the softmax."""
-    d_k = q.shape[-1]
-    swap_last = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, swap_last)), 1.0 / np.sqrt(d_k))
-    if allowed is not None:
-        scores = ad.masked_fill(scores, ~allowed, NEG_INF)
-    weights = ad.softmax(scores, axis=-1)
-    out = ad.matmul(weights, v)
+    out, weights = ad.attention(q, k, v, allowed)
     if return_weights:
-        return out, weights
+        return out, Tensor(weights)
     return out
 
 
 def _linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def multi_head_attention(x: Tensor, params: dict, prefix: str,
@@ -107,7 +99,7 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
     x: [N, d_model], the real rows of a [batch, seq] padded layout packed
     sequence by sequence; rows: their flat positions b*seq + p; allowed:
     the [batch, 1, seq, seq] mask. Only the attention core sees the padded
-    layout: q, k and v are scattered into [batch, h, seq, dk] (padded rows
+    layout: q, k and v are written into [batch, h, seq, dk] (padded rows
     zero) and its output is gathered back to [N, d_model] before wo. The
     q/k/v projections are d_model -> d_model, split into n_heads heads of
     width dk = d_model // n_heads.
@@ -116,19 +108,11 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
     if seq > config.max_pos:
         raise ValueError(f"sequence length {seq} exceeds max_pos {config.max_pos}")
     h, d = config.n_heads, config.d_model
-    # [batch, seq, h, dk] <-> [batch, h, seq, dk]; the permutation is its own inverse
-    axes = (0, 2, 1, 3)
-
-    def split_heads(t: Tensor) -> Tensor:
-        t = ad.scatter_rows(t, rows, (batch, seq, d))
-        return ad.transpose(ad.reshape(t, (batch, seq, h, d // h)), axes)
-
-    q = split_heads(_linear(x, params, f"{prefix}.wq"))
-    k = split_heads(_linear(x, params, f"{prefix}.wk"))
-    v = split_heads(_linear(x, params, f"{prefix}.wv"))
+    shape = (batch, h, seq, d // h)
+    q, k, v = (ad.split_heads(_linear(x, params, f"{prefix}.{proj}"), rows, shape)
+               for proj in ("wq", "wk", "wv"))
     attended = scaled_dot_attention(q, k, v, allowed)
-    merged = ad.reshape(ad.transpose(attended, axes), (batch, seq, d))
-    return _linear(ad.gather_rows(merged, rows), params, f"{prefix}.wo")
+    return _linear(ad.merge_heads(attended, rows), params, f"{prefix}.wo")
 
 
 def encoder_layer(x: Tensor, params: dict, prefix: str,
@@ -145,12 +129,12 @@ def encoder_layer(x: Tensor, params: dict, prefix: str,
         return ad.dropout(t, config.dropout_rate, training, gen)
 
     attn = multi_head_attention(x, params, f"{prefix}.attn", allowed, config, rows)
-    a1 = ad.layer_norm(ad.add(x, drop(attn)),
-                       params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
+    a1 = ad.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"],
+                       residual=drop(attn))
     hidden = ad.relu(_linear(a1, params, f"{prefix}.ffn.w1"))
     ff = _linear(hidden, params, f"{prefix}.ffn.w2")
-    return ad.layer_norm(ad.add(a1, drop(ff)),
-                         params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
+    return ad.layer_norm(a1, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"],
+                         residual=drop(ff))
 
 
 def forward(tokens, n_real, config: ModelConfig, params: dict,

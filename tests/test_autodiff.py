@@ -163,11 +163,35 @@ class TestMatmul:
         assert np.allclose(out.data, np.matmul(a.data, b.data), rtol=0, atol=1e-12)
         check_grads(lambda: project(ad.matmul(a, b), 9), [a, b])
 
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_gradient(self, shape):
+        x, w, b = rand(shape, 60), rand((4, 3), 61), rand((3,), 62)
+        out = ad.linear(x, w, b)
+        assert out.shape == shape[:-1] + (3,) and out._parents == (x, w, b)
+        assert np.allclose(out.data, x.data @ w.data + b.data, rtol=0, atol=1e-12)
+        check_grads(lambda: project(ad.linear(x, w, b), 63), [x, w, b])
+
+    def test_matches_product_plus_bias(self):
+        # the same values as the two-node composite, to the bit, in float32
+        x = Tensor(ad.seeded_rng(64).normal(size=(7, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(ad.seeded_rng(65).normal(size=(5, 6)).astype(np.float32), requires_grad=True)
+        b = Tensor(ad.seeded_rng(66).normal(size=6).astype(np.float32), requires_grad=True)
+        results = []
+        for make in (lambda: ad.linear(x, w, b), lambda: ad.add(ad.matmul(x, w), b)):
+            out = make()
+            ad.zero_grads([x, w, b])
+            project(out, 67).backward()
+            results.append([out.data] + [t.grad.copy() for t in (x, w, b)])
+        for fused, composite in zip(*results):
+            assert fused.dtype == np.float32 and np.array_equal(fused, composite)
+
     def test_weight_gradient_needs_no_batched_temporary(self):
         # [64, 2, 64] @ [64, 64] in float64: a per-sequence weight gradient
         # would be a [64, 64, 64] temporary of 2 MiB before its batch sum
-        a, b = rand((64, 2, 64), 10), rand((64, 64), 11)
-        loss = project(ad.matmul(a, b), 12)
+        a, b, c = rand((64, 2, 64), 10), rand((64, 64), 11), rand((64,), 13)
+        loss = project(ad.linear(a, b, c), 12)
         tracemalloc.start()
         try:
             loss.backward()
@@ -178,6 +202,7 @@ class TestMatmul:
         r = ad.seeded_rng(12, 999).normal(size=(64, 2, 64))  # project's functional
         assert np.allclose(b.grad, np.einsum("bsk,bsn->kn", a.data, r), rtol=0, atol=1e-9)
         assert np.allclose(a.grad, r @ b.data.T, rtol=0, atol=1e-12)
+        assert np.allclose(c.grad, r.sum(axis=(0, 1)), rtol=0, atol=1e-12)
 
 
 class TestElementwise:
@@ -243,6 +268,35 @@ class TestShapeOps:
         assert np.array_equal(out.data.reshape(8, 3)[rows], x.data)
         assert not out.data.reshape(8, 3)[[2, 3, 7]].any()
         check_grads(lambda: project(ad.scatter_rows(x, rows, (2, 4, 3)), 53), [x])
+
+    @staticmethod
+    def packed(counts, seq, d):
+        """(rows, x): the flat positions of a batch's real beats and [N, d] rows."""
+        rows = np.flatnonzero(np.arange(seq) < np.asarray(counts)[:, None])
+        return rows, rand((rows.size, d), 54)
+
+    def test_split_heads_layout_and_gradient(self):
+        rows, x = self.packed([3, 1, 4], 4, 6)
+        out = ad.split_heads(x, rows, (3, 2, 4, 3))
+        # the reference layout: scatter to [B, S, d], split d into heads
+        ref = np.zeros((12, 6))
+        ref[rows] = x.data
+        assert np.array_equal(out.data, ref.reshape(3, 4, 2, 3).transpose(0, 2, 1, 3))
+        assert not out.data[1, :, 1:].any() and not out.data[0, :, 3].any()
+        check_grads(lambda: project(ad.split_heads(x, rows, (3, 2, 4, 3)), 55), [x])
+
+    def test_merge_heads_inverts_split_and_gradient(self):
+        rows, x = self.packed([3, 1, 4], 4, 6)
+        heads = rand((3, 2, 4, 3), 56)
+        assert np.array_equal(ad.merge_heads(ad.split_heads(x, rows, heads.shape), rows).data,
+                              x.data)
+        ref = heads.data.transpose(0, 2, 1, 3).reshape(12, 6)[rows]
+        assert np.array_equal(ad.merge_heads(heads, rows).data, ref)
+        check_grads(lambda: project(ad.merge_heads(heads, rows), 57), [heads])
+        # the gradient of the padded rows is zero
+        ad.zero_grads([heads])
+        ad.sum_(ad.merge_heads(heads, rows)).backward()
+        assert not heads.grad[1, :, 1:].any() and heads.grad[1, :, 0].all()
 
     def test_sum_axis_keepdims(self):
         x = rand((2, 3), 31)
@@ -335,6 +389,30 @@ class TestLayerNorm:
             assert fused.shape == composite.shape
             assert np.abs(fused - composite).max() < 1e-12
 
+    def test_residual_gradient(self):
+        x, res = rand((3, 6), 41), rand((3, 6), 58)
+        gamma = Tensor(1.0 + 0.1 * ad.seeded_rng(42).normal(size=6), requires_grad=True)
+        beta = Tensor(0.1 * ad.seeded_rng(43).normal(size=6), requires_grad=True)
+        check_grads(lambda: project(ad.layer_norm(x, gamma, beta, residual=res), 59),
+                    [x, res, gamma, beta])
+
+    def test_residual_matches_norm_of_sum(self):
+        # to the bit, in float32: one node where the add and the norm were two
+        x, res = (Tensor(ad.seeded_rng(s).normal(size=(4, 6)).astype(np.float32),
+                         requires_grad=True) for s in (60, 61))
+        gamma = Tensor(np.linspace(0.5, 1.5, 6, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.linspace(-0.2, 0.3, 6, dtype=np.float32), requires_grad=True)
+        leaves = [x, res, gamma, beta]
+        results = []
+        for make in (lambda: ad.layer_norm(x, gamma, beta, residual=res),
+                     lambda: ad.layer_norm(ad.add(x, res), gamma, beta)):
+            out = make()
+            ad.zero_grads(leaves)
+            project(out, 62).backward()
+            results.append([out.data] + [t.grad.copy() for t in leaves])
+        for fused, composite in zip(*results):
+            assert fused.dtype == np.float32 and np.array_equal(fused, composite)
+
     def test_one_graph_node(self):
         x = rand((2, 3, 6), 49)
         gamma, beta = self.gb(6)
@@ -425,6 +503,47 @@ class TestMaskedFill:
         x = rand((2, 3, 3), 50)
         mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
         check_grads(lambda: project(ad.masked_fill(x, mask, 9.0), 51), [x])
+
+
+class TestAttention:
+    @staticmethod
+    def composite(q, k, v, allowed):
+        """The attention core built from one node per op."""
+        swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, swap)), 1.0 / np.sqrt(q.shape[-1]))
+        scores = ad.masked_fill(scores, ~allowed, -1e9)
+        return ad.matmul(ad.softmax(scores), v)
+
+    @staticmethod
+    def inputs(shape, dtype=np.float64):
+        q, k, v = (Tensor(ad.seeded_rng(70 + i).normal(size=shape).astype(dtype),
+                          requires_grad=True) for i in range(3))
+        counts = np.array([3, 5, 1])[: shape[0]]
+        allowed = np.tril(np.ones((shape[-2], shape[-2]), bool)) & (
+            np.arange(shape[-2]) < counts.reshape((-1,) + (1,) * (len(shape) - 1)))
+        return q, k, v, allowed
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_gradient_masked(self, shape):
+        q, k, v, allowed = self.inputs(shape)
+        out, w = ad.attention(q, k, v, allowed)
+        assert out._parents == (q, k, v) and w.shape == shape[:-1] + (shape[-2],)
+        assert not w[np.broadcast_to(~allowed, w.shape)].any()
+        check_grads(lambda: project(ad.attention(q, k, v, allowed)[0], 73), [q, k, v])
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_matches_composite(self, shape):
+        # to the bit, in float32, for the output and every input's gradient
+        q, k, v, allowed = self.inputs(shape, np.float32)
+        results = []
+        for make in (lambda: ad.attention(q, k, v, allowed)[0],
+                     lambda: self.composite(q, k, v, allowed)):
+            out = make()
+            ad.zero_grads([q, k, v])
+            project(out, 74).backward()
+            results.append([out.data] + [t.grad.copy() for t in (q, k, v)])
+        for fused, composite in zip(*results):
+            assert fused.dtype == np.float32 and np.array_equal(fused, composite)
 
 
 class TestComposite:

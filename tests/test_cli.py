@@ -775,6 +775,16 @@ class TestBadInputIsAnErrorLine:
         assert rc == 1
         assert "mutually exclusive" in error_line(capsys)
 
+    def test_freeze_trunk_needs_a_trunk(self, token_workspace, capsys):
+        # frozen random weights would train a head on noise features
+        ws = token_workspace
+        rc = main(["train", "--config", str(ws / "model.cfg"),
+                   "--manifest", str(ws / "manifest.tsv"), "--out", str(ws / "o"),
+                   "--freeze-trunk"])
+        assert rc == 1
+        assert "--freeze-trunk needs a trained trunk" in error_line(capsys)
+        assert not (ws / "o").exists()
+
     def test_resume_over_another_dataset(self, token_workspace, capsys):
         ws = token_workspace
         write_caches(ws, [5] * 9)

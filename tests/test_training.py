@@ -460,6 +460,72 @@ class TestPretrainPairs:
         assert loss.item() == pytest.approx(expect.item(), rel=1e-6, abs=0)
 
 
+def graph(loss):
+    """Every node of loss's backward graph, loss first."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestBackwardGraph:
+    """A training step keeps few nodes, and each weight's gradient is used
+    as soon as it is complete."""
+
+    @staticmethod
+    def step_loss(n_encoders):
+        cfg = tiny_model(n_encoders=n_encoders, max_pos=8).with_head(tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=5)
+        rng = ad.seeded_rng(5, "batch")
+        samples = [(rng.normal(size=(n, cfg.d_model)).astype(np.float32),
+                    (rng.random(cfg.d_class) < 0.5).astype(np.int8)) for n in (2, 7, 4, 5)]
+        loss = tr._batch_loss(samples, np.arange(4), tr.CLASSIFY, cfg, params,
+                              ad.RngStream(5, "dropout", 1))
+        return params, loss
+
+    def test_paper_depth_step_node_count(self):
+        # 16 nodes an encoder layer (q/k/v/o linear, 3 head splits, attention,
+        # head merge, 2 dropouts, 2 residual norms, ffn linear-relu-linear),
+        # 3 for the mean pooling, the head and the loss: 85
+        _, loss = self.step_loss(5)
+        interior = [n for n in graph(loss) if n._backward_fn is not None]
+        assert len(interior) <= 90
+
+    def test_no_closure_runs_while_a_complete_gradient_waits(self):
+        params, loss = self.step_loss(2)
+        weights = {id(p) for p in params.values()}
+        uses = dict.fromkeys(weights, 0)
+        waiting, swept = set(), []
+        for node in graph(loss):
+            if node._backward_fn is None:
+                continue
+            parents = [p for p in node._parents if id(p) in weights]
+            for p in parents:
+                uses[id(p)] += 1
+
+            def spy(g, fn=node._backward_fn, parents=parents):
+                assert not waiting, "a closure ran while a weight's gradient waited"
+                out = fn(g)
+                for p in parents:
+                    uses[id(p)] -= 1
+                    if not uses[id(p)]:
+                        waiting.add(id(p))
+                return out
+
+            node._backward_fn = spy
+
+        def on_leaf(leaf, g):
+            waiting.remove(id(leaf))
+            swept.append(leaf.name)
+
+        loss.backward(on_leaf)
+        assert not waiting and sorted(swept) == sorted(params)
+
+
 class TestThresholdPredict:
     def test_strictly_greater(self):
         # sigmoid(0) is exactly 0.5, which is not above the threshold
@@ -638,22 +704,21 @@ class TestPackedRows:
 
     @staticmethod
     def weight_rows(monkeypatch, params):
-        """Spy on ad.matmul: (parameter name, rows multiplied) per product
+        """Spy on ad.linear: (parameter name, rows multiplied) per product
         by a weight, and the real beats of each forward, in call order."""
         names = {id(p.data): n for n, p in params.items() if n.endswith(".w")}
         seen = []
-        matmul, forward = ad.matmul, tfm.forward
+        linear, forward = ad.linear, tfm.forward
 
-        def spy_matmul(a, b):
-            if isinstance(b, Tensor) and id(b.data) in names:
-                seen.append((names[id(b.data)], int(np.prod(a.shape[:-1]))))
-            return matmul(a, b)
+        def spy_linear(x, w, b):
+            seen.append((names[id(w.data)], int(np.prod(x.shape[:-1]))))
+            return linear(x, w, b)
 
         def spy_forward(tokens, n_real, *args, **kwargs):
             seen.append(("forward", int(np.sum(n_real))))
             return forward(tokens, n_real, *args, **kwargs)
 
-        monkeypatch.setattr(ad, "matmul", spy_matmul)
+        monkeypatch.setattr(ad, "linear", spy_linear)
         monkeypatch.setattr(tfm, "forward", spy_forward)
         return seen
 
@@ -691,6 +756,7 @@ class TestPackedRows:
         seen = self.weight_rows(monkeypatch, params)
         tr.forward_batches(params, cfg, seqs, batch_size=2)
         assert [rows for name, rows in seen if name == "forward"] == [1 + 2, 3 + 6, 8]
+        assert len(seen) == 3 * (1 + 6 * cfg.n_encoders + 1)
         self.assert_real_rows_only(seen, [2, 2, 1])
 
     @pytest.mark.parametrize("mode", [tr.PRETRAIN, tr.CLASSIFY])
@@ -937,8 +1003,12 @@ class TestTrainLoop:
                                                    damage, problem):
         data = self.classify_data(n=6)
         optim = tiny_optim(batch_size=2, epochs=2)
+        # a frozen run trains a head on a pre-trained trunk
+        trunk = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=1),
+                         tr.PRETRAIN, seed=15, out_dir=str(tmp_path / "pre")) if frozen else None
         part = tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
-                        out_dir=str(tmp_path), max_steps=2, freeze_trunk=frozen)
+                        out_dir=str(tmp_path), max_steps=2, freeze_trunk=frozen,
+                        init_checkpoint=trunk and trunk["checkpoint"])
         header, entries = ad.load_checkpoint(part["checkpoint"])
         if damage == "reshape":
             entries["opt.m.head.b"] = np.zeros(5, np.float32)
