@@ -143,17 +143,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-class Parameter(Tensor):
-    """Trainable tensor with a registry path such as ``enc0.attn.wq``."""
-
-    def __init__(self, data, name: str, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
-        self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.shape})"
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -578,25 +567,34 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
     """Ordered (name, shape, float32 data) entries, little-endian.
 
     Header carries the serialized config and its sha256 so a damaged
-    header is caught on load.
+    header is caught on load. The file is written beside `path` and then
+    renamed over it, so a write that fails or is killed part-way leaves the
+    previous file as it was.
     """
     cfg = config_text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<I", len(cfg)))
-        fh.write(cfg)
-        fh.write(hashlib.sha256(cfg).digest())
-        fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries.items():
-            nb = name.encode("utf-8")
-            a = np.ascontiguousarray(arr, dtype="<f4")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", a.ndim))
-            for d in a.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(a.data)  # a's own buffer, not a copy
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<I", _CKPT_VERSION))
+            fh.write(struct.pack("<I", len(cfg)))
+            fh.write(cfg)
+            fh.write(hashlib.sha256(cfg).digest())
+            fh.write(struct.pack("<I", len(entries)))
+            for name, arr in entries.items():
+                nb = name.encode("utf-8")
+                a = np.ascontiguousarray(arr, dtype="<f4")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", a.ndim))
+                for d in a.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(a.data)  # a's own buffer, not a copy
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:

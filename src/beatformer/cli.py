@@ -77,6 +77,10 @@ def build_config(file_values: dict | None = None,
         if value is None:
             continue
         cfg = replace(cfg, **{name: value})
+    if cfg.seed < 0:
+        raise ConfigError(f"data.seed must be >= 0, got {cfg.seed}")
+    if cfg.workers < 1:
+        raise ConfigError(f"data.workers must be >= 1, got {cfg.workers}")
     for name in ("target_fs", "highpass_hz"):
         if not 0 < getattr(cfg, name) < np.inf:
             raise ConfigError(
@@ -206,21 +210,14 @@ def _label_map_for(path: str, d_class: int) -> LabelMap:
     return lmap
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _config_from_args(args)
-    summary = training.train(
-        _require_manifest(cfg), cfg.model, cfg.optim, training.PRETRAIN,
-        cfg.seed, cfg.out_dir, resume=args.resume, max_steps=args.max_steps)
-    print(json.dumps(summary))
-    return 0
-
-
 def cmd_train(args) -> int:
+    """`pretrain` and `train`: the subcommand picks the training mode."""
     cfg = _config_from_args(args)
-    if cfg.label_map:
+    mode = training.PRETRAIN if args.command == "pretrain" else training.CLASSIFY
+    if mode == training.CLASSIFY and cfg.label_map:
         _label_map_for(cfg.label_map, cfg.model.d_class)
     summary = training.train(
-        _require_manifest(cfg), cfg.model, cfg.optim, training.CLASSIFY,
+        _require_manifest(cfg), cfg.model, cfg.optim, mode,
         cfg.seed, cfg.out_dir, resume=args.resume,
         init_checkpoint=args.init_checkpoint, freeze_trunk=args.freeze_trunk,
         max_steps=args.max_steps)
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, manifest=True)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--max-steps", type=int, default=None)
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_train, init_checkpoint=None, freeze_trunk=False)
 
     p = sub.add_parser("train", help="supervised multi-label training")
     common(p, manifest=True)

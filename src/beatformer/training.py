@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import transformer as tf
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .beat_tokenizer import load_tokens
 from .ecg_io import read_lines
 from .errors import (CheckpointMismatchError, ConfigError, EmptyInputError, FormatError,
@@ -37,8 +37,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie strictly in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
         if self.batch_size < 1:
@@ -80,7 +82,7 @@ def lr_schedule(step_num: int, d_model: int = 1000, warmup_steps: int = 4000) ->
 ADAM_BLOCK = 1 << 15
 
 
-def adam_update(name: str, p: Parameter, g, state: AdamState, cfg: OptimizerConfig,
+def adam_update(name: str, p: Tensor, g, state: AdamState, cfg: OptimizerConfig,
                 lr: float, bc1: float, bc2: float) -> None:
     """Adam's update of one parameter by its gradient g, with the learning
     rate and bias corrections of the step.
@@ -141,9 +143,9 @@ def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig,
     def on_leaf(leaf, g):
         name = pending.pop(id(leaf), None)
         if name is None:
+            twice = [n for n, p in params.items() if p is leaf]
             raise ValueError(
-                f"{leaf!r} reached twice in one sweep"
-                if any(p is leaf for p in params.values())
+                f"parameter {twice[0]} reached twice in one sweep" if twice
                 else f"{leaf!r} needs a gradient but is not a trained parameter")
         adam_update(name, leaf, g, state, cfg, lr, bc1, bc2)
 
@@ -513,6 +515,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     if not samples:
         raise EmptyInputError("no sequence has >= 2 beats; nothing to pre-train on")
 
+    arrays, diff = {}, []
     if resume:
         ck_m, ck_o, arrays, state, counters = load_training_checkpoint(resume)
         # epochs is the run-length target, not a trajectory parameter; a
@@ -520,44 +523,34 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         diff = (config_diff(ck_m, config, [f.name for f in fields(config)])
                 + config_diff(ck_o, optim_config,
                               [f.name for f in fields(ck_o) if f.name != "epochs"]))
-        if diff:
-            raise CheckpointMismatchError(
-                "checkpoint does not match the requested configuration:\n  "
-                + "\n  ".join(diff))
+    elif init_checkpoint:
+        # only the trunk is read: the Adam moments and the old head are skipped
+        ck_m, _, arrays, _, _ = load_training_checkpoint(
+            init_checkpoint, lambda name: not name.startswith(("opt.", "head.")))
+        diff = config_diff(ck_m, config, tf.TRUNK_FIELDS)
+    if diff:
+        raise CheckpointMismatchError(
+            f"{resume or init_checkpoint}: checkpoint does not match the requested "
+            "configuration:\n  " + "\n  ".join(diff))
+    if resume:
         # older checkpoints lack meta.samples
         if counters.get("samples", len(samples)) != len(samples):
             raise CheckpointMismatchError(
                 f"{resume}: checkpoint was trained on {counters['samples']} "
                 f"samples, this dataset has {len(samples)}; --resume must continue "
                 f"over the same dataset")
-        params = tf.params_from_arrays(arrays, config)
-    elif init_checkpoint:
-        # only the trunk is read: the Adam moments and the old head are skipped
-        ck_m, _, arrays, _, _ = load_training_checkpoint(
-            init_checkpoint, lambda name: not name.startswith(("opt.", "head.")))
-        diff = config_diff(ck_m, config, tf.TRUNK_FIELDS)
-        if diff:
-            raise CheckpointMismatchError(
-                "checkpoint trunk does not match the requested configuration:\n  "
-                + "\n  ".join(diff))
-        for name, _, _ in tf.param_shapes(config):
-            if not name.startswith("head.") and name not in arrays:
-                raise CheckpointMismatchError(f"checkpoint is missing {name}")
-        head = tf.init_params(config, seed, keep=lambda name: name.startswith("head."))
-        arrays.update((name, p.data) for name, p in head.items())
-        params = tf.params_from_arrays(arrays, config)
-    else:
-        params = tf.init_params(config, seed)
-
-    trainable = _trainable(params, freeze_trunk)
+    else:  # a fresh run draws every parameter, a transfer only the head
+        drawn = tf.init_params(config, seed, keep=lambda name: (
+            not init_checkpoint or name.startswith("head.")))
+        arrays.update((name, p.data) for name, p in drawn.items())
+    params = tf.params_from_arrays(arrays, config)
+    for name, p in params.items():
+        p.requires_grad = not freeze_trunk or name.startswith("head.")
+    trainable = {name: p for name, p in params.items() if p.requires_grad}
     if resume:
         _check_moments(resume, state, trainable)
     else:
         state = AdamState.for_params(trainable)
-    if freeze_trunk:
-        for name, p in params.items():
-            if name not in trainable:
-                p.requires_grad = False
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     log_path = os.path.join(out_dir, "train_log.ndjson")
@@ -608,12 +601,6 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         "mode": mode,
         "skipped_sequences": skipped,
     }
-
-
-def _trainable(params: dict, freeze_trunk: bool) -> dict:
-    if not freeze_trunk:
-        return params
-    return {n: p for n, p in params.items() if n.startswith("head.")}
 
 
 def _check_moments(path: str, state: AdamState, trainable: dict) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import FormatError
 
 GENERATIVE = "generative"
@@ -199,14 +199,14 @@ def param_shapes(config: ModelConfig):
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32,
-                keep=None) -> dict[str, Parameter]:
+                keep=None) -> dict[str, Tensor]:
     """Xavier-uniform weights, zero biases, unit layer-norm gains.
 
     keep(name) selects the parameters made (default: all). A weight's
     draw is keyed by its position in param_shapes, so it is the same
     whichever others are kept.
     """
-    params: dict[str, Parameter] = {}
+    params: dict[str, Tensor] = {}
     for idx, (name, shape, kind) in enumerate(param_shapes(config)):
         if keep is not None and not keep(name):
             continue
@@ -216,7 +216,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32,
             data = np.ones(shape, dtype=dtype)
         else:
             data = np.zeros(shape, dtype=dtype)
-        params[name] = Parameter(data, name)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -225,9 +225,9 @@ def count_parameters(config: ModelConfig) -> int:
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
-                       dtype=np.float32) -> dict[str, Parameter]:
+                       dtype=np.float32) -> dict[str, Tensor]:
     """Parameters for `config`; a missing or mis-shaped array is a FormatError."""
-    params: dict[str, Parameter] = {}
+    params: dict[str, Tensor] = {}
     for name, shape, _ in param_shapes(config):
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name}")
@@ -235,5 +235,5 @@ def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
         if arr.shape != shape:
             raise FormatError(
                 f"parameter {name}: checkpoint shape {arr.shape} != expected {shape}")
-        params[name] = Parameter(arr, name)
+        params[name] = Tensor(arr, requires_grad=True)
     return params

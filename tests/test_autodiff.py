@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beatformer import autodiff as ad
-from beatformer.autodiff import Parameter, Tensor
+from beatformer.autodiff import Tensor
 from beatformer.errors import FormatError
 
 H = 1e-5
@@ -67,10 +67,6 @@ class TestTensorBasics:
     def test_item_requires_scalar(self):
         with pytest.raises(ValueError):
             Tensor(np.ones(3)).item()
-
-    def test_parameter_carries_name(self):
-        p = Parameter(np.zeros((2, 2)), "enc0.attn.wq")
-        assert p.name == "enc0.attn.wq" and p.requires_grad
 
 
 class TestBackwardMechanics:
@@ -694,3 +690,14 @@ class TestCheckpoint:
         ad.save_checkpoint(a, self.entries(), "cfg")
         ad.save_checkpoint(b, self.entries(), "cfg")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        before = p.read_bytes()
+        # the second entry cannot convert to float32, after the first is written
+        bad = {"head.b": np.ones(2, np.float32), "bad": np.array(["x"])}
+        with pytest.raises(ValueError):
+            ad.save_checkpoint(p, bad, "d_model=8")
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]

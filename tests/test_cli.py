@@ -765,6 +765,27 @@ class TestBadInputIsAnErrorLine:
         assert rc == 1
         assert "label map has 2 classes but model.d_class is 3" in error_line(capsys)
 
+    @pytest.mark.parametrize("command, flags, line, message", [
+        ("pretrain", ["--seed", "-1"], "", "data.seed must be >= 0"),
+        ("pretrain", [], "data.seed=-1", "data.seed must be >= 0"),
+        ("preprocess", ["--workers", "0"], "", "data.workers must be >= 1"),
+        ("preprocess", ["--workers", "-2"], "", "data.workers must be >= 1"),
+        ("pretrain", [], "optim.epsilon=nan", "epsilon must be positive and finite"),
+        ("pretrain", [], "optim.epsilon=inf", "epsilon must be positive and finite"),
+        ("pretrain", [], "optim.threshold=nan", "threshold must lie in [0, 1]"),
+        ("pretrain", [], "optim.threshold=-0.5", "threshold must lie in [0, 1]"),
+    ])
+    def test_out_of_range_setting(self, token_workspace, record_dir, capsys,
+                                  command, flags, line, message):
+        ws = token_workspace
+        (ws / "bad.cfg").write_text(small_cfg_text() + line + "\n")
+        argv = ([command, "--manifest", str(ws / "manifest.tsv")] if command == "pretrain"
+                else [command, str(record_dir)])
+        rc = main(argv + ["--config", str(ws / "bad.cfg"), "--out", str(ws / "o")] + flags)
+        assert rc == 1
+        assert message in error_line(capsys)
+        assert not (ws / "o").exists()
+
     def test_resume_with_init_checkpoint(self, token_workspace, capsys):
         ws = token_workspace
         ckpt = train_classifier(ws, "clf", epochs=0)
