@@ -510,51 +510,24 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
 
 # -- initialization and rng ----------------------------------------------
 
-def _entropy_ints(entropy) -> tuple:
-    out = []
-    for e in entropy:
-        if isinstance(e, str):
-            out.append(zlib.crc32(e.encode("utf-8")))
-        else:
-            out.append(int(e))
-    return tuple(out)
-
-
 def seeded_rng(*entropy) -> np.random.Generator:
     """Deterministic generator derived from a tuple of ints / string tags."""
-    return np.random.default_rng(np.random.SeedSequence(_entropy_ints(entropy)))
+    ints = [zlib.crc32(e.encode("utf-8")) if isinstance(e, str) else int(e) for e in entropy]
+    return np.random.default_rng(np.random.SeedSequence(ints))
 
 
-class RngStream:
-    """Splittable per-call generators: call i draws from (key..., i).
-
-    Keeps dropout masks reproducible without global state; streams keyed
-    by (seed, step) make resumed runs draw identical masks.
-    """
-
-    def __init__(self, *key):
-        self.key = _entropy_ints(key)
-        self.calls = 0
-
-    def generator(self) -> np.random.Generator:
-        g = seeded_rng(*self.key, self.calls)
-        self.calls += 1
-        return g
-
-
-def xavier_uniform(shape, seed_key, dtype=np.float64) -> np.ndarray:
+def xavier_uniform(shape, seed_key: tuple, dtype=np.float64) -> np.ndarray:
     """Uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
     if len(shape) != 2:
         raise ValueError(f"xavier_uniform expects a 2-D shape, got {shape}")
     fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    rng = seeded_rng(*seed_key) if isinstance(seed_key, tuple) else seeded_rng(seed_key)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return seeded_rng(*seed_key).uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def zero_grads(params) -> None:
-    for p in (params.values() if isinstance(params, dict) else params):
-        p.zero_grad()
+def zero_grads(tensors) -> None:
+    for t in tensors:
+        t.zero_grad()
 
 
 # -- checkpoint file -----------------------------------------------------

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PeakList
 from .errors import FormatError, NoBeatsError
 
 TOKEN_LEN = 1000
 MAX_POS = 50
-R_ANCHOR = TOKEN_LEN // 3  # 333
 
 _MAGIC = b"BFTS"
 _VERSION = 2
@@ -72,7 +70,8 @@ def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:
     return before, after
 
 
-def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> tuple[np.ndarray, int]:
+def segment_beat(fused, peaks: np.ndarray, k: int,
+                 d_model: int = TOKEN_LEN) -> tuple[np.ndarray, int]:
     """Cut beat k out of the fused signal: (float32 [d_model] values, the
     index of the R sample in them, d_model // 3).
 
@@ -82,12 +81,11 @@ def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> tuple[np.nda
     falls back to the full window. Samples beyond the record stay zero.
     """
     fused = np.asarray(fused, dtype=np.float64)
-    idx = peaks.indices if isinstance(peaks, PeakList) else np.asarray(peaks, dtype=np.int64)
-    if not 0 <= k < idx.size:
-        raise ValueError(f"beat index {k} out of range for {idx.size} peaks")
+    if not 0 <= k < peaks.size:
+        raise ValueError(f"beat index {k} out of range for {peaks.size} peaks")
     anchor = d_model // 3
-    before, after = _beat_window(idx, k, d_model)
-    r = int(idx[k])
+    before, after = _beat_window(peaks, k, d_model)
+    r = int(peaks[k])
     if not 0 <= r < fused.size:
         raise ValueError(f"peak {r} lies outside the {fused.size}-sample signal")
     lo = max(r - before, 0)
@@ -97,13 +95,13 @@ def segment_beat(fused, peaks, k: int, d_model: int = TOKEN_LEN) -> tuple[np.nda
     return values, anchor
 
 
-def build_sequence(fused, peaks) -> BeatSequence:
-    """Tokenize the first min(len(peaks), MAX_POS) beats."""
-    idx = peaks.indices if isinstance(peaks, PeakList) else np.asarray(peaks, dtype=np.int64)
-    if idx.size == 0:
+def build_sequence(fused, peaks: np.ndarray) -> BeatSequence:
+    """Tokenize the first min(peaks.size, MAX_POS) beats of the R-peak
+    sample indices `peaks`."""
+    if peaks.size == 0:
         raise NoBeatsError("no beats detected")
-    return BeatSequence(np.stack([segment_beat(fused, idx, k)[0]
-                                  for k in range(min(int(idx.size), MAX_POS))]))
+    return BeatSequence(np.stack([segment_beat(fused, peaks, k)[0]
+                                  for k in range(min(peaks.size, MAX_POS))]))
 
 
 def save_tokens(path: str, seq: BeatSequence):

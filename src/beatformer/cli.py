@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import glob
 import json
 import os
@@ -29,7 +30,8 @@ from .ecg_io import (
     rescale_peaks,
     resample_record,
 )
-from .errors import BeatformerError, CheckpointMismatchError, ConfigError, NoBeatsError
+from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, FormatError,
+                     NoBeatsError)
 
 
 @dataclass
@@ -118,7 +120,7 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
             return ("skip", "no scored labels")
 
     hp = design_highpass(cfg.highpass_hz, rec.fs)
-    rec = replace(rec, leads=apply_filter(hp, rec.leads, step_init=True))
+    rec = replace(rec, leads=apply_filter(hp, rec.leads))
 
     det_idx = 0
     if cfg.lead:
@@ -141,6 +143,16 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
     return ("ok", cache_name, label_indices)
 
 
+def _preprocess_or_error(record_path: str, cfg: PipelineConfig, out_dir: str,
+                         lmap: LabelMap | None):
+    """_preprocess_one's result, or ("error", reason): a record that cannot
+    be read or parsed is a skip line, not the end of the run."""
+    try:
+        return _preprocess_one(record_path, cfg, out_dir, lmap)
+    except (BeatformerError, OSError) as exc:
+        return ("error", str(exc))
+
+
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
     out_dir = cfg.out_dir
@@ -154,29 +166,16 @@ def cmd_preprocess(args) -> int:
 
     lmap = load_label_map(cfg.label_map) if cfg.label_map else None
 
-    # a record that cannot be read or parsed is a skip line, not the end of the run
-    results = {}
+    run = functools.partial(_preprocess_or_error, cfg=cfg, out_dir=out_dir, lmap=lmap)
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-            futures = {pool.submit(_preprocess_one, p, cfg, out_dir, lmap): p
-                       for p in records}
-            for fut in concurrent.futures.as_completed(futures):
-                path = futures[fut]
-                try:
-                    results[path] = fut.result()
-                except (BeatformerError, OSError) as exc:
-                    results[path] = ("error", str(exc))
+            results = list(pool.map(run, records))
     else:
-        for path in records:
-            try:
-                results[path] = _preprocess_one(path, cfg, out_dir, lmap)
-            except (BeatformerError, OSError) as exc:
-                results[path] = ("error", str(exc))
+        results = list(map(run, records))
 
     manifest_lines = []
     skip_lines = []
-    for path in records:
-        res = results[path]
+    for path, res in zip(records, results):
         if res[0] == "ok":
             _, cache_name, indices = res
             label_field = ",".join(str(i) for i in sorted(indices)) if indices else ""
@@ -232,7 +231,10 @@ def _load_for_inference(checkpoint: str, command: str):
     if mcfg.head != tf.CLASSIFIER:
         raise CheckpointMismatchError(
             f"{command} needs a classifier checkpoint, got head={mcfg.head!r}")
-    params = tf.params_from_arrays(arrays, mcfg)
+    try:
+        params = tf.params_from_arrays(arrays, mcfg)
+    except FormatError as exc:
+        raise FormatError(f"{checkpoint}: {exc}") from exc
     return mcfg, ocfg, params
 
 

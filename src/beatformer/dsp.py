@@ -84,13 +84,6 @@ def design_lowpass(cutoff: float, fs: float) -> IirFilter:
     return IirFilter(b, a)
 
 
-def filter_gain(f: IirFilter, freq: float, fs: float) -> float:
-    """Magnitude of the transfer function at freq Hz."""
-    z = np.exp(-2j * np.pi * freq / fs)
-    zs = np.array([1.0, z, z * z])
-    return float(np.abs(np.dot(f.b, zs) / np.dot(f.a, zs)))
-
-
 BLOCK = 128         # samples per scan block
 CHUNK = 1 << 15     # samples per row filtered at a time; a multiple of BLOCK
 
@@ -165,18 +158,17 @@ def _scan_states(first: np.ndarray, inputs: np.ndarray, doubling) -> np.ndarray:
     return s
 
 
-def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
+def apply_filter(f: IirFilter, x) -> np.ndarray:
     """Causal direct-form-II-transposed pass along the last axis.
 
     Accepts one lead [n] or several [leads, n]; each row is filtered on
     its own. The recurrence runs as a blocked linear-recurrence scan
     (BLOCK-sample blocks, CHUNK samples per row at a time), so memory
-    beyond the output stays bounded. Delay registers start at zero on
-    every call, so repeated calls on different records never leak state.
-    With step_init they instead start at the steady state for a constant
-    input equal to the first sample, which removes the onset transient a
-    DC offset would otherwise cause: the row minus its first sample is
-    filtered from rest and the DC response to the first sample added.
+    beyond the output stays bounded. Each call's delay registers start at
+    the steady state for a constant input equal to the row's first
+    sample, so a DC offset causes no onset transient and repeated calls
+    never leak state: the row minus its first sample is filtered from
+    rest and the DC response to the first sample added.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
@@ -187,7 +179,7 @@ def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
     rows = x.reshape(-1, n)
     y = np.empty(rows.shape)
     toeplitz_t, phi_t, gain, doubling = _block_operators(tuple(f.b), tuple(f.a))
-    x0 = rows[:, :1] if step_init else np.zeros((rows.shape[0], 1))
+    x0 = rows[:, :1]
     state = np.zeros((rows.shape[0], 2))
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
@@ -199,18 +191,16 @@ def apply_filter(f: IirFilter, x, step_init: bool = False) -> np.ndarray:
         out = buf @ toeplitz_t + states[:, :-1] @ phi_t
         y[:, start:stop] = out.reshape(rows.shape[0], -1)[:, : stop - start]
         state = states[:, -1]
-    if step_init:
-        b0, b1, b2 = f.b
-        _, a1, a2 = f.a
-        y += (b0 + b1 + b2) / (1.0 + a1 + a2) * x0
+    b0, b1, b2 = f.b
+    _, a1, a2 = f.a
+    y += (b0 + b1 + b2) / (1.0 + a1 + a2) * x0
     return y.reshape(x.shape)
 
 
-def bandpass(x, fs: float, low: float, high: float,
-             step_init: bool = False) -> np.ndarray:
+def bandpass(x, fs: float, low: float, high: float) -> np.ndarray:
     """High-pass at `low` cascaded with low-pass at `high`."""
-    y = apply_filter(design_highpass(low, fs), x, step_init)
-    return apply_filter(design_lowpass(high, fs), y, step_init)
+    y = apply_filter(design_highpass(low, fs), x)
+    return apply_filter(design_lowpass(high, fs), y)
 
 
 @dataclass
@@ -260,25 +250,20 @@ def detect_two_average(x, fs: float) -> PeakList:
     if x.size < w2 or x.size == 0:
         return PeakList(np.empty(0, dtype=np.int64), fs)
 
-    filtered = bandpass(x, fs, *TA_BAND, step_init=True)
+    filtered = bandpass(x, fs, *TA_BAND)
     sq = filtered * filtered
     ma_qrs = _moving_average_centered(sq, w1)
     ma_beat = _moving_average_centered(sq, w2)
     offset = OFFSET_FRAC * float(np.mean(sq))
     above = ma_qrs > ma_beat + offset
 
-    peaks = []
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    starts = list(edges[~above[edges]] + 1)
-    ends = list(edges[above[edges]] + 1)
-    if above.size and above[0]:
-        starts.insert(0, 0)
-    if above.size and above[-1]:
-        ends.append(above.size)
-    for s, e in zip(starts, ends):
-        if e - s >= w1:
-            peaks.append(s + int(np.argmax(np.abs(filtered[s:e]))))
-    peaks = _enforce_refractory(sorted(peaks), refractory)
+    # runs [start, end) of exceedance: padded with a 0 at each end, the
+    # mask's rising and falling edges alternate
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], above.astype(np.int8), [0]))))
+    starts, ends = edges[0::2], edges[1::2]
+    peaks = [s + int(np.argmax(np.abs(filtered[s:e])))
+             for s, e in zip(starts, ends) if e - s >= w1]
+    peaks = _enforce_refractory(peaks, refractory)
     return PeakList(np.asarray(peaks, dtype=np.int64), fs)
 
 
@@ -297,7 +282,7 @@ def detect_pan_tompkins(x, fs: float) -> PeakList:
     if x.size < learn or x.size == 0:
         return PeakList(np.empty(0, dtype=np.int64), fs)
 
-    band = bandpass(x, fs, *PT_BAND, step_init=True)
+    band = bandpass(x, fs, *PT_BAND)
     deriv = np.convolve(band, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0)[: band.size]
     sq = deriv * deriv
     w = max(1, int(round(INTEGRATION_S * fs)))

@@ -157,21 +157,18 @@ def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig,
     return lr
 
 
-def mse_loss(pred: Tensor, target, target_mask) -> Tensor:
+def mse_loss(pred: Tensor, target: np.ndarray, target_mask) -> Tensor:
     """Mean squared error over unmasked positions, all dims pooled.
 
-    target_mask is true at supervised positions ([S] or [B, S]).
+    target_mask is true at supervised positions ([S] or [B, S]); only
+    those rows of pred enter the graph.
     """
-    mask = np.asarray(target_mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+    mask = np.broadcast_to(np.asarray(target_mask, dtype=bool), pred.shape[:-1])
+    rows = np.flatnonzero(mask)
+    if rows.size == 0:
         raise ValueError("target_mask leaves no supervised positions")
-    d = pred.shape[-1]
-    tgt = target if isinstance(target, Tensor) else Tensor(np.asarray(target))
-    diff = ad.sub(pred, tgt)
-    masked = ad.mul(ad.mul(diff, diff),
-                    mask.astype(pred.data.dtype)[..., None])
-    return ad.mul(ad.sum_(masked), 1.0 / (count * d))
+    diff = ad.sub(ad.gather_rows(pred, rows), target[mask])
+    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / diff.size)
 
 
 def bce_loss(logits: Tensor, labels) -> Tensor:
@@ -183,10 +180,9 @@ def bce_loss(logits: Tensor, labels) -> Tensor:
     return ad.bce_with_logits(logits, y)
 
 
-def threshold_predict(logits, threshold: float = 0.5) -> np.ndarray:
+def threshold_predict(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Multi-hot vector: class positive iff sigmoid(logit) strictly exceeds threshold."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return (ad.logistic(arr) > threshold).astype(np.int8)
+    return (ad.logistic(logits) > threshold).astype(np.int8)
 
 
 def pad_batch(rows: list) -> tuple:
@@ -543,7 +539,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         drawn = tf.init_params(config, seed, keep=lambda name: (
             not init_checkpoint or name.startswith("head.")))
         arrays.update((name, p.data) for name, p in drawn.items())
-    params = tf.params_from_arrays(arrays, config)
+    try:
+        params = tf.params_from_arrays(arrays, config)
+    except FormatError as exc:  # drawn arrays fit; a checkpoint's may not
+        raise FormatError(f"{resume or init_checkpoint}: {exc}") from exc
     for name, p in params.items():
         p.requires_grad = not freeze_trunk or name.startswith("head.")
     trainable = {name: p for name, p in params.items() if p.requires_grad}
@@ -569,7 +568,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             t0 = time.monotonic()
             epoch, k = divmod(step, per_epoch)
             order = ad.seeded_rng(seed, "shuffle", epoch + 1).permutation(len(samples))
-            rng = ad.RngStream(seed, "dropout", step + 1)
+            rng = ad.seeded_rng(seed, "dropout", step + 1)
             loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], mode,
                                config, params, rng)
             last_loss = float(loss.item())
@@ -619,7 +618,7 @@ def _check_moments(path: str, state: AdamState, trainable: dict) -> None:
 
 def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,
                 config: tf.ModelConfig, params: dict,
-                rng: ad.RngStream) -> Tensor:
+                rng: np.random.Generator) -> Tensor:
     tokens, n_real = pad_batch([samples[i][0] for i in batch_idx])
     if mode == PRETRAIN:
         # teacher forcing: position i sees beats 0..i and predicts beat i+1

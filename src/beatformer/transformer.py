@@ -118,27 +118,25 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
 def encoder_layer(x: Tensor, params: dict, prefix: str,
                   allowed: np.ndarray, config: ModelConfig, rows: np.ndarray,
                   training: bool = False,
-                  rng: ad.RngStream | None = None) -> Tensor:
+                  rng: np.random.Generator | None = None) -> Tensor:
     """Post-norm residual block: LN(x + Drop(MHA(x))), then LN(a + Drop(FFN(a))).
 
     x is [N, d_model], packed as multi_head_attention takes it; every op
-    but the attention core runs on those N rows alone.
+    but the attention core runs on those N rows alone. In training both
+    dropout masks are drawn from rng, in that order.
     """
-    def drop(t: Tensor) -> Tensor:
-        gen = rng.generator() if (training and rng is not None) else None
-        return ad.dropout(t, config.dropout_rate, training, gen)
-
+    rate = config.dropout_rate
     attn = multi_head_attention(x, params, f"{prefix}.attn", allowed, config, rows)
     a1 = ad.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"],
-                       residual=drop(attn))
+                       residual=ad.dropout(attn, rate, training, rng))
     hidden = ad.relu(_linear(a1, params, f"{prefix}.ffn.w1"))
     ff = _linear(hidden, params, f"{prefix}.ffn.w2")
     return ad.layer_norm(a1, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"],
-                         residual=drop(ff))
+                         residual=ad.dropout(ff, rate, training, rng))
 
 
 def forward(tokens, n_real, config: ModelConfig, params: dict,
-            training: bool = False, rng: ad.RngStream | None = None) -> Tensor:
+            training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Run the encoder stack on token sequences.
 
     tokens: [batch, seq, d_model] with one count of unpadded positions per
@@ -148,7 +146,8 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
     exist only inside attention. The generative head returns per-position
     predictions in the tokens' layout, zero at padded positions; the
     classifier head mean-pools each sequence's real rows and returns
-    per-class logits.
+    per-class logits. Training draws every dropout mask from rng, in
+    forward order.
     """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     counts = np.atleast_1d(np.asarray(n_real, dtype=np.int64))

@@ -571,14 +571,6 @@ class TestRngAndInit:
         c = ad.seeded_rng(1, "dropout", 2).integers(0, 100, 5)
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
-    def test_stream_advances_per_call(self):
-        s = ad.RngStream(7, "x")
-        a = s.generator().normal(size=4)
-        b = s.generator().normal(size=4)
-        assert not np.array_equal(a, b)
-        s2 = ad.RngStream(7, "x")
-        assert np.array_equal(s2.generator().normal(size=4), a)
-
     def test_xavier_bounds_and_small_shape(self):
         w = ad.xavier_uniform((1000, 1000), (0,))
         limit = np.sqrt(6.0 / 2000.0)

@@ -7,7 +7,6 @@ import pytest
 
 import synth
 from beatformer import beat_tokenizer as bt
-from beatformer.dsp import PeakList
 from beatformer.ecg_io import EcgRecord
 from beatformer.errors import FormatError, NoBeatsError
 
@@ -117,12 +116,6 @@ class TestSegmentBeat:
             b, _ = bt.segment_beat(shifted, peaks + shift, k)
             assert np.array_equal(a, b)
 
-    def test_peaklist_accepted(self):
-        fused = ramp()
-        peaks = PeakList(np.array([1000, 1600, 2200]), 500.0)
-        values, _ = bt.segment_beat(fused, peaks, 1)
-        assert values[333] == np.float32(fused[1600])
-
     def test_bad_beat_index(self):
         with pytest.raises(ValueError):
             bt.segment_beat(ramp(), np.array([100]), 1)
@@ -147,7 +140,7 @@ class TestBuildSequence:
         # a short recording keeps its real beats and gains no padding rows
         assert seq.n_real == 10
         assert seq.tokens.shape == (10, bt.TOKEN_LEN)
-        assert np.all(seq.tokens[:, bt.R_ANCHOR] != 0.0)
+        assert np.all(seq.tokens[:, bt.TOKEN_LEN // 3] != 0.0)
 
     def test_truncation_rule(self):
         fused = ramp(50000)

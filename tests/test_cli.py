@@ -311,6 +311,7 @@ class TestPreprocess:
 
     def test_parallel_workers_match_serial(self, record_dir, tmp_path,
                                            label_map):
+        (record_dir / "bad.csv").write_text("#fs=500\n#gain=1000\n#labels=AF\nI\n1\nx\n")
         serial, parallel = tmp_path / "s", tmp_path / "p"
         cfgfile = tmp_path / "w.cfg"
         cfgfile.write_text("data.workers=2\n")
@@ -318,10 +319,12 @@ class TestPreprocess:
                      "--label-map", label_map]) == 0
         assert main(["preprocess", str(record_dir), "--out", str(parallel),
                      "--label-map", label_map, "--config", str(cfgfile)]) == 0
-        assert (serial / "manifest.tsv").read_bytes() \
-            == (parallel / "manifest.tsv").read_bytes()
-        assert (serial / "r1.tokens").read_bytes() \
-            == (parallel / "r1.tokens").read_bytes()
+        outputs = sorted(os.listdir(serial))
+        assert outputs == sorted(os.listdir(parallel))
+        assert {"manifest.tsv", "skip_report.txt", "r1.tokens"} <= set(outputs)
+        for name in outputs:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+        assert "bad.csv" in (serial / "skip_report.txt").read_text()
 
 
 def small_cfg_text(**extra):
@@ -795,6 +798,25 @@ class TestBadInputIsAnErrorLine:
                    "--resume", ckpt, "--init-checkpoint", ckpt])
         assert rc == 1
         assert "mutually exclusive" in error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "init", "resume"])
+    def test_checkpoint_missing_parameter_names_the_file(self, token_workspace,
+                                                         capsys, command):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=1)
+        header, entries = ad.load_checkpoint(ckpt)
+        del entries["enc0.ffn.w1.w"]
+        ad.save_checkpoint(ckpt, entries, header)
+        capsys.readouterr()
+        data = ["--manifest", str(ws / "manifest.tsv")]
+        train = ["train", "--config", str(ws / "run.cfg"), "--out", str(ws / "o")] + data
+        argv = {"predict": ["predict", "--checkpoint", ckpt] + data,
+                "evaluate": ["evaluate", "--checkpoint", ckpt] + data,
+                "init": train + ["--init-checkpoint", ckpt],
+                "resume": train + ["--resume", ckpt]}
+        assert main(argv[command]) == 1
+        line = error_line(capsys)
+        assert ckpt in line and "missing parameter enc0.ffn.w1.w" in line
 
     def test_freeze_trunk_needs_a_trunk(self, token_workspace, capsys):
         # frozen random weights would train a head on noise features

@@ -14,24 +14,31 @@ def scipy_signal():
     return pytest.importorskip("scipy.signal")
 
 
+def filter_gain(f, freq, fs):
+    """Magnitude of the biquad's transfer function at freq Hz."""
+    z = np.exp(-2j * np.pi * freq / fs)
+    zs = np.array([1.0, z, z * z])
+    return float(np.abs(np.dot(f.b, zs) / np.dot(f.a, zs)))
+
+
 class TestFilterDesign:
     def test_highpass_dc_rejection(self):
         f = dsp.design_highpass(0.5, 500.0)
-        assert dsp.filter_gain(f, 0.0, 500.0) < 1e-9
+        assert filter_gain(f, 0.0, 500.0) < 1e-9
 
     def test_highpass_cutoff_gain(self):
         f = dsp.design_highpass(0.5, 500.0)
-        assert dsp.filter_gain(f, 0.5, 500.0) == pytest.approx(2 ** -0.5, rel=0.01)
+        assert filter_gain(f, 0.5, 500.0) == pytest.approx(2 ** -0.5, rel=0.01)
 
     def test_highpass_passband_flat(self):
         f = dsp.design_highpass(0.5, 500.0)
-        assert dsp.filter_gain(f, 40.0, 500.0) == pytest.approx(1.0, abs=1e-3)
+        assert filter_gain(f, 40.0, 500.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_lowpass_mirror_properties(self):
         f = dsp.design_lowpass(15.0, 500.0)
-        assert dsp.filter_gain(f, 0.0, 500.0) == pytest.approx(1.0, abs=1e-9)
-        assert dsp.filter_gain(f, 15.0, 500.0) == pytest.approx(2 ** -0.5, rel=0.01)
-        assert dsp.filter_gain(f, 200.0, 500.0) < 0.01
+        assert filter_gain(f, 0.0, 500.0) == pytest.approx(1.0, abs=1e-9)
+        assert filter_gain(f, 15.0, 500.0) == pytest.approx(2 ** -0.5, rel=0.01)
+        assert filter_gain(f, 200.0, 500.0) < 0.01
 
     def test_cutoff_bounds_enforced(self):
         with pytest.raises(FilterDesignError):
@@ -68,11 +75,13 @@ class TestApplyFilter:
         assert np.array_equal(dsp.apply_filter(f, np.zeros(100)), np.zeros(100))
 
     def test_impulse_response_head(self):
+        # a leading zero sample: the filter starts at rest
         f = dsp.design_lowpass(15.0, 500.0)
-        imp = np.zeros(10)
-        imp[0] = 1.0
+        imp = np.zeros(11)
+        imp[1] = 1.0
         y = dsp.apply_filter(f, imp)
-        assert y[0] == pytest.approx(f.b[0], rel=1e-12)
+        assert y[0] == 0.0
+        assert y[1] == pytest.approx(f.b[0], rel=1e-12)
 
     def test_linearity(self):
         f = dsp.design_highpass(0.5, 500.0)
@@ -83,8 +92,9 @@ class TestApplyFilter:
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_constant_input_decays(self):
+        # a constant after a zero first sample: the step response decays
         f = dsp.design_highpass(0.5, 500.0)
-        y = dsp.apply_filter(f, np.ones(5000))
+        y = dsp.apply_filter(f, np.concatenate(([0.0], np.ones(5000))))
         assert np.abs(y[-500:]).max() < 1e-3
 
     def test_state_reset_between_calls(self):
@@ -101,7 +111,7 @@ class TestApplyFilter:
                                       (dsp.design_lowpass, 20.0, "lowpass")):
             ours = dsp.apply_filter(design(cutoff, 500.0), x)
             b, a = scipy_signal.butter(2, cutoff, btype=btype, fs=500.0)
-            ref = scipy_signal.lfilter(b, a, x)
+            ref, _ = scipy_signal.lfilter(b, a, x, zi=scipy_signal.lfilter_zi(b, a) * x[0])
             assert np.abs(ours - ref).max() < 1e-10
 
     def test_matrix_input_filters_each_row(self):
@@ -109,21 +119,20 @@ class TestApplyFilter:
         # (the matrix kernels depend on shape), so they agree to 1e-9
         f = dsp.design_highpass(0.5, 500.0)
         x = np.random.default_rng(4).normal(size=(12, 5000)) + 2.0
-        for step_init in (False, True):
-            rows = dsp.apply_filter(f, x, step_init=step_init)
-            assert rows.shape == x.shape
-            for lead, row in zip(x, rows):
-                assert np.abs(dsp.apply_filter(f, lead, step_init=step_init)
-                              - row).max() < 1e-9
+        rows = dsp.apply_filter(f, x)
+        assert rows.shape == x.shape
+        for lead, row in zip(x, rows):
+            assert np.abs(dsp.apply_filter(f, lead) - row).max() < 1e-9
 
     def test_rejects_scalar_input(self):
         with pytest.raises(ValueError):
             dsp.apply_filter(dsp.design_highpass(0.5, 500.0), 1.0)
 
-    @pytest.mark.parametrize("step_init", [False, True], ids=["rest", "zi"])
+    @pytest.mark.parametrize("onset", ["rest", "zi"])
     @pytest.mark.parametrize("fs", [257.0, 360.0, 1000.0])
-    def test_block_edges_match_reference(self, fs, step_init, scipy_signal):
-        """Every length around a block or chunk edge, one lead and twelve."""
+    def test_block_edges_match_reference(self, fs, onset, scipy_signal):
+        """Every length around a block or chunk edge, one lead and twelve;
+        "rest" rows start with a zero sample, so the filter starts at rest."""
         rng = np.random.default_rng(int(fs))
         designs = ((dsp.design_highpass, 0.5, "highpass"),
                    (dsp.design_highpass, 8.0, "highpass"),
@@ -136,14 +145,16 @@ class TestApplyFilter:
             for n in lengths:
                 for shape in ((n,), (12, n)):
                     x = rng.normal(size=shape) + 5.0
-                    ours = dsp.apply_filter(f, x, step_init=step_init)
-                    if step_init and n:
-                        zi = scipy_signal.lfilter_zi(b, a) * x[..., :1]
-                        ref, _ = scipy_signal.lfilter(b, a, x, zi=zi)
-                    else:
-                        ref = scipy_signal.lfilter(b, a, x)
+                    if onset == "rest":
+                        x[..., :1] = 0.0
+                    ours = dsp.apply_filter(f, x)
                     assert ours.shape == x.shape
                     if n:
+                        if onset == "rest":
+                            ref = scipy_signal.lfilter(b, a, x)
+                        else:
+                            zi = scipy_signal.lfilter_zi(b, a) * x[..., :1]
+                            ref, _ = scipy_signal.lfilter(b, a, x, zi=zi)
                         err = np.abs(ours - ref).max()
                         assert err < 1e-9, (design.__name__, cutoff, n, shape, err)
 
@@ -155,7 +166,7 @@ class TestApplyFilter:
         dsp.apply_filter(f, x[:10])  # builds and caches the block operators
         tracemalloc.start()
         try:
-            y = dsp.apply_filter(f, x, step_init=True)
+            y = dsp.apply_filter(f, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -164,13 +175,14 @@ class TestApplyFilter:
     def test_step_init_removes_onset_transient(self):
         f = dsp.design_highpass(8.0, 500.0)
         const = np.full(1000, 3.3)
-        assert np.abs(dsp.apply_filter(f, const, step_init=True)).max() == 0.0
-        assert np.abs(dsp.apply_filter(f, const)).max() > 0.1  # zero-init rings
+        assert np.abs(dsp.apply_filter(f, const)).max() == 0.0
+        # the state comes from the first sample: a step after it rings
+        assert np.abs(dsp.apply_filter(f, np.concatenate(([0.0], const)))).max() > 0.1
 
     def test_step_init_matches_reference_initial_conditions(self, scipy_signal):
         f = dsp.design_lowpass(15.0, 500.0)
         x = np.random.default_rng(3).normal(size=500) + 5.0
-        ours = dsp.apply_filter(f, x, step_init=True)
+        ours = dsp.apply_filter(f, x)
         b, a = scipy_signal.butter(2, 15.0, btype="lowpass", fs=500.0)
         zi = scipy_signal.lfilter_zi(b, a) * x[0]
         ref, _ = scipy_signal.lfilter(b, a, x, zi=zi)
