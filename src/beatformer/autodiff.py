@@ -522,7 +522,13 @@ def xavier_uniform(shape, seed_key: tuple, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"xavier_uniform expects a 2-D shape, got {shape}")
     fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return seeded_rng(*seed_key).uniform(-limit, limit, size=shape).astype(dtype)
+    # numpy's uniform(-limit, limit) is -limit + (2 * limit) * next_double,
+    # one draw per value; computed in place, it is the same bits with fewer
+    # passes than the generator's per-value loop
+    w = seeded_rng(*seed_key).random(shape)
+    w *= 2.0 * limit
+    w += -limit
+    return w.astype(dtype, copy=False)
 
 
 def zero_grads(tensors) -> None:
@@ -543,8 +549,19 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
     header is caught on load. The file is written beside `path` and then
     renamed over it, so a write that fails or is killed part-way leaves the
     previous file as it was.
+
+    Each entry is handed to the kernel's writeback as soon as it is
+    written (posix_fadvise DONTNEED, where the platform offers it), so the
+    disk writes it while the next entry is copied. On ext4, a rename over an
+    existing file first starts writeback of every block the file has not
+    yet placed (auto_da_alloc); started early, that writeback no longer
+    stalls the rename, and the data still reaches the disk no later,
+    relative to the rename, than before. A posix_fallocate reservation
+    would instead skip that writeback, and a power loss in the next half
+    minute could leave the renamed file reading as zeros.
     """
     cfg = config_text.encode("utf-8")
+    advise = getattr(os, "posix_fadvise", None)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -554,6 +571,7 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
             fh.write(cfg)
             fh.write(hashlib.sha256(cfg).digest())
             fh.write(struct.pack("<I", len(entries)))
+            done = 0
             for name, arr in entries.items():
                 nb = name.encode("utf-8")
                 a = np.ascontiguousarray(arr, dtype="<f4")
@@ -563,6 +581,11 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
                 for d in a.shape:
                     fh.write(struct.pack("<I", d))
                 fh.write(a.data)  # a's own buffer, not a copy
+                if advise is not None:
+                    fh.flush()
+                    end = fh.tell()
+                    advise(fh.fileno(), done, end - done, os.POSIX_FADV_DONTNEED)
+                    done = end
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -571,12 +594,12 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
 
 
 def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
-    """Read a checkpoint; a foreign, outdated, damaged or truncated file
-    raises FormatError.
+    """Read a checkpoint; a foreign, outdated, damaged, truncated or
+    overlong file raises FormatError.
 
     keep(name) selects the entries to read (default: all); the others'
     payloads are seeked over. Every payload, read or not, must fit inside
-    the file.
+    the file, and the last one must end where the file does.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -606,6 +629,8 @@ def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
                     entries[name] = np.fromfile(fh, dtype="<f4", count=count).reshape(shape)
                 else:
                     fh.seek(4 * count, os.SEEK_CUR)
+            if fh.tell() != size:
+                raise FormatError(f"{path}: {size - fh.tell()} bytes after the last entry")
             config_text = cfg.decode("utf-8")
         except (struct.error, ValueError) as exc:
             raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

@@ -58,8 +58,10 @@ class AdamState:
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
         return cls(
-            m={n: np.zeros_like(p.data) for n, p in params.items()},
-            v={n: np.zeros_like(p.data) for n, p in params.items()},
+            # np.zeros leaves its pages for the first update to fill; zeros_like
+            # writes every one of them here
+            m={n: np.zeros(p.data.shape, p.data.dtype) for n, p in params.items()},
+            v={n: np.zeros(p.data.shape, p.data.dtype) for n, p in params.items()},
             step_num=0,
         )
 

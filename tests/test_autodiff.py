@@ -1,5 +1,10 @@
 import hashlib
+import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -584,6 +589,17 @@ class TestRngAndInit:
         limit = np.sqrt(6.0 / 2000.0)
         assert w.var() == pytest.approx(limit ** 2 / 3.0, rel=0.05)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_xavier_is_numpy_uniform(self, dtype):
+        # every training fingerprint rests on these bits
+        for shape, key in [((2, 4), (1,)), ((1000, 1000), (0, 0, 3)),
+                           ((1000, 2048), (7, 0, 12)), ((2048, 1000), (7, 0, 13)),
+                           ((50, 1), (3, "tag"))]:
+            limit = np.sqrt(6.0 / sum(shape))
+            want = ad.seeded_rng(*key).uniform(-limit, limit, size=shape).astype(dtype)
+            got = ad.xavier_uniform(shape, key, dtype)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (shape, key)
+
     def test_xavier_requires_2d(self):
         with pytest.raises(ValueError):
             ad.xavier_uniform((3,), (0,))
@@ -623,6 +639,32 @@ class TestCheckpoint:
         ad.save_checkpoint(p, entries, "d_model=8")
         assert p.read_bytes() == ref
 
+    def test_bytes_match_reference_writer_without_fadvise(self, tmp_path, monkeypatch):
+        # a platform without posix_fadvise writes the same bytes
+        monkeypatch.delattr(os, "posix_fadvise", raising=False)
+        self.test_bytes_match_reference_writer(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no posix_fadvise")
+    def test_each_written_byte_handed_to_writeback_once(self, tmp_path, monkeypatch):
+        advise, calls = os.posix_fadvise, []
+
+        def spy(fd, offset, length, advice):
+            calls.append((offset, length, advice, os.fstat(fd).st_size))
+            advise(fd, offset, length, advice)
+        monkeypatch.setattr(os, "posix_fadvise", spy)
+        p = tmp_path / "m.ckpt"
+        entries = self.entries()
+        ad.save_checkpoint(p, entries, "d_model=8")
+        assert len(calls) == len(entries)
+        # consecutive ranges from the first byte to the last, each advised
+        # once its bytes have reached the file
+        assert calls[0][0] == 0
+        for (off, n, _, _), (nxt, _, _, _) in zip(calls, calls[1:]):
+            assert off + n == nxt
+        assert calls[-1][0] + calls[-1][1] == p.stat().st_size
+        assert all(advice == os.POSIX_FADV_DONTNEED and off + n == size
+                   for off, n, advice, size in calls)
+
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk"
         p.write_bytes(b"whatever")
@@ -657,6 +699,15 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(FormatError):
             ad.load_checkpoint(p)
+
+    @pytest.mark.parametrize("keep", [None, lambda name: name == "enc0.attn.wq.w"],
+                             ids=["all", "skipped"])
+    def test_trailing_byte_refused(self, tmp_path, keep):
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 bytes after the last entry"):
+            ad.load_checkpoint(p, keep)
 
     def test_keep_selects_entries(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -693,3 +744,54 @@ class TestCheckpoint:
             ad.save_checkpoint(p, bad, "d_model=8")
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL")
+    def test_killed_mid_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        ad.save_checkpoint(p, self.entries(), "d_model=8")
+        before = p.read_bytes()
+        stalled = tmp_path / "stalled"
+        src = os.path.dirname(os.path.dirname(ad.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-c", STALLED_WRITER, str(p), str(stalled)],
+                                 env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not stalled.exists():
+                assert child.poll() is None, "the writer exited before it stalled"
+                assert time.monotonic() < deadline, "the writer never stalled"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert (tmp_path / "m.ckpt.tmp").exists()
+        assert p.read_bytes() == before
+        assert ad.load_checkpoint(p)[0] == "d_model=8"
+        # the next save truncates the stale temporary file and replaces it
+        ad.save_checkpoint(p, {"head.b": np.ones(2, np.float32)}, "cfg")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ckpt", "stalled"]
+        text, loaded = ad.load_checkpoint(p)
+        assert text == "cfg" and list(loaded) == ["head.b"]
+
+
+# saves over argv[1]; the second entry's conversion marks argv[2] and
+# blocks, so the process is stopped after the first entry is written
+STALLED_WRITER = """
+import sys, time
+import numpy as np
+from beatformer import autodiff as ad
+
+
+class Stall:
+    shape = (4,)
+
+    def __array__(self, dtype=None, copy=None):
+        open(sys.argv[2], "w").close()
+        time.sleep(120)
+        sys.exit("not killed")
+
+
+ad.save_checkpoint(sys.argv[1], {"head.b": np.ones(2, np.float32), "stall": Stall()}, "cfg")
+"""

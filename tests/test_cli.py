@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import struct
@@ -946,6 +948,25 @@ class TestBadInputIsAnErrorLine:
         assert rc == 1
         assert "max_steps" in error_line(capsys)
         assert not (ws / "o" / "model.ckpt").exists()
+
+    def test_full_disk_keeps_previous_checkpoint(self, token_workspace, capsys,
+                                                 monkeypatch):
+        ws = token_workspace
+        argv = ["train", "--config", str(ws / "model.cfg"), "--manifest",
+                str(ws / "manifest.tsv"), "--out", str(ws / "o")]
+        assert main(argv + ["--max-steps", "1"]) == 0
+        before = (ws / "o" / "model.ckpt").read_bytes()
+        capsys.readouterr()
+
+        # the disk is full at the first write of the first checkpoint
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(ad, "open", FullDisk, raising=False)
+        assert main(argv) == 1
+        assert os.strerror(errno.ENOSPC) in error_line(capsys)
+        assert (ws / "o" / "model.ckpt").read_bytes() == before
+        assert not (ws / "o" / "model.ckpt.tmp").exists()
 
     def test_version_1_cache(self, token_workspace, capsys):
         ws = token_workspace
