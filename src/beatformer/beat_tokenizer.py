@@ -51,10 +51,13 @@ def fuse_rms(rec) -> np.ndarray:
     leads the fused signal is all zeros.
     """
     leads = np.asarray(rec.leads, dtype=np.float64)
-    active = leads[np.any(leads != 0.0, axis=1)]
-    if active.shape[0] == 0:
+    active = np.any(leads, axis=1)
+    if not active.any():
         return np.zeros(leads.shape[1])
-    return np.sqrt(np.mean(active * active, axis=0))
+    # C order either way, so the per-sample sums run in one order
+    active = np.ascontiguousarray(leads if active.all() else leads[active])
+    fused = np.mean(active * active, axis=0)
+    return np.sqrt(fused, out=fused)
 
 
 def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:

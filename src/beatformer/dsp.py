@@ -222,7 +222,24 @@ class PeakList:
 
 
 def _moving_average_centered(x: np.ndarray, width: int) -> np.ndarray:
-    return np.convolve(x, np.ones(width) / width, mode="same")
+    """The window of np.convolve(x, ones(width) / width, "same") in O(n).
+
+    Point i averages x[i - (width - 1 - h) .. i + h] with h = (width - 1) // 2,
+    the signal counting as zeros beyond its ends. p is a running sum padded
+    so that each window sum is p[i + width] - p[i]: width - h zeros before
+    the cumsum and its total repeated h times after it. Unlike the
+    convolution, a NaN or inf sample spoils every later window, so the
+    loaders refuse non-finite samples and gains.
+    """
+    n = x.size
+    h = (width - 1) // 2
+    p = np.empty(n + width)
+    p[: width - h] = 0.0
+    np.cumsum(x, out=p[width - h : width - h + n])
+    p[width - h + n :] = p[width - h + n - 1]
+    out = p[width:] - p[:-width]
+    out /= width
+    return out
 
 
 def _enforce_refractory(cands: list, refractory: int) -> list:

@@ -14,6 +14,8 @@ from .errors import (
     InvalidMetadataError,
 )
 
+CHUNK = 1 << 15     # output samples per lead resampled at a time
+
 
 @dataclass
 class EcgRecord:
@@ -138,6 +140,8 @@ def _parse_gain_token(token: str, where: str) -> float:
         raise FormatError(f"{where}: unparsable gain {token!r}") from exc
     if gain == 0:
         raise InvalidMetadataError(f"{where}: ADC gain of 0 cannot scale samples")
+    if not np.isfinite(gain):
+        raise InvalidMetadataError(f"{where}: ADC gain must be finite, got {token!r}")
     return gain
 
 
@@ -197,7 +201,8 @@ def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarr
 
     When the bulk parse fails, the rows are parsed one at a time to report
     the fault: FormatError for the first row that is not all numbers,
-    else InconsistencyError for the first row of the wrong width.
+    else InconsistencyError for the first row of the wrong width. A NaN or
+    infinite sample is a FormatError naming its line.
     """
     try:
         raw = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
@@ -217,6 +222,10 @@ def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarr
     if raw.shape[1] != width:
         raise InconsistencyError(
             f"{path}: sample row has {raw.shape[1]} values for {width} leads")
+    finite = np.isfinite(raw)
+    if not finite.all():
+        lineno = body_lines[int(np.argmin(finite.all(axis=1)))]
+        raise FormatError(f"{path}:{lineno}: non-finite sample")
     return raw
 
 
@@ -315,7 +324,9 @@ def resample_record(rec: EcgRecord, target_fs: float) -> EcgRecord:
     """Linear interpolation onto a uniform grid at target_fs.
 
     Output length is floor(num_samples * target_fs / fs). Grid points past
-    the last source sample continue the final segment's slope.
+    the last source sample continue the final segment's slope. The grid is
+    worked CHUNK points at a time, each point's index and fraction shared
+    by all leads.
     """
     if target_fs <= 0:
         raise ValueError("target_fs must be positive")
@@ -330,16 +341,27 @@ def resample_record(rec: EcgRecord, target_fs: float) -> EcgRecord:
     if out_len == 0:
         raise EmptyInputError(
             f"record {rec.source_id}: resampling to {target_fs} Hz leaves no samples")
-    pos = np.arange(out_len, dtype=np.float64) * (rec.fs / target_fs)
-    src = np.arange(n, dtype=np.float64)
+    leads = rec.leads
+    step = rec.fs / target_fs
+    slope = leads[:, -1:] - leads[:, -2:-1] if n >= 2 else np.zeros((rec.num_leads, 1))
     out = np.empty((rec.num_leads, out_len), dtype=np.float64)
-    tail = pos > n - 1
-    for i in range(rec.num_leads):
-        lead = rec.leads[i]
-        out[i] = np.interp(pos, src, lead)
-        if np.any(tail):
-            slope = (lead[-1] - lead[-2]) if n >= 2 else 0.0
-            out[i, tail] = lead[-1] + (pos[tail] - (n - 1)) * slope
+    for start in range(0, out_len, CHUNK):
+        stop = min(start + CHUNK, out_len)
+        pos = np.arange(start, stop, dtype=np.float64) * step
+        # grid points before the last sample, then those on or past it
+        inner = start + int(np.searchsorted(pos, n - 1))
+        # one index and fraction for every lead; np.interp's own formula
+        # (fp[j+1] - fp[j]) * frac + fp[j], so the values are bit-identical
+        j = pos[: inner - start].astype(np.intp)
+        frac = pos[: inner - start] - j
+        left = np.take(leads, j, axis=1)
+        j += 1
+        right = np.take(leads, j, axis=1)
+        right -= left
+        right *= frac
+        np.add(right, left, out=out[:, start:inner])
+        # on the last sample this is fp[-1] + 0 * slope, np.interp's fp[-1]
+        out[:, inner:stop] = leads[:, -1:] + (pos[inner - start :] - (n - 1)) * slope
     return EcgRecord(out, float(target_fs), list(rec.lead_names),
                      set(rec.labels), rec.source_id)
 

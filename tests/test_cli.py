@@ -329,6 +329,195 @@ class TestPreprocess:
         assert "bad.csv" in (serial / "skip_report.txt").read_text()
 
 
+def csv_text():
+    """A 12-s, two-lead, 500-Hz CSV recording as text lines."""
+    x, _ = synth.wavelet_train(500.0, 12.0, 72)
+    counts = np.round(np.stack([x, 0.8 * x]) * 1000.0).astype(int)
+    return (["#fs=500", "#gain=1000,1000", "I,II"]
+            + [f"{a},{b}" for a, b in counts.T])
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def swap_line(lines, old, new):
+    return [new if line == old else line for line in lines]
+
+
+def set_wfdb_gain(d, name, gain):
+    hea = d / f"{name}.hea"
+    hea.write_text(hea.read_text().replace(" 1000(0)/mV", f" {gain}(0)/mV"))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("case, reason", [
+        ("sample_nan", "r.csv:104: non-finite sample"),
+        ("sample_inf", "r.csv:104: non-finite sample"),
+        ("csv_gain_nan", "r.csv:2: ADC gain must be finite, got 'nan'"),
+        ("csv_gain_inf", "r.csv:2: ADC gain must be finite, got 'inf'"),
+        ("wfdb_gain_nan", "r.hea lead 0: ADC gain must be finite, got 'nan(0)/mV'"),
+        ("wfdb_gain_inf", "r.hea lead 0: ADC gain must be finite, got 'inf(0)/mV'"),
+    ])
+    def test_skip_line_names_the_value(self, tmp_path, capsys, case, reason):
+        d = tmp_path / "records"
+        d.mkdir()
+        lines = csv_text()
+        write_lines(d / "good.csv", lines)
+        if case.startswith("sample_"):
+            lines[103] = lines[103].split(",")[0] + "," + case[len("sample_"):]
+            write_lines(d / "r.csv", lines)
+            bad = d / "r.csv"
+        elif case.startswith("csv_gain_"):
+            write_lines(d / "r.csv", swap_line(lines, "#gain=1000,1000",
+                                                f"#gain={case[-3:]},1000"))
+            bad = d / "r.csv"
+        else:
+            write_wfdb_wavelet(d, "r")
+            set_wfdb_gain(d, "r", case[-3:])
+            bad = d / "r.hea"
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        assert len(skips) == 1
+        path, why = skips[0].split("\t")
+        assert path == str(bad) and why.endswith(reason), why
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+        assert capsys.readouterr().err == ""
+
+
+def _cut_row(rng, lines):
+    """A sample row cut at or before its last comma: too few values, or an empty one."""
+    k = int(rng.integers(3, len(lines)))
+    row = lines[k]
+    lines[k] = row[: int(rng.integers(1, row.rindex(",") + 2))]
+    return lines
+
+
+def _token_row(rng, lines, token):
+    k = int(rng.integers(3, len(lines)))
+    vals = lines[k].split(",")
+    vals[int(rng.integers(len(vals)))] = token
+    lines[k] = ",".join(vals)
+    return lines
+
+
+def _extra_value(rng, lines):
+    k = int(rng.integers(3, len(lines)))
+    lines[k] += ",7"
+    return lines
+
+
+def _csv_meta(key, value):
+    def mutate(rng, lines):
+        old = next(line for line in lines if line.startswith(f"#{key}="))
+        return [line for line in lines if line != old] if value is None \
+            else swap_line(lines, old, f"#{key}={value}")
+    return mutate
+
+
+def _csv_gain(token):
+    def mutate(rng, lines):
+        gains = ["1000", "1000"]
+        gains[int(rng.integers(2))] = token
+        return swap_line(lines, "#gain=1000,1000", "#gain=" + ",".join(gains))
+    return mutate
+
+
+CSV_MUTATIONS = {
+    "cut_row": _cut_row,
+    "non_numeric": lambda rng, lines: _token_row(rng, lines, "x" + str(rng.integers(99))),
+    "extra_value": _extra_value,
+    "sample_nan": lambda rng, lines: _token_row(rng, lines, "nan"),
+    "sample_inf": lambda rng, lines: _token_row(rng, lines, str(rng.choice(["inf", "-inf"]))),
+    "gain_nan": _csv_gain("nan"),
+    "gain_inf": _csv_gain("inf"),
+    "fs_zero": _csv_meta("fs", "0"),
+    "fs_negative": _csv_meta("fs", "-500"),
+    "fs_nan": _csv_meta("fs", "nan"),
+    "no_fs": _csv_meta("fs", None),
+    "no_gain": _csv_meta("gain", None),
+}
+
+
+def _hea_record_line(transform):
+    def mutate(rng, d, name):
+        hea = d / f"{name}.hea"
+        lines = hea.read_text().splitlines()
+        lines[0] = transform(rng, lines[0].split())
+        hea.write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+def _hea_fs(value):
+    def transform(rng, fields):
+        fields[2] = value
+        return " ".join(fields)
+    return _hea_record_line(transform)
+
+
+def _short_dat(rng, d, name):
+    dat = d / f"{name}.dat"
+    raw = dat.read_bytes()
+    dat.write_bytes(raw[: int(rng.integers(0, len(raw)))])
+
+
+def _drop_signal_line(rng, d, name):
+    hea = d / f"{name}.hea"
+    hea.write_text(hea.read_text().splitlines()[0] + "\n")
+
+
+WFDB_MUTATIONS = {
+    "gain_nan": lambda rng, d, name: set_wfdb_gain(d, name, "nan"),
+    "gain_inf": lambda rng, d, name: set_wfdb_gain(d, name, "inf"),
+    "fs_zero": _hea_fs("0"),
+    "fs_negative": _hea_fs("-500"),
+    "fs_nan": _hea_fs("nan"),
+    "record_line_short": _hea_record_line(
+        lambda rng, fields: " ".join(fields[: int(rng.integers(1, 4))])),
+    "no_signal_line": _drop_signal_line,
+    "short_dat": _short_dat,
+}
+
+
+class TestMalformedRecordSweep:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_bad_record_is_one_skip_line(self, tmp_path, capsys, seed):
+        """Two of each mutation, drawn at seeded places, among good records
+        of both formats: every bad record is one skip line, every good one
+        a cache, and nothing escapes as a traceback or a warning."""
+        rng = np.random.default_rng(seed)
+        d = tmp_path / "records"
+        d.mkdir()
+        base = csv_text()
+        good, bad = [], []
+        for i in range(2):
+            write_lines(d / f"good_csv{i}.csv", base)
+            write_wfdb_wavelet(d, f"good_wfdb{i}")
+            good += [f"good_csv{i}", f"good_wfdb{i}"]
+        for i in range(2):
+            for kind, mutate in CSV_MUTATIONS.items():
+                name = f"csv_{kind}{i}"
+                write_lines(d / f"{name}.csv", mutate(rng, list(base)))
+                bad.append(str(d / f"{name}.csv"))
+            for kind, mutate in WFDB_MUTATIONS.items():
+                name = f"wfdb_{kind}{i}"
+                write_wfdb_wavelet(d, name)
+                mutate(rng, d, name)
+                bad.append(str(d / f"{name}.hea"))
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        skips = [line.split("\t") for line in
+                 (out / "skip_report.txt").read_text().splitlines()]
+        assert sorted(path for path, _ in skips) == sorted(bad)
+        assert all(why for _, why in skips)
+        assert (out / "manifest.tsv").read_text().splitlines() == \
+            [f"{name}.tokens\t" for name in sorted(good)]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"preprocessed {len(good)} of {len(good) + len(bad)}" in captured.out
+
+
 def small_cfg_text(**extra):
     base = {
         "model.d_model": 8, "model.n_encoders": 1, "model.n_heads": 2,

@@ -224,6 +224,33 @@ class TestPeakList:
 FS = 500.0
 
 
+class TestMovingAverage:
+    @pytest.mark.parametrize("n, width", [(1000, 1), (1000, 2), (1000, 60), (1000, 61),
+                                          (1000, 300), (1000, 999), (1000, 1000),
+                                          (7, 7), (432_000, 43), (432_000, 216)])
+    def test_matches_convolution_window(self, n, width):
+        # squared signal, as the detector feeds it, with a 1e6x artifact: the
+        # running sum's rounding stays far below any threshold margin
+        x = np.random.default_rng(n + width).normal(size=n) ** 2
+        x[n // 3] *= 1e6
+        ref = np.convolve(x, np.ones(width) / width, mode="same")
+        ours = dsp._moving_average_centered(x, width)
+        assert ours.shape == ref.shape
+        assert np.abs(ours - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_window_is_centred_with_zeros_beyond_ends(self):
+        # an impulse at i shows up in outputs i - h .. i + (width - 1 - h)
+        for width in (4, 5):
+            x = np.zeros(12)
+            x[6] = float(width)
+            h = (width - 1) // 2
+            hit = np.flatnonzero(np.abs(dsp._moving_average_centered(x, width)) > 0.5)
+            assert hit.tolist() == list(range(6 - h, 6 + width - h))
+            edge = dsp._moving_average_centered(np.ones(12), width)
+            assert edge[0] == pytest.approx((h + 1) / width)
+            assert edge[-1] == pytest.approx((width - h) / width)
+
+
 class TestDetectors:
     @pytest.mark.parametrize("detect", list(dsp.DETECTORS.values()),
                              ids=list(dsp.DETECTORS))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,19 @@ class TestCsvLoader:
         with pytest.raises(FormatError):
             ecg_io.load_record(p)
 
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_sample_names_its_line(self, tmp_path, sample):
+        p = write_csv(tmp_path / "r.csv",
+                      f"#fs=500\n#gain=1000,1000\nI,II\n1,2\n3,{sample}\n5,{sample}\n")
+        with pytest.raises(FormatError, match="r.csv:5: non-finite sample"):
+            ecg_io.load_record(p)
+
+    @pytest.mark.parametrize("gain", ["nan", "inf", "-inf"])
+    def test_non_finite_gain(self, tmp_path, gain):
+        p = write_csv(tmp_path / "r.csv", f"#fs=500\n#gain=1000,{gain}\nI,II\n1,2\n")
+        with pytest.raises(InvalidMetadataError, match="gain must be finite"):
+            ecg_io.load_record(p)
+
 
 class TestWfdbLoader:
     def test_twelve_lead_shape_contract(self, tmp_path):
@@ -171,6 +186,12 @@ class TestWfdbLoader:
         with pytest.raises(InvalidMetadataError):
             ecg_io.load_record(p)
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_non_finite_gain(self, tmp_path, gain):
+        p = write_wfdb(tmp_path, "ng", np.ones((2, 10), dtype=int), 500, [1000, gain])
+        with pytest.raises(InvalidMetadataError, match="lead 1: ADC gain must be finite"):
+            ecg_io.load_record(p)
+
     @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
     def test_non_finite_fs(self, tmp_path, fs):
         p = write_wfdb(tmp_path, "nf", np.ones((1, 10), dtype=int), fs, [1000])
@@ -223,6 +244,23 @@ class TestEcgRecord:
             EcgRecord(np.zeros((1, 4)), fs, ["I"])
 
 
+def interp_reference(rec, target_fs):
+    """resample_record's values as one np.interp per lead, tail rule included."""
+    n = rec.num_samples
+    out_len = int(np.floor(n * target_fs / rec.fs))
+    pos = np.arange(out_len, dtype=np.float64) * (rec.fs / target_fs)
+    src = np.arange(n, dtype=np.float64)
+    out = np.empty((rec.num_leads, out_len), dtype=np.float64)
+    tail = pos > n - 1
+    for i in range(rec.num_leads):
+        lead = rec.leads[i]
+        out[i] = np.interp(pos, src, lead)
+        if np.any(tail):
+            slope = (lead[-1] - lead[-2]) if n >= 2 else 0.0
+            out[i, tail] = lead[-1] + (pos[tail] - (n - 1)) * slope
+    return out
+
+
 class TestResample:
     def rec(self, samples, fs):
         return EcgRecord(np.asarray(samples, dtype=np.float64), fs, ["I"])
@@ -263,6 +301,49 @@ class TestResample:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             ecg_io.resample_record(self.rec([[1.0, 2.0]], 500.0), 0.0)
+
+    @pytest.mark.parametrize("fs, target", [(257.0, 500.0), (360.0, 500.0),
+                                            (1000.0, 500.0), (500.0, 257.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2 * ecg_io.CHUNK + 17])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical(self, fs, target, n, order):
+        # the loaders hand over raw.T, a Fortran-ordered [leads, n] array
+        x = np.random.default_rng(n).normal(size=(3, n)) * 100.0
+        rec = EcgRecord(np.array(x, order=order), fs, ["I", "II", "III"])
+        if int(np.floor(n * target / fs)) == 0:
+            with pytest.raises(EmptyInputError):
+                ecg_io.resample_record(rec, target)
+            return
+        out = ecg_io.resample_record(rec, target)
+        assert out.leads.flags.c_contiguous
+        assert np.array_equal(out.leads, interp_reference(rec, target))
+
+    @pytest.mark.parametrize("n, fs, target", [(5, 250.0, 500.0), (4, 100.0, 300.0),
+                                               (2, 500.0, 2000.0), (1, 250.0, 1000.0)])
+    def test_grid_hits_last_sample(self, n, fs, target):
+        # a whole-number upsampling ratio puts one grid point exactly on the
+        # last sample, where np.interp returns it as is; later grid points
+        # continue the final slope
+        x = np.random.default_rng(7).normal(size=(2, n))
+        rec = EcgRecord(x, fs, ["I", "II"])
+        pos = np.arange(int(np.floor(n * target / fs))) * (fs / target)
+        assert np.any(pos == n - 1) and np.any(pos > n - 1)
+        out = ecg_io.resample_record(rec, target)
+        assert np.array_equal(out.leads, interp_reference(rec, target))
+        assert np.array_equal(out.leads[:, pos == n - 1].ravel(), x[:, -1])
+
+    def test_memory_bounded_by_output(self):
+        # a chunk of grid points at a time: beyond the output it needs a few
+        # chunk-sized index and gather buffers, however long the record
+        x = np.random.default_rng(4).normal(size=(2, 432000))
+        rec = EcgRecord(x, 360.0, ["MLII", "V5"])
+        tracemalloc.start()
+        try:
+            out = ecg_io.resample_record(rec, 500.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.leads.nbytes + (3 << 20)
 
 
 class TestRescalePeaks:
