@@ -73,6 +73,15 @@ def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:
     return before, after
 
 
+def token_span_end(peaks: np.ndarray, n: int, d_model: int = TOKEN_LEN) -> int:
+    """One past the last sample of an n-sample fused signal that
+    build_sequence(fused, peaks) reads: the end of the last tokenized
+    beat's window. Every earlier beat's window ends before the next peak."""
+    k = min(peaks.size, MAX_POS) - 1
+    _, after = _beat_window(peaks, k, d_model)
+    return min(int(peaks[k]) + after, n - 1) + 1
+
+
 def segment_beat(fused, peaks: np.ndarray, k: int,
                  d_model: int = TOKEN_LEN) -> tuple[np.ndarray, int]:
     """Cut beat k out of the fused signal: (float32 [d_model] values, the

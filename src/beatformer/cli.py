@@ -19,8 +19,8 @@ import numpy as np
 
 from . import training
 from . import transformer as tf
-from .beat_tokenizer import build_sequence, fuse_rms, load_tokens, save_tokens
-from .dsp import DETECTORS, apply_filter, design_highpass
+from .beat_tokenizer import build_sequence, fuse_rms, load_tokens, save_tokens, token_span_end
+from .dsp import CHUNK, DETECTORS, apply_filter, design_highpass
 from .ecg_io import (
     LabelMap,
     filter_labels,
@@ -29,9 +29,10 @@ from .ecg_io import (
     read_lines,
     rescale_peaks,
     resample_record,
+    resampled_length,
+    source_samples_needed,
 )
-from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, FormatError,
-                     NoBeatsError)
+from .errors import BeatformerError, CheckpointMismatchError, ConfigError, FormatError
 
 
 @dataclass
@@ -120,23 +121,31 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
             return ("skip", "no scored labels")
 
     hp = design_highpass(cfg.highpass_hz, rec.fs)
-    rec = replace(rec, leads=apply_filter(hp, rec.leads))
-
     det_idx = 0
     if cfg.lead:
         if cfg.lead not in rec.lead_names:
             return ("skip", f"no lead named {cfg.lead!r}")
         det_idx = rec.lead_names.index(cfg.lead)
-    peaks = DETECTORS[cfg.detector](rec.leads[det_idx], rec.fs)
+    # the detector reads the whole record (its threshold follows the mean
+    # of the whole squared signal); everything after it only reads up to
+    # the last tokenized beat
+    peaks = DETECTORS[cfg.detector](apply_filter(hp, rec.leads[det_idx]), rec.fs)
 
-    rec = resample_record(rec, cfg.target_fs)
+    out_len = resampled_length(rec, cfg.target_fs)
     indices = rescale_peaks(peaks.indices, peaks.fs, cfg.target_fs)
-    indices = indices[indices < rec.num_samples]
-    fused = fuse_rms(rec)
-    try:
-        seq = build_sequence(fused, indices)
-    except NoBeatsError:
+    indices = indices[indices < out_len]
+    if indices.size == 0:
         return ("skip", "no beats detected")
+    end = token_span_end(indices, out_len)
+    # apply_filter works whole CHUNKs at a time, so a prefix of whole
+    # chunks is filtered bit for bit as within the whole record
+    m = source_samples_needed(rec.fs, cfg.target_fs, end)
+    m = min(-(-m // CHUNK) * CHUNK, rec.num_samples)
+    rec = replace(rec, leads=apply_filter(hp, rec.leads[:, :m]))
+    rec = resample_record(rec, cfg.target_fs)
+    # a lead counts as active when it is nonzero within the tokenized span
+    fused = fuse_rms(replace(rec, leads=rec.leads[:, :end]))
+    seq = build_sequence(fused, indices)
 
     cache_name = f"{rec.source_id}.tokens"
     save_tokens(os.path.join(out_dir, cache_name), seq)

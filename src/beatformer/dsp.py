@@ -221,25 +221,53 @@ class PeakList:
         return iter(self.indices)
 
 
-def _moving_average_centered(x: np.ndarray, width: int) -> np.ndarray:
-    """The window of np.convolve(x, ones(width) / width, "same") in O(n).
+def _moving_average(x: np.ndarray, width: int, ahead: int, out=None) -> np.ndarray:
+    """Mean of each window x[i - (width - 1 - ahead) .. i + ahead] in O(n),
+    the signal counting as zeros beyond its ends.
 
-    Point i averages x[i - (width - 1 - h) .. i + h] with h = (width - 1) // 2,
-    the signal counting as zeros beyond its ends. p is a running sum padded
-    so that each window sum is p[i + width] - p[i]: width - h zeros before
-    the cumsum and its total repeated h times after it. Unlike the
-    convolution, a NaN or inf sample spoils every later window, so the
-    loaders refuse non-finite samples and gains.
+    With ahead = (width - 1) // 2 this is the window of np.convolve(x,
+    ones(width) / width, "same"); with ahead = 0 the window trails its
+    point. p is a running sum padded so that each window sum is
+    p[i + width] - p[i]: width - ahead zeros before the cumsum and its
+    total repeated `ahead` times after it. Unlike the convolution, a NaN
+    or inf sample spoils every later window, so the loaders refuse
+    non-finite samples and gains. `out` may be x itself: x is read only
+    before out is written.
     """
     n = x.size
-    h = (width - 1) // 2
     p = np.empty(n + width)
-    p[: width - h] = 0.0
-    np.cumsum(x, out=p[width - h : width - h + n])
-    p[width - h + n :] = p[width - h + n - 1]
-    out = p[width:] - p[:-width]
+    p[: width - ahead] = 0.0
+    np.cumsum(x, out=p[width - ahead : width - ahead + n])
+    p[width - ahead + n :] = p[width - ahead + n - 1]
+    out = np.subtract(p[width:], p[:-width], out=out)
     out /= width
     return out
+
+
+def _run_peaks(above: np.ndarray, filtered: np.ndarray, min_len: int) -> list:
+    """Index of the largest |filtered| sample in each run of `above` at
+    least min_len samples long, the first such sample on a tie (np.argmax's
+    rule), in one pass over the runs' samples laid end to end."""
+    # runs [start, end) of exceedance: padded with a 0 at each end, the
+    # mask's rising and falling edges alternate (int8 throughout, so the
+    # mask's copies take one byte a sample)
+    padded = np.zeros(above.size + 2, dtype=np.int8)
+    padded[1:-1] = above
+    edges = np.flatnonzero(np.diff(padded))
+    starts, ends = edges[0::2], edges[1::2]
+    keep = ends - starts >= min_len
+    starts, lengths = starts[keep], (ends - starts)[keep]
+    if starts.size == 0:
+        return []
+    heads = np.cumsum(lengths) - lengths     # where each run begins, laid end to end
+    where = np.repeat(starts - heads, lengths)
+    where += np.arange(where.size)           # signal index of each laid-out sample
+    mag = filtered[where]
+    np.abs(mag, out=mag)
+    top = np.maximum.reduceat(mag, heads)
+    hits = np.flatnonzero(mag == np.repeat(top, lengths))
+    # every run holds a hit, so the first hit at or after a run's head is its own
+    return where[hits[np.searchsorted(hits, heads)]].tolist()
 
 
 def _enforce_refractory(cands: list, refractory: int) -> list:
@@ -269,17 +297,14 @@ def detect_two_average(x, fs: float) -> PeakList:
 
     filtered = bandpass(x, fs, *TA_BAND)
     sq = filtered * filtered
-    ma_qrs = _moving_average_centered(sq, w1)
-    ma_beat = _moving_average_centered(sq, w2)
     offset = OFFSET_FRAC * float(np.mean(sq))
-    above = ma_qrs > ma_beat + offset
-
-    # runs [start, end) of exceedance: padded with a 0 at each end, the
-    # mask's rising and falling edges alternate
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], above.astype(np.int8), [0]))))
-    starts, ends = edges[0::2], edges[1::2]
-    peaks = [s + int(np.argmax(np.abs(filtered[s:e])))
-             for s, e in zip(starts, ends) if e - s >= w1]
+    ma_qrs = _moving_average(sq, w1, (w1 - 1) // 2)
+    # the last reader of sq: the beat-scale average takes over its buffer
+    ma_beat = _moving_average(sq, w2, (w2 - 1) // 2, out=sq)
+    ma_beat += offset
+    above = ma_qrs > ma_beat
+    del sq, ma_qrs, ma_beat     # freed before the runs' samples are gathered
+    peaks = _run_peaks(above, filtered, w1)
     peaks = _enforce_refractory(peaks, refractory)
     return PeakList(np.asarray(peaks, dtype=np.int64), fs)
 
@@ -303,8 +328,7 @@ def detect_pan_tompkins(x, fs: float) -> PeakList:
     deriv = np.convolve(band, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0)[: band.size]
     sq = deriv * deriv
     w = max(1, int(round(INTEGRATION_S * fs)))
-    csum = np.concatenate(([0.0], np.cumsum(sq)))
-    mwi = (csum[1:] - csum[np.maximum(np.arange(sq.size) - w + 1, 0)]) / w
+    mwi = _moving_average(sq, w, 0)
 
     spki = 0.25 * float(np.max(mwi[:learn]))
     npki = 0.5 * float(np.mean(mwi[:learn]))

@@ -15,6 +15,10 @@ from .errors import (
 )
 
 CHUNK = 1 << 15     # output samples per lead resampled at a time
+# largest magnitude of a gain-scaled sample, in mV: far beyond any ECG, and
+# far enough inside float32's range (tokens are float32) that filtering,
+# squaring and fusing cannot overflow
+MAX_ABS_MV = 1e30
 
 
 @dataclass
@@ -190,6 +194,7 @@ def _load_csv(path: str) -> EcgRecord:
         gains = gains * width
     if len(gains) != width:
         raise InconsistencyError(f"{path}: {len(gains)} gains for {width} leads")
+    _check_scaled_range(raw, gains, lambda row, lead: f"{path}:{body_lines[row]}")
 
     leads = raw.T / np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, header, labels,
@@ -227,6 +232,28 @@ def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarr
         lineno = body_lines[int(np.argmin(finite.all(axis=1)))]
         raise FormatError(f"{path}:{lineno}: non-finite sample")
     return raw
+
+
+def _check_scaled_range(raw: np.ndarray, gains: list, where) -> None:
+    """FormatError for the largest sample of raw [samples, leads] whose value
+    over its lead's gain would pass MAX_ABS_MV; where(row, lead) names it.
+
+    Raw magnitudes are compared with MAX_ABS_MV times the gain as Python
+    floats, so neither a huge sample nor a tiny gain makes an overflowing
+    quotient on the way. One pass over all leads together settles the
+    usual case; the leads are searched one by one only when it fails.
+    """
+    if raw.size == 0:
+        return
+    limits = [MAX_ABS_MV * abs(gain) for gain in gains]
+    if max(abs(float(raw.max())), abs(float(raw.min()))) <= min(limits):
+        return
+    for lead, limit in enumerate(limits):
+        column = np.abs(raw[:, lead], dtype=np.float64)
+        row = int(np.argmax(column))
+        if column[row] > limit:
+            raise FormatError(f"{where(row, lead)}: value {float(raw[row, lead]):g} at "
+                              f"gain {gains[lead]:g} is beyond {MAX_ABS_MV:g} mV once scaled")
 
 
 def _load_wfdb(header_path: str) -> EcgRecord:
@@ -294,7 +321,10 @@ def _load_wfdb(header_path: str) -> EcgRecord:
         raise InconsistencyError(
             f"{dat_path}: {raw.size} samples on disk, header promises "
             f"{num_leads} x {num_samples}")
-    interleaved = raw.reshape(num_samples, num_leads).T.astype(np.float64)
+    raw = raw.reshape(num_samples, num_leads)
+    _check_scaled_range(raw, gains,
+                        lambda row, lead: f"{dat_path} lead {lead_names[lead]}, sample {row}")
+    interleaved = raw.T.astype(np.float64)
     leads = interleaved / np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, lead_names, labels, name)
 
@@ -320,6 +350,36 @@ def load_record(path: str) -> EcgRecord:
     raise FormatError(f"cannot infer the format of {path} from its extension")
 
 
+def resampled_length(rec: EcgRecord, target_fs: float) -> int:
+    """Number of samples resample_record(rec, target_fs) returns; raises
+    what it raises for a record it cannot resample."""
+    if target_fs <= 0:
+        raise ValueError("target_fs must be positive")
+    if rec.num_samples == 0:
+        raise EmptyInputError(f"record {rec.source_id} has no samples")
+    if rec.fs == target_fs:
+        return rec.num_samples
+    out_len = int(np.floor(rec.num_samples * target_fs / rec.fs))
+    if out_len == 0:
+        raise EmptyInputError(
+            f"record {rec.source_id}: resampling to {target_fs} Hz leaves no samples")
+    return out_len
+
+
+def source_samples_needed(fs: float, target_fs: float, count: int) -> int:
+    """Source samples from which resample_record computes its first `count`
+    output samples exactly as from the whole record.
+
+    Output point i sits at i * step with step = fs / target_fs and reads
+    source samples floor(i * step) and the one after it. The prefix ends
+    after both samples of every needed point, and each needed point lies
+    before its last sample, so none takes the rule for points on or past
+    it; it is also longer than count * step + 1, so the prefix's own
+    output is at least `count` samples long.
+    """
+    return int(np.floor(count * (fs / target_fs))) + 2
+
+
 def resample_record(rec: EcgRecord, target_fs: float) -> EcgRecord:
     """Linear interpolation onto a uniform grid at target_fs.
 
@@ -328,19 +388,12 @@ def resample_record(rec: EcgRecord, target_fs: float) -> EcgRecord:
     worked CHUNK points at a time, each point's index and fraction shared
     by all leads.
     """
-    if target_fs <= 0:
-        raise ValueError("target_fs must be positive")
-    if rec.num_samples == 0:
-        raise EmptyInputError(f"record {rec.source_id} has no samples")
+    out_len = resampled_length(rec, target_fs)
     if rec.fs == target_fs:
         return EcgRecord(rec.leads.copy(), rec.fs, list(rec.lead_names),
                          set(rec.labels), rec.source_id)
 
     n = rec.num_samples
-    out_len = int(np.floor(n * target_fs / rec.fs))
-    if out_len == 0:
-        raise EmptyInputError(
-            f"record {rec.source_id}: resampling to {target_fs} Hz leaves no samples")
     leads = rec.leads
     step = rec.fs / target_fs
     slope = leads[:, -1:] - leads[:, -2:-1] if n >= 2 else np.zeros((rec.num_leads, 1))

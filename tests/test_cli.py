@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,21 +14,29 @@ from beatformer import autodiff as ad
 from beatformer import cli
 from beatformer import training as tr
 from beatformer import transformer as tfm
-from beatformer.beat_tokenizer import load_tokens, save_tokens
+from beatformer.beat_tokenizer import MAX_POS, build_sequence, fuse_rms, load_tokens, save_tokens
 from beatformer.cli import build_config, main, read_config_file
+from beatformer.dsp import CHUNK, DETECTORS, apply_filter, design_highpass
+from beatformer.ecg_io import load_record, rescale_peaks, resample_record
 from beatformer.errors import ConfigError
+
+
+def write_wfdb(dirpath, name, leads, fs, names=None, labels=None):
+    """A format-16 WFDB record of [num_leads, n] millivolts at gain 1000."""
+    raw = np.round(leads * 1000.0).astype("<i2")
+    names = names or [f"L{i}" for i in range(raw.shape[0])]
+    lines = [f"{name} {raw.shape[0]} {fs:g} {raw.shape[1]}"]
+    lines += [f"{name}.dat 16 1000(0)/mV 16 0 0 0 0 {lead}" for lead in names]
+    if labels:
+        lines.append(f"#Dx: {','.join(labels)}")
+    (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
+    (dirpath / f"{name}.dat").write_bytes(raw.T.tobytes())
 
 
 def write_wfdb_wavelet(dirpath, name, bpm=66, fs=500.0, duration_s=12.0,
                        labels=None):
     x, peaks = synth.wavelet_train(fs, duration_s, bpm)
-    raw = np.round(x * 1000.0).astype("<i2")
-    lines = [f"{name} 1 {fs:g} {raw.size}",
-             f"{name}.dat 16 1000(0)/mV 16 0 0 0 0 II"]
-    if labels:
-        lines.append(f"#Dx: {','.join(labels)}")
-    (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
-    (dirpath / f"{name}.dat").write_bytes(raw.tobytes())
+    write_wfdb(dirpath, name, x[None], fs, names=["II"], labels=labels)
     return peaks
 
 
@@ -329,6 +338,108 @@ class TestPreprocess:
         assert "bad.csv" in (serial / "skip_report.txt").read_text()
 
 
+def long_leads(fs, duration_s, num_leads, seed=0, bpm=72):
+    """[num_leads, n] millivolts: one wavelet per beat at a slightly uneven
+    rate, scaled per lead, over baseline wander and noise. Each wavelet is
+    added over its own 0.3 s only, so half an hour of 12 leads is quick."""
+    rng = np.random.default_rng(seed)
+    n = int(duration_s * fs)
+    half = int(0.15 * fs)
+    t = np.arange(-half, half + 1) / fs
+    wave = np.exp(-0.5 * (t / synth.SIGMA_S) ** 2) * np.cos(2 * np.pi * synth.CARRIER_HZ * t)
+    scales = rng.uniform(-1.5, 1.5, size=(num_leads, 1))
+    leads = 0.02 * rng.normal(size=(num_leads, n))
+    leads += 0.2 * np.sin(2 * np.pi * rng.uniform(0.1, 0.4, size=(num_leads, 1))
+                          * np.arange(n) / fs)
+    c = half
+    while c + half < n:
+        leads[:, c - half : c + half + 1] += scales * wave
+        c += int(fs * 60.0 / bpm * rng.uniform(0.95, 1.05))
+    return leads
+
+
+def full_length_tokens(path, cfg):
+    """preprocess's tokens as they were made over the whole record: every
+    lead high-passed, resampled and fused in full."""
+    rec = load_record(path)
+    hp = design_highpass(cfg.highpass_hz, rec.fs)
+    rec = replace(rec, leads=apply_filter(hp, rec.leads))
+    peaks = DETECTORS[cfg.detector](rec.leads[0], rec.fs)
+    rec = resample_record(rec, cfg.target_fs)
+    indices = rescale_peaks(peaks.indices, peaks.fs, cfg.target_fs)
+    indices = indices[indices < rec.num_samples]
+    fused = fuse_rms(rec)
+    return build_sequence(fused, indices)
+
+
+class TestTokenizedSpan:
+    @pytest.mark.parametrize("minutes, num_leads, fs", [(20, 2, 360.0), (30, 12, 257.0)])
+    def test_long_record_matches_full_length_pipeline(self, tmp_path, monkeypatch,
+                                                      minutes, num_leads, fs):
+        d = tmp_path / "records"
+        d.mkdir()
+        write_wfdb(d, "long", long_leads(fs, minutes * 60.0, num_leads), fs)
+        seen = []
+        resample = cli.resample_record
+        monkeypatch.setattr(cli, "resample_record",
+                            lambda rec, target: seen.append(rec.num_samples)
+                            or resample(rec, target))
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        ref = full_length_tokens(str(d / "long.hea"), build_config())
+        assert ref.n_real == MAX_POS
+        save_tokens(str(tmp_path / "ref.tokens"), ref)
+        assert (out / "long.tokens").read_bytes() == (tmp_path / "ref.tokens").read_bytes()
+        # 50 beats at about 72 bpm span about 42 s: within one filter chunk
+        assert seen == [CHUNK]
+
+    def test_lead_silent_over_the_span_is_left_out_of_the_fusion(self, tmp_path):
+        d = tmp_path / "records"
+        d.mkdir()
+        fs = 360.0
+        leads = long_leads(fs, 60.0, 2, seed=1)
+        leads[1, : int(50 * fs)] = 0.0   # the 50th beat's window ends near 42 s
+        write_wfdb(d, "r", leads, fs)
+        both, first = tmp_path / "both", tmp_path / "first"
+        assert main(["preprocess", str(d), "--out", str(both)]) == 0
+        assert main(["preprocess", str(d), "--out", str(first), "--leads", "L0"]) == 0
+        tokens = (both / "r.tokens").read_bytes()
+        assert tokens == (first / "r.tokens").read_bytes()
+        # over the whole record, lead L1 is active and joins the fusion
+        save_tokens(str(tmp_path / "ref.tokens"),
+                    full_length_tokens(str(d / "r.hea"), build_config()))
+        assert tokens != (tmp_path / "ref.tokens").read_bytes()
+
+    @pytest.mark.parametrize("case, reason", [
+        ("no_samples", "record r has no samples"),
+        ("resampled_to_nothing", "record r: resampling to 500.0 Hz leaves no samples"),
+        ("flat", "no beats detected"),
+        ("one_lead_flat", "no beats detected"),
+        ("one_lead", None),
+    ])
+    def test_skip_reasons(self, tmp_path, case, reason):
+        d = tmp_path / "records"
+        d.mkdir()
+        synth.wavelet_csv(d / "good.csv")
+        if case == "no_samples":
+            write_wfdb(d, "r", np.zeros((2, 0)), 360.0)
+        elif case == "resampled_to_nothing":
+            (d / "r.csv").write_text("#fs=1000\n#gain=1000\nI\n5\n")
+        elif case == "one_lead":
+            write_wfdb_wavelet(d, "r")
+        else:
+            write_wfdb(d, "r", np.zeros((1 if case == "one_lead_flat" else 2, 6000)), 500.0)
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        if reason is None:
+            assert skips == []
+            assert (out / "manifest.tsv").read_text() == "good.tokens\t\nr.tokens\t\n"
+        else:
+            assert [line.split("\t")[1] for line in skips] == [reason]
+            assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+
+
 def csv_text():
     """A 12-s, two-lead, 500-Hz CSV recording as text lines."""
     x, _ = synth.wavelet_train(500.0, 12.0, 72)
@@ -383,6 +494,48 @@ class TestNonFiniteInput:
         path, why = skips[0].split("\t")
         assert path == str(bad) and why.endswith(reason), why
         assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+        assert capsys.readouterr().err == ""
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case, value, reason", [
+        ("sample", "1e200", "r.csv:104: value 1e+200 at gain 1000 is beyond 1e+30 mV once scaled"),
+        ("csv_gain", "1e-310",
+         "r.csv:629: value 1000 at gain 1e-310 is beyond 1e+30 mV once scaled"),
+        ("wfdb_gain", "1e-310",
+         "r.dat lead II, sample 1591: value 1000 at gain 1e-310 is beyond 1e+30 mV once scaled"),
+        # just inside the bound: 9.99e29 mV once scaled, tokenized without overflow
+        ("sample", "9.99e32", None),
+    ])
+    def test_scaled_value_beyond_bound_is_a_skip_line(self, tmp_path, capsys, case, value,
+                                                      reason):
+        d = tmp_path / "records"
+        d.mkdir()
+        lines = csv_text()
+        write_lines(d / "good.csv", lines)
+        if case == "sample":
+            lines[103] = lines[103].split(",")[0] + "," + value
+            write_lines(d / "r.csv", lines)
+            bad = d / "r.csv"
+        elif case == "csv_gain":
+            write_lines(d / "r.csv", swap_line(lines, "#gain=1000,1000", f"#gain={value},1000"))
+            bad = d / "r.csv"
+        else:
+            write_wfdb_wavelet(d, "r")
+            set_wfdb_gain(d, "r", value)
+            bad = d / "r.hea"
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        skips = (out / "skip_report.txt").read_text().splitlines()
+        manifest = (out / "manifest.tsv").read_text()
+        if reason is None:
+            assert skips == [] and manifest == "good.tokens\t\nr.tokens\t\n"
+            assert np.abs(load_tokens(str(out / "r.tokens")).tokens).max() > 1e29
+        else:
+            assert len(skips) == 1
+            path, why = skips[0].split("\t")
+            assert path == str(bad) and why.endswith(reason), why
+            assert manifest == "good.tokens\t\n"
         assert capsys.readouterr().err == ""
 
 

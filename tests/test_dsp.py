@@ -115,14 +115,30 @@ class TestApplyFilter:
             assert np.abs(ours - ref).max() < 1e-10
 
     def test_matrix_input_filters_each_row(self):
-        # one [leads, n] call and per-lead calls may round differently
-        # (the matrix kernels depend on shape), so they agree to 1e-9
         f = dsp.design_highpass(0.5, 500.0)
         x = np.random.default_rng(4).normal(size=(12, 5000)) + 2.0
         rows = dsp.apply_filter(f, x)
         assert rows.shape == x.shape
         for lead, row in zip(x, rows):
-            assert np.abs(dsp.apply_filter(f, lead) - row).max() < 1e-9
+            assert np.array_equal(dsp.apply_filter(f, lead), row)
+
+    @pytest.mark.parametrize("fs", [257.0, 360.0, 1000.0])
+    def test_rows_and_whole_chunk_prefixes_filter_bit_for_bit(self, fs):
+        """preprocess filters the detection lead alone over the whole record
+        and every lead over a prefix of whole CHUNKs, and relies on both
+        giving the very values of one call over the whole record. (A prefix
+        cut inside a chunk may round differently: the block products then
+        have other shapes.)"""
+        f = dsp.design_highpass(0.5, fs)
+        n = 3 * dsp.CHUNK + 5000
+        x = np.random.default_rng(int(fs)).normal(size=(12, n)) + 2.0
+        full = dsp.apply_filter(f, x)
+        for lead in range(12):
+            assert np.array_equal(dsp.apply_filter(f, x[lead]), full[lead]), lead
+        for chunks in (1, 2):
+            m = chunks * dsp.CHUNK
+            assert np.array_equal(dsp.apply_filter(f, x[:, :m]), full[:, :m]), chunks
+            assert np.array_equal(dsp.apply_filter(f, x[0, :m]), full[0, :m]), chunks
 
     def test_rejects_scalar_input(self):
         with pytest.raises(ValueError):
@@ -234,7 +250,7 @@ class TestMovingAverage:
         x = np.random.default_rng(n + width).normal(size=n) ** 2
         x[n // 3] *= 1e6
         ref = np.convolve(x, np.ones(width) / width, mode="same")
-        ours = dsp._moving_average_centered(x, width)
+        ours = dsp._moving_average(x, width, (width - 1) // 2)
         assert ours.shape == ref.shape
         assert np.abs(ours - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -244,11 +260,60 @@ class TestMovingAverage:
             x = np.zeros(12)
             x[6] = float(width)
             h = (width - 1) // 2
-            hit = np.flatnonzero(np.abs(dsp._moving_average_centered(x, width)) > 0.5)
+            hit = np.flatnonzero(np.abs(dsp._moving_average(x, width, h)) > 0.5)
             assert hit.tolist() == list(range(6 - h, 6 + width - h))
-            edge = dsp._moving_average_centered(np.ones(12), width)
+            edge = dsp._moving_average(np.ones(12), width, h)
             assert edge[0] == pytest.approx((h + 1) / width)
             assert edge[-1] == pytest.approx((width - h) / width)
+
+
+def loop_run_peaks(above, filtered, w1):
+    """The two-average detector's per-run peak loop before it was vectorized."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], above.astype(np.int8), [0]))))
+    starts, ends = edges[0::2], edges[1::2]
+    peaks = [s + int(np.argmax(np.abs(filtered[s:e])))
+             for s, e in zip(starts, ends) if e - s >= w1]
+    return peaks
+
+
+class TestRunPeaks:
+    @pytest.mark.parametrize("above, filtered, w1", [
+        # ties: equal magnitudes, of either sign, pick the first
+        ([0, 1, 1, 1, 1, 0], [9.0, 2.0, -3.0, 3.0, -3.0, 9.0], 2),
+        ([1, 1, 1, 0, 1, 1, 1], [5.0, 5.0, 5.0, 0.0, -1.0, 1.0, -1.0], 1),
+        # a near tie is not a tie
+        ([1, 1, 1, 1], [0.0, 5.0, -5.000001, 5.0], 1),
+        # runs shorter than w1 are dropped, longer ones kept
+        ([1, 0, 1, 1, 0, 1, 1, 1, 0], [1.0, 0.0, 2.0, 3.0, 0.0, 4.0, -6.0, 5.0, 0.0], 3),
+        # no runs at all, and none long enough
+        ([0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0], 1),
+        ([1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0], 2),
+        # a run at each end of the signal, and one covering all of it
+        ([1, 1, 0, 0, 1, 1], [-4.0, 1.0, 9.0, 9.0, 2.0, -2.0], 2),
+        ([1, 1, 1], [0.0, 0.0, 0.0], 1),
+        ([1], [-2.0], 1),
+    ])
+    def test_matches_loop(self, above, filtered, w1):
+        above, filtered = np.asarray(above, dtype=bool), np.asarray(filtered)
+        assert dsp._run_peaks(above, filtered, w1) == loop_run_peaks(above, filtered, w1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_on_random_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        # runs of every length; magnitudes rounded so that ties are common
+        above = np.repeat(rng.random(400) < 0.5, rng.integers(1, 30, size=400))
+        filtered = np.round(rng.normal(size=above.size), 1)
+        for w1 in (1, 5, 12):
+            assert dsp._run_peaks(above, filtered, w1) == loop_run_peaks(above, filtered, w1)
+
+
+class TestPanTompkinsIntegration:
+    @pytest.mark.parametrize("n, w", [(432_000, 54), (5000, 75), (10, 3), (3, 7)])
+    def test_matches_index_gather(self, n, w):
+        sq = np.random.default_rng(n).normal(size=n) ** 2
+        csum = np.concatenate(([0.0], np.cumsum(sq)))
+        mwi = (csum[1:] - csum[np.maximum(np.arange(sq.size) - w + 1, 0)]) / w
+        assert np.array_equal(dsp._moving_average(sq, w, 0), mwi)
 
 
 class TestDetectors:

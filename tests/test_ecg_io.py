@@ -332,6 +332,21 @@ class TestResample:
         assert np.array_equal(out.leads, interp_reference(rec, target))
         assert np.array_equal(out.leads[:, pos == n - 1].ravel(), x[:, -1])
 
+    @pytest.mark.parametrize("fs, target", [(257.0, 500.0), (360.0, 500.0), (1000.0, 500.0),
+                                            (1000.0, 257.0), (500.0, 500.0)])
+    def test_source_prefix_resamples_bit_for_bit(self, fs, target):
+        # the first `count` output samples of a source_samples_needed prefix
+        # equal the whole record's, and the prefix yields at least `count`
+        x = np.random.default_rng(int(fs + target)).normal(size=(2, 3000))
+        full = ecg_io.resample_record(EcgRecord(x, fs, ["I", "II"]), target)
+        for count in (1, 2, 9, 10, 11, 100, 700):
+            m = ecg_io.source_samples_needed(fs, target, count)
+            assert m < x.shape[1], count
+            prefix = EcgRecord(x[:, :m], fs, ["I", "II"])
+            assert ecg_io.resampled_length(prefix, target) >= count, count
+            out = ecg_io.resample_record(prefix, target)
+            assert np.array_equal(out.leads[:, :count], full.leads[:, :count]), count
+
     def test_memory_bounded_by_output(self):
         # a chunk of grid points at a time: beyond the output it needs a few
         # chunk-sized index and gather buffers, however long the record
