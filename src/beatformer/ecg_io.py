@@ -196,8 +196,8 @@ def _load_csv(path: str) -> EcgRecord:
         raise InconsistencyError(f"{path}: {len(gains)} gains for {width} leads")
     _check_scaled_range(raw, gains, lambda row, lead: f"{path}:{body_lines[row]}")
 
-    leads = raw.T / np.asarray(gains, dtype=np.float64)[:, None]
-    return EcgRecord(leads, fs, header, labels,
+    raw /= np.asarray(gains, dtype=np.float64)
+    return EcgRecord(raw.T, fs, header, labels,
                      os.path.splitext(os.path.basename(path))[0])
 
 
@@ -324,8 +324,8 @@ def _load_wfdb(header_path: str) -> EcgRecord:
     raw = raw.reshape(num_samples, num_leads)
     _check_scaled_range(raw, gains,
                         lambda row, lead: f"{dat_path} lead {lead_names[lead]}, sample {row}")
-    interleaved = raw.T.astype(np.float64)
-    leads = interleaved / np.asarray(gains, dtype=np.float64)[:, None]
+    leads = raw.T.astype(np.float64)
+    leads /= np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, lead_names, labels, name)
 
 

@@ -196,19 +196,31 @@ def pad_batch(rows: list) -> tuple:
     return tokens, n_real
 
 
+# padded rows per inference batch: a batch's activations grow with its count
+# times its longest sequence, so a row budget caps inference memory whatever
+# the mix of lengths, while 512 rows still keep the weight products large
+BATCH_ROWS = 512
+
+
 def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
                     batch_size: int = 32) -> np.ndarray:
-    """Classifier logits for a list of BeatSequences, in their order, run
-    batch_size at a time. The sequences are batched shortest first, so each
-    batch pads only to lengths close to its own; the rows come back in
-    input order. Plain tensors over the parameter arrays build no
-    backward graph, so no activation outlives its layer."""
+    """Classifier logits for a list of BeatSequences, in their order. The
+    sequences are batched shortest first, so each batch pads only to lengths
+    close to its own; a batch closes before it would pass batch_size
+    sequences or BATCH_ROWS padded rows, and a longer sequence runs alone.
+    The rows come back in input order. Plain tensors over the parameter
+    arrays build no backward graph, so no activation outlives its layer."""
     params = {name: Tensor(p.data) for name, p in params.items()}
-    order = np.argsort([s.n_real for s in sequences], kind="stable")
-    outs = []
-    for lo in range(0, len(order), batch_size):
-        tokens, n_real = pad_batch([sequences[i].tokens for i in order[lo : lo + batch_size]])
-        outs.append(tf.forward(tokens, n_real, config, params, training=False).data)
+    lengths = [s.n_real for s in sequences]
+    order = np.argsort(lengths, kind="stable")
+    batches = []
+    for i in order:
+        if (not batches or len(batches[-1]) == batch_size
+                or (len(batches[-1]) + 1) * lengths[i] > BATCH_ROWS):
+            batches.append([])
+        batches[-1].append(i)
+    outs = [tf.forward(*pad_batch([sequences[i].tokens for i in b]), config, params,
+                       training=False).data for b in batches]
     return np.concatenate(outs, axis=0)[np.argsort(order)]
 
 

@@ -218,6 +218,49 @@ class TestWfdbLoader:
             ecg_io.load_record(str(tmp_path / "r.xyz"))
 
 
+class TestGainScalingInPlace:
+    """Each loader divides its one float64 copy by the gains in place: the
+    leads equal the out-of-place quotient bit for bit, with its layout."""
+
+    GAINS = [1000.0, 200.0, 4880.0]
+
+    def test_wfdb_matches_out_of_place_quotient(self, tmp_path):
+        leads = np.random.default_rng(6).integers(-32768, 32767, size=(3, 700))
+        p = write_wfdb(tmp_path, "ip", leads, 257, self.GAINS)
+        raw = np.fromfile(tmp_path / "ip.dat", dtype="<i2").reshape(700, 3)
+        gains = self.GAINS
+        interleaved = raw.T.astype(np.float64)
+        expect = interleaved / np.asarray(gains, dtype=np.float64)[:, None]
+        rec = ecg_io.load_record(p)
+        assert np.array_equal(rec.leads, expect)
+        assert rec.leads.strides == expect.strides
+
+    def test_csv_matches_out_of_place_quotient(self, tmp_path):
+        raw = np.random.default_rng(7).integers(-5000, 5000, size=(400, 3)).astype(np.float64)
+        body = "\n".join(",".join(f"{v:g}" for v in row) for row in raw)
+        p = write_csv(tmp_path / "ip.csv",
+                      "#fs=500\n#gain=1000,200,4880\nI,II,III\n" + body + "\n")
+        gains = self.GAINS
+        expect = raw.T / np.asarray(gains, dtype=np.float64)[:, None]
+        rec = ecg_io.load_record(p)
+        assert np.array_equal(rec.leads, expect)
+        assert rec.leads.strides == expect.strides
+
+    def test_wfdb_memory_one_float_copy(self, tmp_path):
+        # 20 min of 2 leads at 360 Hz: the int16 samples and one float64
+        # copy, not a second whole-record quotient
+        leads = np.random.default_rng(8).integers(-2048, 2048, size=(2, 432000))
+        p = write_wfdb(tmp_path, "long", leads, 360, [200.0, 200.0])
+        raw_nbytes = leads.size * 2
+        tracemalloc.start()
+        try:
+            rec = ecg_io.load_record(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < raw_nbytes + 1.5 * rec.leads.nbytes, (peak, rec.leads.nbytes)
+
+
 class TestEcgRecord:
     def test_select_leads_subset_and_order(self):
         rec = EcgRecord(np.arange(12.0).reshape(3, 4), 500.0, ["I", "II", "V1"])

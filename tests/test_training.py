@@ -676,6 +676,118 @@ class TestForwardBatches:
             assert np.allclose(row, single, rtol=0, atol=1e-6)
 
 
+class TestBatchRows:
+    """Inference batches are bounded by padded rows as well as by count."""
+
+    LENGTHS = (5, 1, 12, 3, 3, 9, 2, 12, 4, 1, 7, 6, 2, 11, 3)
+
+    @staticmethod
+    def model(seed=0):
+        cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
+                              max_pos=12, d_class=3, dropout_rate=0.0,
+                              head=tfm.CLASSIFIER)
+        return cfg, tfm.init_params(cfg, seed=seed)
+
+    @staticmethod
+    def batch_shapes(monkeypatch):
+        """Spy on tfm.forward: the [count, padded length] of each batch."""
+        shapes = []
+        forward = tfm.forward
+
+        def spy(tokens, n_real, *args, **kwargs):
+            shapes.append(tokens.shape[:2])
+            return forward(tokens, n_real, *args, **kwargs)
+
+        monkeypatch.setattr(tfm, "forward", spy)
+        return shapes
+
+    def sequences(self, seed, lengths=LENGTHS):
+        rng = ad.seeded_rng(seed)
+        return [synth.random_sequence(rng, 12, 6, n_real=n) for n in lengths]
+
+    @pytest.mark.parametrize("rows, batch_size", [(12, 32), (20, 4), (24, 3), (512, 32)])
+    def test_no_batch_passes_either_bound(self, monkeypatch, rows, batch_size):
+        cfg, params = self.model()
+        monkeypatch.setattr(tr, "BATCH_ROWS", rows)
+        shapes = self.batch_shapes(monkeypatch)
+        tr.forward_batches(params, cfg, self.sequences(1), batch_size=batch_size)
+        assert sum(count for count, _ in shapes) == len(self.LENGTHS)
+        for count, longest in shapes:
+            assert count <= batch_size
+            assert count == 1 or count * longest <= rows, (count, longest)
+        # each batch closes only when the next sequence would pass a bound
+        ordered = sorted(self.LENGTHS)
+        lo = 0
+        for count, _ in shapes[:-1]:
+            lo += count
+            assert count == batch_size or (count + 1) * ordered[lo] > rows
+
+    def test_sequence_longer_than_budget_runs_alone(self, monkeypatch):
+        cfg, params = self.model()
+        monkeypatch.setattr(tr, "BATCH_ROWS", 4)
+        shapes = self.batch_shapes(monkeypatch)
+        seqs = self.sequences(2, lengths=(2, 6, 2, 3, 6))
+        logits = tr.forward_batches(params, cfg, seqs)
+        assert shapes == [(2, 2), (1, 3), (1, 6), (1, 6)]
+        assert logits.shape == (5, 3)
+
+    def test_logits_match_single_forwards_in_input_order(self, monkeypatch):
+        cfg, params = self.model(seed=3)
+        seqs = self.sequences(4)
+        singles = np.stack([tfm.forward(s.tokens, s.n_real, cfg, params).data
+                            for s in seqs])
+        monkeypatch.setattr(tr, "BATCH_ROWS", 16)
+        shapes = self.batch_shapes(monkeypatch)
+        logits = tr.forward_batches(params, cfg, seqs)
+        assert len(shapes) > 2
+        assert np.allclose(logits, singles, rtol=0, atol=1e-6)
+
+    def test_evaluate_batches_by_rows(self, monkeypatch):
+        cfg, params = self.model(seed=5)
+        seqs = self.sequences(6)
+        singles = np.stack([tfm.forward(s.tokens, s.n_real, cfg, params).data
+                            for s in seqs])
+        labels = (ad.seeded_rng(7).random((len(seqs), 3)) < 0.5).astype(np.int8)
+        dataset = list(zip(seqs, labels))
+        monkeypatch.setattr(tr, "BATCH_ROWS", 16)
+        shapes = self.batch_shapes(monkeypatch)
+        seen = []
+        forward_batches = tr.forward_batches
+
+        def spy(*args, **kwargs):
+            seen.append(forward_batches(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(tr, "forward_batches", spy)
+        metrics = tr.evaluate(params, cfg, dataset)
+        assert len(seen) == 1 and len(shapes) > 2
+        assert all(count == 1 or count * longest <= 16 for count, longest in shapes)
+        assert np.allclose(seen[0], singles, rtol=0, atol=1e-6)
+        monkeypatch.setattr(tr, "forward_batches", lambda *a, **k: singles)
+        assert metrics == tr.evaluate(params, cfg, dataset)
+
+    def test_peak_memory_does_not_grow_with_count(self, monkeypatch):
+        cfg = tfm.ModelConfig(d_model=64, n_encoders=1, n_heads=2, dff=256,
+                              max_pos=16, d_class=3, dropout_rate=0.0,
+                              head=tfm.CLASSIFIER)
+        params = tfm.init_params(cfg, seed=8)
+        monkeypatch.setattr(tr, "BATCH_ROWS", 64)
+        rng = ad.seeded_rng(9)
+        seqs = [synth.random_sequence(rng, 16, 64, n_real=16) for _ in range(64)]
+
+        def peak(count):
+            tr.forward_batches(params, cfg, seqs[:count])
+            tracemalloc.start()
+            try:
+                tr.forward_batches(params, cfg, seqs[:count])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(16), peak(64)
+        assert large <= 1.25 * small, (small, large)
+
+
 class TestBackwardReleasesGraph:
     def test_no_node_keeps_parents_or_closure(self, monkeypatch):
         cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
