@@ -42,10 +42,8 @@ class Tensor:
     leaf's gradient to the optimizer inside the sweep (`backward(on_leaf)`).
     """
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
@@ -415,11 +413,11 @@ def masked_fill(a, fill_mask: np.ndarray, value: float) -> Tensor:
                  lambda g: ((a, _unbroadcast(np.where(fill_mask, 0.0, g), a.shape)),))
 
 
-def layer_norm(x, gamma, beta, residual=None, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gamma, beta, residual=None) -> Tensor:
     """Zero-mean unit-variance over the last axis of x (+ residual), then
     affine; one node, which keeps xhat and its output.
 
-    With xhat = (x - mean) * rstd and rstd = 1/sqrt(var + eps), the backward
+    With xhat = (x - mean) * rstd and rstd = 1/sqrt(var + 1e-6), the backward
     is dx = rstd * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gamma;
     the residual gets the same dx.
     """
@@ -432,7 +430,7 @@ def layer_norm(x, gamma, beta, residual=None, eps: float = 1e-6) -> Tensor:
         parents = (x, residual, gamma, beta)
         xhat = x.data + residual.data
         xhat -= xhat.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    rstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-6)
     xhat *= rstd
     out = xhat * gamma.data
     out += beta.data

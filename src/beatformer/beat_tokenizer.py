@@ -60,9 +60,9 @@ def fuse_rms(rec) -> np.ndarray:
     return np.sqrt(fused, out=fused)
 
 
-def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:
-    anchor = d_model // 3
-    max_after = d_model - anchor - 1
+def _beat_window(peaks: np.ndarray, k: int) -> tuple:
+    anchor = TOKEN_LEN // 3
+    max_after = TOKEN_LEN - anchor - 1
     n = peaks.size
     if n == 1:
         return anchor, max_after
@@ -73,19 +73,18 @@ def _beat_window(peaks: np.ndarray, k: int, d_model: int) -> tuple:
     return before, after
 
 
-def token_span_end(peaks: np.ndarray, n: int, d_model: int = TOKEN_LEN) -> int:
+def token_span_end(peaks: np.ndarray, n: int) -> int:
     """One past the last sample of an n-sample fused signal that
     build_sequence(fused, peaks) reads: the end of the last tokenized
     beat's window. Every earlier beat's window ends before the next peak."""
     k = min(peaks.size, MAX_POS) - 1
-    _, after = _beat_window(peaks, k, d_model)
+    _, after = _beat_window(peaks, k)
     return min(int(peaks[k]) + after, n - 1) + 1
 
 
-def segment_beat(fused, peaks: np.ndarray, k: int,
-                 d_model: int = TOKEN_LEN) -> tuple[np.ndarray, int]:
-    """Cut beat k out of the fused signal: (float32 [d_model] values, the
-    index of the R sample in them, d_model // 3).
+def segment_beat(fused, peaks: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Cut beat k out of the fused signal: (float32 [TOKEN_LEN] values, the
+    index of the R sample in them, TOKEN_LEN // 3).
 
     The window is floor(RR_prev/3) samples before the peak and
     floor(2*RR_next/3) after, capped so it fits the token; boundary beats
@@ -95,14 +94,14 @@ def segment_beat(fused, peaks: np.ndarray, k: int,
     fused = np.asarray(fused, dtype=np.float64)
     if not 0 <= k < peaks.size:
         raise ValueError(f"beat index {k} out of range for {peaks.size} peaks")
-    anchor = d_model // 3
-    before, after = _beat_window(peaks, k, d_model)
+    anchor = TOKEN_LEN // 3
+    before, after = _beat_window(peaks, k)
     r = int(peaks[k])
     if not 0 <= r < fused.size:
         raise ValueError(f"peak {r} lies outside the {fused.size}-sample signal")
     lo = max(r - before, 0)
     hi = min(r + after, fused.size - 1)
-    values = np.zeros(d_model, dtype=np.float32)
+    values = np.zeros(TOKEN_LEN, dtype=np.float32)
     values[anchor - (r - lo) : anchor + (hi - r) + 1] = fused[lo : hi + 1]
     return values, anchor
 

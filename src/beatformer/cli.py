@@ -32,7 +32,8 @@ from .ecg_io import (
     resampled_length,
     source_samples_needed,
 )
-from .errors import BeatformerError, CheckpointMismatchError, ConfigError, FormatError
+from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, EmptyInputError,
+                     FormatError, InconsistencyError, NoBeatsError)
 
 
 @dataclass
@@ -105,11 +106,10 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
-                    lmap: LabelMap | None):
-    """Returns ("ok", cache_name, indices|None) or ("skip", reason).
-
-    lmap is the run's parsed label map; without one every record is kept.
-    """
+                    lmap: LabelMap | None) -> tuple:
+    """Tokenize one record into out_dir: (cache_name, label indices|None);
+    a skipped record raises, with its skip reason as the text. lmap is the
+    run's parsed label map; without one every record is kept."""
     rec = load_record(record_path)
     if cfg.leads:
         rec = rec.select_leads(cfg.leads)
@@ -118,13 +118,13 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
     if lmap is not None:
         label_indices = filter_labels(rec, lmap)
         if label_indices is None:
-            return ("skip", "no scored labels")
+            raise EmptyInputError("no scored labels")
 
     hp = design_highpass(cfg.highpass_hz, rec.fs)
     det_idx = 0
     if cfg.lead:
         if cfg.lead not in rec.lead_names:
-            return ("skip", f"no lead named {cfg.lead!r}")
+            raise InconsistencyError(f"no lead named {cfg.lead!r}")
         det_idx = rec.lead_names.index(cfg.lead)
     # the detector reads the whole record (its threshold follows the mean
     # of the whole squared signal); everything after it only reads up to
@@ -135,7 +135,7 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
     indices = rescale_peaks(peaks.indices, peaks.fs, cfg.target_fs)
     indices = indices[indices < out_len]
     if indices.size == 0:
-        return ("skip", "no beats detected")
+        raise NoBeatsError("no beats detected")
     end = token_span_end(indices, out_len)
     # apply_filter works whole CHUNKs at a time, so a prefix of whole
     # chunks is filtered bit for bit as within the whole record
@@ -149,17 +149,17 @@ def _preprocess_one(record_path: str, cfg: PipelineConfig, out_dir: str,
 
     cache_name = f"{rec.source_id}.tokens"
     save_tokens(os.path.join(out_dir, cache_name), seq)
-    return ("ok", cache_name, label_indices)
+    return cache_name, label_indices
 
 
 def _preprocess_or_error(record_path: str, cfg: PipelineConfig, out_dir: str,
-                         lmap: LabelMap | None):
-    """_preprocess_one's result, or ("error", reason): a record that cannot
-    be read or parsed is a skip line, not the end of the run."""
+                         lmap: LabelMap | None) -> tuple | str:
+    """_preprocess_one's result, or the skip reason: a record that is skipped
+    or cannot be read is a skip line, not the end of the run."""
     try:
         return _preprocess_one(record_path, cfg, out_dir, lmap)
     except (BeatformerError, OSError) as exc:
-        return ("error", str(exc))
+        return str(exc)
 
 
 def cmd_preprocess(args) -> int:
@@ -185,12 +185,12 @@ def cmd_preprocess(args) -> int:
     manifest_lines = []
     skip_lines = []
     for path, res in zip(records, results):
-        if res[0] == "ok":
-            _, cache_name, indices = res
+        if isinstance(res, str):
+            skip_lines.append(f"{path}\t{res}")
+        else:
+            cache_name, indices = res
             label_field = ",".join(str(i) for i in sorted(indices)) if indices else ""
             manifest_lines.append(f"{cache_name}\t{label_field}")
-        else:
-            skip_lines.append(f"{path}\t{res[1]}")
 
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     with open(manifest_path, "w", encoding="utf-8") as fh:

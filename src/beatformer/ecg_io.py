@@ -204,26 +204,28 @@ def _load_csv(path: str) -> EcgRecord:
 def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarray:
     """[rows, width] float64 from comma-separated sample rows, in one call.
 
-    When the bulk parse fails, the rows are parsed one at a time to report
-    the fault: FormatError for the first row that is not all numbers,
-    else InconsistencyError for the first row of the wrong width. A NaN or
+    When the bulk parse fails, the record is refused; its rows are parsed
+    one at a time only to name the fault: FormatError for the first row
+    that is not all numbers, else InconsistencyError for the first row of
+    the wrong width, else FormatError quoting the bulk parse. A NaN or
     infinite sample is a FormatError naming its line.
     """
     try:
         raw = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
                          ndmin=2)
-    except ValueError:
+    except ValueError as exc:
         rows = []
         for line, lineno in zip(body, body_lines):
             try:
                 rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
+            except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
         for row in rows:
             if len(row) != width:
                 raise InconsistencyError(
                     f"{path}: sample row has {len(row)} values for {width} leads")
-        raw = np.asarray(rows, dtype=np.float64)
+        # float() reads forms that loadtxt refuses, such as 1_000
+        raise FormatError(f"{path}: non-numeric sample row ({exc})") from exc
     if raw.shape[1] != width:
         raise InconsistencyError(
             f"{path}: sample row has {raw.shape[1]} values for {width} leads")

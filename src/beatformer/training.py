@@ -202,21 +202,19 @@ def pad_batch(rows: list) -> tuple:
 BATCH_ROWS = 512
 
 
-def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
-                    batch_size: int = 32) -> np.ndarray:
+def forward_batches(params: dict, config: tf.ModelConfig, sequences: list) -> np.ndarray:
     """Classifier logits for a list of BeatSequences, in their order. The
     sequences are batched shortest first, so each batch pads only to lengths
-    close to its own; a batch closes before it would pass batch_size
-    sequences or BATCH_ROWS padded rows, and a longer sequence runs alone.
-    The rows come back in input order. Plain tensors over the parameter
-    arrays build no backward graph, so no activation outlives its layer."""
+    close to its own; a batch closes before it would pass BATCH_ROWS padded
+    rows, and a longer sequence runs alone. The rows come back in input
+    order. Plain tensors over the parameter arrays build no backward graph,
+    so no activation outlives its layer."""
     params = {name: Tensor(p.data) for name, p in params.items()}
     lengths = [s.n_real for s in sequences]
     order = np.argsort(lengths, kind="stable")
     batches = []
     for i in order:
-        if (not batches or len(batches[-1]) == batch_size
-                or (len(batches[-1]) + 1) * lengths[i] > BATCH_ROWS):
+        if not batches or (len(batches[-1]) + 1) * lengths[i] > BATCH_ROWS:
             batches.append([])
         batches[-1].append(i)
     outs = [tf.forward(*pad_batch([sequences[i].tokens for i in b]), config, params,
@@ -225,8 +223,9 @@ def forward_batches(params: dict, config: tf.ModelConfig, sequences: list,
 
 
 def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
-             threshold: float = 0.5, batch_size: int = 32) -> dict:
-    """Classification metrics over (BeatSequence, multi-hot labels) pairs.
+             threshold: float = 0.5) -> dict:
+    """Classification metrics over (BeatSequence, multi-hot labels) pairs, from
+    forward_batches' logits: a batch closes before it would pass BATCH_ROWS rows.
 
     Macro-F1 averages only classes that appear in predictions or labels;
     with no such class it is reported as 0.0.
@@ -235,7 +234,7 @@ def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
         raise ValueError("evaluate needs a non-empty dataset")
     sequences = [s for s, _ in dataset]
     labels = np.stack([np.asarray(y, dtype=np.int8) for _, y in dataset])
-    logits = forward_batches(params, config, sequences, batch_size)
+    logits = forward_batches(params, config, sequences)
     preds = threshold_predict(logits, threshold)
 
     tp = ((preds == 1) & (labels == 1)).sum(axis=0).astype(np.float64)

@@ -223,14 +223,13 @@ def count_parameters(config: ModelConfig) -> int:
     return int(sum(int(np.prod(shape)) for _, shape, _ in param_shapes(config)))
 
 
-def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig,
-                       dtype=np.float32) -> dict[str, Tensor]:
-    """Parameters for `config`; a missing or mis-shaped array is a FormatError."""
+def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> dict[str, Tensor]:
+    """float32 parameters for `config`; a missing or mis-shaped array is a FormatError."""
     params: dict[str, Tensor] = {}
     for name, shape, _ in param_shapes(config):
         if name not in arrays:
             raise FormatError(f"checkpoint is missing parameter {name}")
-        arr = np.asarray(arrays[name], dtype=dtype)
+        arr = np.asarray(arrays[name], dtype=np.float32)
         if arr.shape != shape:
             raise FormatError(
                 f"parameter {name}: checkpoint shape {arr.shape} != expected {shape}")

@@ -124,13 +124,6 @@ class TestSegmentBeat:
         with pytest.raises(ValueError):
             bt.segment_beat(ramp(100), np.array([100]), 0)
 
-    def test_custom_width(self):
-        fused = ramp()
-        values, r_index = bt.segment_beat(fused, np.array([1000, 1600, 2200]), 1, d_model=9)
-        assert values.shape == (9,)
-        assert r_index == 3
-        assert values[3] == np.float32(fused[1600])
-
 
 class TestBuildSequence:
     def test_padding_rule(self):

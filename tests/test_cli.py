@@ -670,6 +670,26 @@ class TestMalformedRecordSweep:
         assert captured.err == ""
         assert f"preprocessed {len(good)} of {len(good) + len(bad)}" in captured.out
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"])
+    def test_number_only_float_reads_is_a_skip_line(self, tmp_path, token):
+        """float() reads these and np.loadtxt does not: the record is refused,
+        not read by a second grammar."""
+        d = tmp_path / "records"
+        d.mkdir()
+        lines = csv_text()
+        write_lines(d / "good.csv", lines)
+        lines[103] = lines[103].split(",")[0] + "," + token
+        (d / "r.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        skips = (out / "skip_report.txt").read_text(encoding="utf-8").splitlines()
+        assert len(skips) == 1
+        path, why = skips[0].split("\t")
+        assert path == str(d / "r.csv")
+        assert why.startswith(f"{path}: non-numeric sample row") and token in why, why
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+        assert not (out / "r.tokens").exists()
+
 
 def small_cfg_text(**extra):
     base = {

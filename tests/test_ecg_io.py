@@ -96,6 +96,12 @@ class TestCsvLoader:
         with pytest.raises(InconsistencyError):
             ecg_io.load_record(p)
 
+    def test_every_row_wider_than_header(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv",
+                      "#fs=500\n#gain=1000\nI,II\n10,20,30\n40,50,60\n")
+        with pytest.raises(InconsistencyError, match="sample row has 3 values for 2 leads"):
+            ecg_io.load_record(p)
+
     def test_gain_count_mismatch(self, tmp_path):
         p = write_csv(tmp_path / "r.csv",
                       "#fs=500\n#gain=1000,1000,1000\nI,II\n10,20\n")
@@ -161,6 +167,11 @@ class TestWfdbLoader:
         assert rec.lead_names == ["I", "II"]
         assert rec.labels == {"164889003", "59118001"}
         assert rec.source_id == "nm"
+
+    def test_numeric_last_token_is_not_a_lead_name(self, tmp_path):
+        leads = np.zeros((2, 10), dtype=int)
+        p = write_wfdb(tmp_path, "nn", leads, 500, [1000, 1000], lead_names=["II", "5"])
+        assert ecg_io.load_record(p).lead_names == ["II", "ld1"]
 
     def test_dat_path_accepted(self, tmp_path):
         leads = np.ones((1, 10), dtype=int) * 500

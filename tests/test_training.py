@@ -634,20 +634,23 @@ class TestForwardBatches:
             return out
 
         monkeypatch.setattr(ad, "_make", recording_make)
-        logits = tr.forward_batches(params, cfg, seqs, batch_size=2)
+        monkeypatch.setattr(tr, "BATCH_ROWS", 8)
+        logits = tr.forward_batches(params, cfg, seqs)
         assert made, "the forward ran no autodiff op"
         assert all(not t._parents and t._backward_fn is None for t in made)
         assert np.allclose(logits, expect, rtol=0, atol=1e-6)
         assert all(p.requires_grad for p in params.values())
 
-    def test_ragged_chunk_matches_single_forwards(self):
+    def test_ragged_chunk_matches_single_forwards(self, monkeypatch):
         cfg = tfm.ModelConfig(d_model=6, n_encoders=2, n_heads=2, dff=8,
                               max_pos=12, d_class=3, dropout_rate=0.0,
                               head=tfm.CLASSIFIER)
         params = tfm.init_params(cfg, seed=1)
         rng = ad.seeded_rng(9)
         seqs = [synth.random_sequence(rng, 12, 6, n_real=n) for n in (3, 12, 1, 7, 5)]
-        logits = tr.forward_batches(params, cfg, seqs, batch_size=3)
+        # batches of lengths (1, 3, 5) and (7, 12)
+        monkeypatch.setattr(tr, "BATCH_ROWS", 24)
+        logits = tr.forward_batches(params, cfg, seqs)
         for row, s in zip(logits, seqs):
             single = tfm.forward(s.tokens, s.n_real, cfg, params).data
             assert np.allclose(row, single, rtol=0, atol=1e-6)
@@ -669,15 +672,16 @@ class TestForwardBatches:
             return forward(tokens, n_real, *args, **kwargs)
 
         monkeypatch.setattr(tfm, "forward", spy)
-        logits = tr.forward_batches(params, cfg, seqs, batch_size=2)
-        assert lengths == [1, 12, 12]
+        monkeypatch.setattr(tr, "BATCH_ROWS", 12)
+        logits = tr.forward_batches(params, cfg, seqs)
+        assert lengths == [1, 7, 12, 12]
         assert logits.shape == (5, 3)
         for row, single in zip(logits, singles):
             assert np.allclose(row, single, rtol=0, atol=1e-6)
 
 
 class TestBatchRows:
-    """Inference batches are bounded by padded rows as well as by count."""
+    """Inference batches are bounded by padded rows alone."""
 
     LENGTHS = (5, 1, 12, 3, 3, 9, 2, 12, 4, 1, 7, 6, 2, 11, 3)
 
@@ -705,22 +709,32 @@ class TestBatchRows:
         rng = ad.seeded_rng(seed)
         return [synth.random_sequence(rng, 12, 6, n_real=n) for n in lengths]
 
-    @pytest.mark.parametrize("rows, batch_size", [(12, 32), (20, 4), (24, 3), (512, 32)])
-    def test_no_batch_passes_either_bound(self, monkeypatch, rows, batch_size):
+    @pytest.mark.parametrize("rows", [12, 20, 24, 512])
+    def test_no_batch_passes_the_row_bound(self, monkeypatch, rows):
         cfg, params = self.model()
         monkeypatch.setattr(tr, "BATCH_ROWS", rows)
         shapes = self.batch_shapes(monkeypatch)
-        tr.forward_batches(params, cfg, self.sequences(1), batch_size=batch_size)
+        tr.forward_batches(params, cfg, self.sequences(1))
         assert sum(count for count, _ in shapes) == len(self.LENGTHS)
         for count, longest in shapes:
-            assert count <= batch_size
             assert count == 1 or count * longest <= rows, (count, longest)
-        # each batch closes only when the next sequence would pass a bound
+        # each batch closes only when the next sequence would pass the bound
         ordered = sorted(self.LENGTHS)
         lo = 0
         for count, _ in shapes[:-1]:
             lo += count
-            assert count == batch_size or (count + 1) * ordered[lo] > rows
+            assert (count + 1) * ordered[lo] > rows
+
+    def test_many_short_sequences_share_one_forward(self, monkeypatch):
+        cfg, params = self.model(seed=6)
+        seqs = self.sequences(7, lengths=(1,) * 40)
+        singles = np.stack([tfm.forward(s.tokens, s.n_real, cfg, params).data
+                            for s in seqs])
+        shapes = self.batch_shapes(monkeypatch)
+        logits = tr.forward_batches(params, cfg, seqs)
+        # 40 rows are far inside BATCH_ROWS: no count closes the batch
+        assert shapes == [(40, 1)]
+        assert np.allclose(logits, singles, rtol=0, atol=1e-6)
 
     def test_sequence_longer_than_budget_runs_alone(self, monkeypatch):
         cfg, params = self.model()
@@ -879,10 +893,11 @@ class TestPackedRows:
         cfg, params, samples = mixed_batch(2, tfm.CLASSIFIER, lengths=(8, 1, 3, 6, 2))
         seqs = [BeatSequence(t) for t, _ in samples]
         seen = self.weight_rows(monkeypatch, params)
-        tr.forward_batches(params, cfg, seqs, batch_size=2)
-        assert [rows for name, rows in seen if name == "forward"] == [1 + 2, 3 + 6, 8]
+        monkeypatch.setattr(tr, "BATCH_ROWS", 12)
+        tr.forward_batches(params, cfg, seqs)
+        assert [rows for name, rows in seen if name == "forward"] == [1 + 2 + 3, 6, 8]
         assert len(seen) == 3 * (1 + 6 * cfg.n_encoders + 1)
-        self.assert_real_rows_only(seen, [2, 2, 1])
+        self.assert_real_rows_only(seen, [3, 1, 1])
 
     @pytest.mark.parametrize("mode", [tr.PRETRAIN, tr.CLASSIFY])
     def test_batch_gradient_is_mean_of_single_gradients(self, mode):
