@@ -2,7 +2,7 @@
 
 Just enough machinery for the encoder model: matmul with broadcastable
 batch dimensions, elementwise arithmetic, softmax, reductions, masking,
-dropout, row gather/scatter, fused linear, attention-head layout,
+dropout, mean over runs of rows, fused linear, attention-head layout,
 attention core, (residual) layer norm and BCE-with-logits nodes, and a
 topological backward sweep. Data lives in numpy arrays; float64 is the
 default so gradient checks are meaningful, float32 is the training dtype.
@@ -273,30 +273,6 @@ def take(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def _scatter(x2: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    out = np.zeros(shape, dtype=x2.dtype)
-    out.reshape(-1, shape[-1])[rows] = x2
-    return out
-
-
-def gather_rows(a, rows) -> Tensor:
-    """The rows of `a` ([..., d], seen as [rows, d]) at flat positions
-    `rows`, as [len(rows), d]. Rows must not repeat: the backward writes
-    each gradient row back by plain assignment (scatter_rows' forward)."""
-    a = _as_tensor(a)
-    data = a.data.reshape(-1, a.shape[-1])[rows]
-    return _make(data, (a,), lambda g: ((a, _scatter(g, rows, a.shape)),))
-
-
-def scatter_rows(a, rows, shape) -> Tensor:
-    """Zeros of `shape` ([..., d]) holding the rows of `a` ([len(rows), d])
-    at flat row positions `rows`; the inverse of gather_rows, whose
-    forward is its backward."""
-    a = _as_tensor(a)
-    return _make(_scatter(a.data, rows, shape), (a,),
-                 lambda g: ((a, g.reshape(-1, g.shape[-1])[rows]),))
-
-
 def _to_heads(x2: np.ndarray, at: tuple, shape: tuple) -> np.ndarray:
     out = np.zeros(shape, dtype=x2.dtype)
     out[at] = x2.reshape(-1, shape[1], shape[3])
@@ -326,6 +302,19 @@ def merge_heads(a, rows) -> Tensor:
 
 
 # -- reductions ----------------------------------------------------------
+
+def mean_rows(a, counts) -> Tensor:
+    """The mean of each run of rows of `a` [N, d], the runs counts[i] rows
+    long and back to back, as [len(counts), d]; the backward spreads each
+    run's gradient, scaled by 1/counts[i], over its rows."""
+    a = _as_tensor(a)
+    counts = np.asarray(counts)
+    scale = (1.0 / counts.astype(np.float64)).astype(a.dtype)[:, None]
+    ends = np.cumsum(counts)
+    data = np.stack([a.data[e - n : e].sum(axis=0) for e, n in zip(ends, counts)])
+    data *= scale
+    return _make(data, (a,), lambda g: ((a, np.repeat(g * scale, counts, axis=0)),))
+
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)

@@ -160,16 +160,21 @@ def adam_step(params: dict, state: AdamState, cfg: OptimizerConfig,
 
 
 def mse_loss(pred: Tensor, target: np.ndarray, target_mask) -> Tensor:
-    """Mean squared error over unmasked positions, all dims pooled.
+    """Mean squared error over supervised positions, all dims pooled.
 
-    target_mask is true at supervised positions ([S] or [B, S]); only
-    those rows of pred enter the graph.
+    target_mask is true at target's supervised positions ([S] or [B, S]
+    over target [S, d] or [B, S, d]); pred holds one row per supervised
+    position, in order, as [n_supervised, d], the packed rows the
+    generative head returns. A pred of another row count is a ValueError.
     """
-    mask = np.broadcast_to(np.asarray(target_mask, dtype=bool), pred.shape[:-1])
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
+    target = np.asarray(target)
+    rows = target[np.broadcast_to(np.asarray(target_mask, dtype=bool), target.shape[:-1])]
+    if rows.shape[0] == 0:
         raise ValueError("target_mask leaves no supervised positions")
-    diff = ad.sub(ad.gather_rows(pred, rows), target[mask])
+    if pred.shape[0] != rows.shape[0]:
+        raise ValueError(f"pred has {pred.shape[0]} rows but target_mask marks "
+                         f"{rows.shape[0]} supervised positions")
+    diff = ad.sub(pred, rows)
     return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / diff.size)
 
 
@@ -310,28 +315,36 @@ def multi_hot(indices, d_class: int) -> np.ndarray:
     return out
 
 
+def _check_sequence(name: str, seq, labelled: bool, config: tf.ModelConfig,
+                   require_labels: bool) -> None:
+    """The checks every training or inference sequence passes, each error
+    naming the sequence: a token width other than config.d_model is a
+    CheckpointMismatchError, more beats than config.max_pos a ConfigError,
+    and no labels where they are required a FormatError."""
+    if seq.d_model != config.d_model:
+        raise CheckpointMismatchError(f"{name}: token width d_model={seq.d_model} does "
+                                      f"not match model.d_model={config.d_model}")
+    if seq.n_real > config.max_pos:
+        raise ConfigError(f"{name}: {seq.n_real} beats exceed "
+                          f"model.max_pos={config.max_pos}")
+    if require_labels and not labelled:
+        raise FormatError(f"{name}: record has no labels but labels are required")
+
+
 def load_dataset(manifest, config: tf.ModelConfig,
                  require_labels: bool = False) -> list:
     """List of (BeatSequence, multi-hot or None), one per manifest entry.
 
     manifest is a manifest path or the list load_manifest parsed from one.
-    A cache whose width is not config.d_model is a CheckpointMismatchError,
-    and a cache longer than config.max_pos, or a class index outside
-    config.d_class, a ConfigError; each names the cache.
+    Each cache passes _check_sequence, and a class index outside
+    config.d_class is a ConfigError; each error names the cache.
     """
     entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     out = []
     for cache, indices in entries:
         seq = load_tokens(cache)
-        if seq.d_model != config.d_model:
-            raise CheckpointMismatchError(f"{cache}: token width {seq.d_model} does not "
-                                          f"match model.d_model={config.d_model}")
-        if seq.n_real > config.max_pos:
-            raise ConfigError(f"{cache}: {seq.n_real} beats exceed "
-                              f"model.max_pos={config.max_pos}")
+        _check_sequence(cache, seq, indices is not None, config, require_labels)
         if indices is None:
-            if require_labels:
-                raise FormatError(f"{cache}: record has no labels but labels are required")
             out.append((seq, None))
             continue
         try:
@@ -476,7 +489,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     in out_dir.
 
     manifest: path to a manifest file, or a preloaded list of
-    (BeatSequence, multi-hot/None) pairs. mode selects the head:
+    (BeatSequence, multi-hot/None) pairs, each checked as load_dataset
+    checks a cache before out_dir is touched. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs, sample count and trained
@@ -509,13 +523,10 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
         dataset = load_dataset(entries, config, require_labels=(mode == CLASSIFY))
     else:
         dataset = list(manifest)
+        for i, (seq, y) in enumerate(dataset):
+            _check_sequence(f"sequence {i}", seq, y is not None, config, mode == CLASSIFY)
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
-    wrong = [seq.d_model for seq, _ in dataset if seq.d_model != config.d_model]
-    if wrong:
-        raise CheckpointMismatchError(
-            f"token caches have d_model={wrong[0]} but the model is configured "
-            f"with d_model={config.d_model}")
 
     # next-beat pre-training needs a second beat to predict
     samples = [(seq.tokens, y) for seq, y in dataset

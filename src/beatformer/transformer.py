@@ -139,17 +139,16 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
             training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Run the encoder stack on token sequences.
 
-    tokens: [batch, seq, d_model] with one count of unpadded positions per
-    row in n_real, or a single [seq, d_model] sequence with a scalar n_real.
-    Only the real beats are computed: their N = sum(n_real) rows are
-    gathered once and packed sequence by sequence, and padded positions
-    exist only inside attention. The generative head returns per-position
-    predictions in the tokens' layout, zero at padded positions; the
-    classifier head mean-pools each sequence's real rows and returns
-    per-class logits. Training draws every dropout mask from rng, in
-    forward order.
+    tokens: an array [batch, seq, d_model] with one count of unpadded
+    positions per row in n_real, or a single [seq, d_model] sequence with a
+    scalar n_real. Only the real beats are computed: their N = sum(n_real)
+    rows are packed sequence by sequence, and padded positions exist only
+    inside attention. The generative head returns its per-position
+    predictions as those packed [N, d_model] rows; the classifier head
+    mean-pools each sequence's real rows and returns per-class logits.
+    Training draws every dropout mask from rng, in forward order.
     """
-    x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
+    x = Tensor(tokens).data  # float32 stays float32, anything else is float64
     counts = np.atleast_1d(np.asarray(n_real, dtype=np.int64))
     seq = x.shape[-2]  # multi_head_attention rejects seq > max_pos
     if counts.size != (x.shape[0] if x.ndim == 3 else 1):
@@ -159,18 +158,14 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
     # flat positions b*seq + p of the real beats, each sequence's run contiguous
     rows = np.flatnonzero(np.arange(seq) < counts[:, None])
     pe = positional_encoding(seq, config.d_model, dtype=x.dtype)
-    h = ad.add(ad.gather_rows(x, rows), pe[rows % seq])
+    h = Tensor(x.reshape(-1, x.shape[-1])[rows] + pe[rows % seq])
     allowed = build_attention_mask(counts, seq, config.causal)
     for i in range(config.n_encoders):
         h = encoder_layer(h, params, f"enc{i}", allowed, config, rows, training, rng)
 
     if config.head == GENERATIVE:
-        out = _linear(h, params, "head")
-        return ad.scatter_rows(out, rows, x.shape[:-1] + out.shape[-1:])
-    padded = ad.scatter_rows(h, rows, (counts.size, seq, config.d_model))
-    pooled = ad.mul(ad.sum_(padded, axis=-2),
-                    (1.0 / counts.astype(np.float64)).astype(h.dtype)[:, None])
-    out = _linear(pooled, params, "head")
+        return _linear(h, params, "head")
+    out = _linear(ad.mean_rows(h, counts), params, "head")
     return ad.reshape(out, out.shape[1:]) if x.ndim == 2 else out
 
 

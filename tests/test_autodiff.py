@@ -255,20 +255,45 @@ class TestShapeOps:
         # row 0 taken twice -> gradient 2
         assert np.array_equal(x.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1], [0, 0, 0]])
 
-    def test_gather_rows_gradient(self):
-        x = rand((2, 4, 3), 50)
-        rows = np.array([0, 1, 4, 5, 6])
-        assert np.array_equal(ad.gather_rows(x, rows).data,
-                              x.data.reshape(8, 3)[rows])
-        check_grads(lambda: project(ad.gather_rows(x, rows), 51), [x])
+    def test_mean_rows_value_and_gradient(self):
+        counts = np.array([3, 1, 4, 2])  # ragged runs, one of a single row
+        x = rand((10, 3), 50)
+        out = ad.mean_rows(x, counts)
+        starts = np.cumsum(counts) - counts
+        ref = [x.data[s : s + n].mean(axis=0) for s, n in zip(starts, counts)]
+        assert np.allclose(out.data, ref, rtol=1e-15, atol=0)
+        check_grads(lambda: project(ad.mean_rows(x, counts), 51), [x])
 
-    def test_scatter_rows_gradient(self):
-        x = rand((5, 3), 52)
-        rows = np.array([0, 1, 4, 5, 6])
-        out = ad.scatter_rows(x, rows, (2, 4, 3))
-        assert np.array_equal(out.data.reshape(8, 3)[rows], x.data)
-        assert not out.data.reshape(8, 3)[[2, 3, 7]].any()
-        check_grads(lambda: project(ad.scatter_rows(x, rows, (2, 4, 3)), 53), [x])
+    def test_mean_rows_matches_padded_pooling_bit_for_bit(self):
+        # the classifier pooling mean_rows replaced, copied as it was: scatter
+        # the packed rows into a zeroed [B, S, d], sum over S, scale by 1/count
+        def _scatter(x2, rows, shape):
+            out = np.zeros(shape, dtype=x2.dtype)
+            out.reshape(-1, shape[-1])[rows] = x2
+            return out
+
+        def scatter_rows(a, rows, shape):
+            a = ad._as_tensor(a)
+            return ad._make(_scatter(a.data, rows, shape), (a,),
+                            lambda g: ((a, g.reshape(-1, g.shape[-1])[rows]),))
+
+        counts, seq, d = np.array([7, 1, 50, 23, 2]), 50, 1000
+        rows = np.flatnonzero(np.arange(seq) < counts[:, None])
+        h = Tensor(ad.seeded_rng(52).normal(size=(rows.size, d)).astype(np.float32),
+                   requires_grad=True)
+        g = ad.seeded_rng(53).normal(size=(counts.size, d)).astype(np.float32)
+
+        padded = scatter_rows(h, rows, (counts.size, seq, d))
+        pooled = ad.mul(ad.sum_(padded, axis=-2),
+                        (1.0 / counts.astype(np.float64)).astype(h.dtype)[:, None])
+        ad.sum_(ad.mul(pooled, g)).backward()
+        ref_grad, h.grad = h.grad, None
+
+        out = ad.mean_rows(h, counts)
+        ad.sum_(ad.mul(out, g)).backward()
+        assert out.dtype == pooled.dtype == np.float32
+        assert np.array_equal(out.data, pooled.data)
+        assert np.array_equal(h.grad, ref_grad)
 
     @staticmethod
     def packed(counts, seq, d):
