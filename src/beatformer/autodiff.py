@@ -480,15 +480,13 @@ def bce_with_logits(z, y) -> Tensor:
     return _make(data, (z,), lambda g: ((z, g * (logistic(x) - y) / x.size),))
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors."""
+def dropout(x, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout by a mask drawn from rng; without one, the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return _as_tensor(x)
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     x = _as_tensor(x)
+    if rng is None or rate == 0.0:
+        return x
     keep = rng.random(x.shape, dtype=x.data.dtype) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
     data = x.data * keep * scale

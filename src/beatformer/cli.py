@@ -36,6 +36,11 @@ from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, Empt
                      FormatError, InconsistencyError, NoBeatsError)
 
 
+# highest data.target_fs accepted: ample for ECG, which is sampled at a few
+# kHz at most, and far below rates whose resampled lengths overflow an array
+MAX_TARGET_FS = 1e5
+
+
 @dataclass
 class PipelineConfig:
     model: tf.ModelConfig = field(default_factory=tf.ModelConfig)
@@ -89,6 +94,9 @@ def build_config(file_values: dict | None = None,
         if not 0 < getattr(cfg, name) < np.inf:
             raise ConfigError(
                 f"data.{name} must be positive and finite, got {getattr(cfg, name)}")
+    if cfg.target_fs > MAX_TARGET_FS:
+        raise ConfigError(
+            f"data.target_fs must be at most {MAX_TARGET_FS:g} Hz, got {cfg.target_fs:g}")
     if cfg.detector not in DETECTORS:
         raise ConfigError(
             f"unknown detector {cfg.detector!r}; choose from {sorted(DETECTORS)}")
@@ -250,7 +258,8 @@ def _load_for_inference(checkpoint: str, command: str):
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     mcfg, ocfg, params = _load_for_inference(args.checkpoint, "evaluate")
-    dataset = training.load_dataset(_require_manifest(cfg), mcfg, require_labels=True)
+    entries = training.load_manifest(_require_manifest(cfg))
+    dataset = training.load_dataset(entries, mcfg, require_labels=True)
     metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
     print(json.dumps(metrics, indent=2))
     return 0

@@ -37,12 +37,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie strictly in (0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # training runs in float32, where a larger epsilon overflows
+        if not 0.0 < self.epsilon <= float(np.finfo(np.float32).max):
+            raise ValueError(f"epsilon must be positive and finite in float32, "
+                             f"got {self.epsilon}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
+        if self.d_model < 1:
+            raise ValueError(f"optim.d_model must be >= 1, got {self.d_model}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -222,8 +226,8 @@ def forward_batches(params: dict, config: tf.ModelConfig, sequences: list) -> np
         if not batches or (len(batches[-1]) + 1) * lengths[i] > BATCH_ROWS:
             batches.append([])
         batches[-1].append(i)
-    outs = [tf.forward(*pad_batch([sequences[i].tokens for i in b]), config, params,
-                       training=False).data for b in batches]
+    outs = [tf.forward(*pad_batch([sequences[i].tokens for i in b]), config, params).data
+            for b in batches]
     return np.concatenate(outs, axis=0)[np.argsort(order)]
 
 
@@ -331,15 +335,13 @@ def _check_sequence(name: str, seq, labelled: bool, config: tf.ModelConfig,
         raise FormatError(f"{name}: record has no labels but labels are required")
 
 
-def load_dataset(manifest, config: tf.ModelConfig,
+def load_dataset(entries: list, config: tf.ModelConfig,
                  require_labels: bool = False) -> list:
-    """List of (BeatSequence, multi-hot or None), one per manifest entry.
+    """List of (BeatSequence, multi-hot or None), one per load_manifest entry.
 
-    manifest is a manifest path or the list load_manifest parsed from one.
     Each cache passes _check_sequence, and a class index outside
     config.d_class is a ConfigError; each error names the cache.
     """
-    entries = manifest if isinstance(manifest, list) else load_manifest(manifest)
     out = []
     for cache, indices in entries:
         seq = load_tokens(cache)
@@ -593,8 +595,7 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
             epoch, k = divmod(step, per_epoch)
             order = ad.seeded_rng(seed, "shuffle", epoch + 1).permutation(len(samples))
             rng = ad.seeded_rng(seed, "dropout", step + 1)
-            loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], mode,
-                               config, params, rng)
+            loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], config, params, rng)
             last_loss = float(loss.item())
             # adam_step writes the weights during the sweep: check first, and
             # leave the checkpoint of the last finite step
@@ -640,15 +641,14 @@ def _check_moments(path: str, state: AdamState, trainable: dict) -> None:
                 f"here; resume with --freeze-trunk exactly when the interrupted run used it")
 
 
-def _batch_loss(samples: list, batch_idx: np.ndarray, mode: str,
-                config: tf.ModelConfig, params: dict,
-                rng: np.random.Generator) -> Tensor:
+def _batch_loss(samples: list, batch_idx: np.ndarray, config: tf.ModelConfig,
+                params: dict, rng: np.random.Generator) -> Tensor:
     tokens, n_real = pad_batch([samples[i][0] for i in batch_idx])
-    if mode == PRETRAIN:
+    if config.head == tf.GENERATIVE:
         # teacher forcing: position i sees beats 0..i and predicts beat i+1
         inputs, targets, counts = tokens[:, :-1], tokens[:, 1:], n_real - 1
-        out = tf.forward(inputs, counts, config, params, training=True, rng=rng)
+        out = tf.forward(inputs, counts, config, params, rng=rng)
         return mse_loss(out, targets, np.arange(inputs.shape[1]) < counts[:, None])
     labels = np.stack([samples[i][1] for i in batch_idx])
-    logits = tf.forward(tokens, n_real, config, params, training=True, rng=rng)
+    logits = tf.forward(tokens, n_real, config, params, rng=rng)
     return bce_loss(logits, labels.astype(tokens.dtype))

@@ -117,26 +117,25 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str,
 
 def encoder_layer(x: Tensor, params: dict, prefix: str,
                   allowed: np.ndarray, config: ModelConfig, rows: np.ndarray,
-                  training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Post-norm residual block: LN(x + Drop(MHA(x))), then LN(a + Drop(FFN(a))).
 
     x is [N, d_model], packed as multi_head_attention takes it; every op
-    but the attention core runs on those N rows alone. In training both
-    dropout masks are drawn from rng, in that order.
+    but the attention core runs on those N rows alone. Given an rng
+    (training), both dropout masks are drawn from it, in that order.
     """
     rate = config.dropout_rate
     attn = multi_head_attention(x, params, f"{prefix}.attn", allowed, config, rows)
     a1 = ad.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"],
-                       residual=ad.dropout(attn, rate, training, rng))
+                       residual=ad.dropout(attn, rate, rng))
     hidden = ad.relu(_linear(a1, params, f"{prefix}.ffn.w1"))
     ff = _linear(hidden, params, f"{prefix}.ffn.w2")
     return ad.layer_norm(a1, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"],
-                         residual=ad.dropout(ff, rate, training, rng))
+                         residual=ad.dropout(ff, rate, rng))
 
 
 def forward(tokens, n_real, config: ModelConfig, params: dict,
-            training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+            rng: np.random.Generator | None = None) -> Tensor:
     """Run the encoder stack on token sequences.
 
     tokens: an array [batch, seq, d_model] with one count of unpadded
@@ -146,7 +145,8 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
     inside attention. The generative head returns its per-position
     predictions as those packed [N, d_model] rows; the classifier head
     mean-pools each sequence's real rows and returns per-class logits.
-    Training draws every dropout mask from rng, in forward order.
+    Dropout runs only when rng is given (training), every mask drawn from
+    it in forward order.
     """
     x = Tensor(tokens).data  # float32 stays float32, anything else is float64
     counts = np.atleast_1d(np.asarray(n_real, dtype=np.int64))
@@ -161,7 +161,7 @@ def forward(tokens, n_real, config: ModelConfig, params: dict,
     h = Tensor(x.reshape(-1, x.shape[-1])[rows] + pe[rows % seq])
     allowed = build_attention_mask(counts, seq, config.causal)
     for i in range(config.n_encoders):
-        h = encoder_layer(h, params, f"enc{i}", allowed, config, rows, training, rng)
+        h = encoder_layer(h, params, f"enc{i}", allowed, config, rows, rng)
 
     if config.head == GENERATIVE:
         return _linear(h, params, "head")

@@ -478,38 +478,34 @@ class TestBceWithLogits:
 class TestDropout:
     def test_inference_identity(self):
         x = rand((5, 5), 45)
-        out = ad.dropout(x, 0.1, training=False)
+        out = ad.dropout(x, 0.1)
         assert np.array_equal(out.data, x.data)
 
     def test_rate_zero_identity(self):
         x = rand((5, 5), 46)
-        out = ad.dropout(x, 0.0, training=True, rng=ad.seeded_rng(0))
+        out = ad.dropout(x, 0.0, rng=ad.seeded_rng(0))
         assert np.array_equal(out.data, x.data)
 
     def test_law_of_large_numbers(self):
         x = Tensor(np.ones(1_000_000))
-        out = ad.dropout(x, 0.1, training=True, rng=ad.seeded_rng(47)).data
+        out = ad.dropout(x, 0.1, rng=ad.seeded_rng(47)).data
         assert abs(out.mean() - 1.0) < 0.01
         assert abs(np.mean(out == 0.0) - 0.1) < 0.01
 
     def test_reproducible_given_seed(self):
         x = Tensor(np.ones((100, 100)))
-        a = ad.dropout(x, 0.3, training=True, rng=ad.seeded_rng(5, 7)).data
-        b = ad.dropout(x, 0.3, training=True, rng=ad.seeded_rng(5, 7)).data
+        a = ad.dropout(x, 0.3, rng=ad.seeded_rng(5, 7)).data
+        b = ad.dropout(x, 0.3, rng=ad.seeded_rng(5, 7)).data
         assert np.array_equal(a, b)
 
     def test_gradient_matches_mask(self):
         # dropout is not FD-checkable (mask depends on the rng call), but
         # its backward must scale exactly like its forward
         x = Tensor(ad.seeded_rng(48).normal(size=(20, 20)), requires_grad=True)
-        out = ad.dropout(x, 0.25, training=True, rng=ad.seeded_rng(49))
+        out = ad.dropout(x, 0.25, rng=ad.seeded_rng(49))
         scale_mask = np.where(out.data != 0.0, 1.0 / 0.75, 0.0)
         ad.sum_(out).backward()
         assert np.allclose(x.grad, scale_mask)
-
-    def test_training_requires_rng(self):
-        with pytest.raises(ValueError):
-            ad.dropout(Tensor(np.ones(3)), 0.5, training=True)
 
 
 class TestMaskedFill:

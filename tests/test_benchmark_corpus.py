@@ -24,8 +24,8 @@ def test_train_workload_caches_load(tmp_path):
     load_corpus().generate("train", 7, str(tmp_path))
     truth = json.loads((tmp_path / "truth.json").read_text())
     config = tf.ModelConfig(head=tf.CLASSIFIER)
-    dataset = training.load_dataset(str(tmp_path / "tokens" / "manifest.tsv"), config,
-                                    require_labels=True)
+    entries = training.load_manifest(str(tmp_path / "tokens" / "manifest.tsv"))
+    dataset = training.load_dataset(entries, config, require_labels=True)
     assert len(dataset) == len(truth["sequences"]) > 0
     for (seq, labels), entry in zip(dataset, truth["sequences"]):
         cache = tmp_path / "tokens" / entry["cache"]

@@ -4,7 +4,7 @@ import json
 import os
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1141,6 +1141,11 @@ class TestBadInputIsAnErrorLine:
         ("pretrain", [], "optim.epsilon=inf", "epsilon must be positive and finite"),
         ("pretrain", [], "optim.threshold=nan", "threshold must lie in [0, 1]"),
         ("pretrain", [], "optim.threshold=-0.5", "threshold must lie in [0, 1]"),
+        ("pretrain", [], "optim.d_model=0", "optim.d_model must be >= 1, got 0"),
+        ("pretrain", [], "optim.d_model=-4", "optim.d_model must be >= 1, got -4"),
+        ("pretrain", [], "optim.epsilon=1e300", "epsilon must be positive and finite"),
+        ("preprocess", [], "data.target_fs=1e20", "data.target_fs must be at most 100000 Hz"),
+        ("preprocess", [], "data.target_fs=1e300", "data.target_fs must be at most 100000 Hz"),
     ])
     def test_out_of_range_setting(self, token_workspace, record_dir, capsys,
                                   command, flags, line, message):
@@ -1341,3 +1346,69 @@ class TestBadInputIsAnErrorLine:
         assert rc == 1
         err = error_line(capsys)
         assert str(old) in err and "version 1" in err
+
+
+# every config key, by section; data.* keys drive preprocess, the others pretrain
+SWEEP_KEYS = ([f"model.{f.name}" for f in fields(tfm.ModelConfig)]
+              + [f"optim.{f.name}" for f in fields(tr.OptimizerConfig)]
+              + [f"data.{f.name}" for f in fields(cli.PipelineConfig)
+                 if f.name not in ("model", "optim")])
+# no integer above 1, so no value starts a second worker or sizes a large model
+SWEEP_VALUES = ["0", "-1", "1", "nan", "inf", "-inf", "1e300", "", "x"]
+
+
+class TestMalformedConfigSweep:
+    """Each config key at each malformed value ends one of three ways: exit 1
+    with one `error:` line, skip lines, or exit 0; never a traceback."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """One short record for preprocess; two tiny caches for pretrain."""
+        records = tmp_path / "records"
+        records.mkdir()
+        synth.wavelet_csv(records / "r.csv", duration_s=4.0)
+        rng = ad.seeded_rng(9)
+        for i, n in enumerate((3, 5)):
+            save_tokens(str(tmp_path / f"s{i}.tokens"),
+                        synth.random_sequence(rng, 50, 8, n_real=n))
+        (tmp_path / "manifest.tsv").write_text("s0.tokens\t0\ns1.tokens\t1\n")
+        return tmp_path
+
+    @staticmethod
+    def ending(argv, out_dir, capsys):
+        """How the command ended, or what was wrong with the ending."""
+        try:
+            rc = main(argv)
+        except Exception as exc:  # out of main, it would be a traceback
+            return f"traceback: {type(exc).__name__}: {exc}"
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        if rc == 1 and len(err) == 1 and err[0].startswith("error: "):
+            return "error"
+        skips = out_dir / "skip_report.txt"
+        if not err and skips.is_file() and skips.read_text():
+            return "skip"
+        if rc == 0 and not err:
+            return "ok"
+        return f"exit {rc} with stderr {captured.err!r}"
+
+    @pytest.mark.parametrize("key", SWEEP_KEYS)
+    def test_each_value_ends_cleanly(self, inputs, capsys, monkeypatch, key):
+        bad = {}
+        for i, value in enumerate(SWEEP_VALUES):
+            run = inputs / f"run{i}"
+            run.mkdir()
+            monkeypatch.chdir(run)  # a relative data.out_dir lands here
+            if key.startswith("data."):
+                lines = {"data.out_dir": "out", key: value}
+                argv = ["preprocess", str(inputs / "records")]
+            else:
+                lines = {key: value}
+                argv = ["pretrain", "--manifest", str(inputs / "manifest.tsv"),
+                        "--out", "out", "--max-steps", "1"]
+            (run / "c.cfg").write_text(small_cfg_text(**lines))
+            out_dir = run / lines.get("data.out_dir", "out")
+            end = self.ending(argv + ["--config", str(run / "c.cfg")], out_dir, capsys)
+            if end not in ("error", "skip", "ok"):
+                bad[value] = end
+        assert not bad, f"{key}: {bad}"

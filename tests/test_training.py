@@ -199,7 +199,9 @@ class TestAdam:
             tr.OptimizerConfig(epochs=-1)
 
     @pytest.mark.parametrize("line", ["optim.epsilon=nan", "optim.epsilon=inf",
-                                      "optim.threshold=nan", "optim.threshold=1.5"])
+                                      "optim.epsilon=1e300", "optim.threshold=nan",
+                                      "optim.threshold=1.5", "optim.d_model=0",
+                                      "optim.d_model=-4"])
     def test_checkpoint_header_value_refused(self, tmp_path, line):
         mcfg = tiny_model()
         params = tfm.init_params(mcfg, seed=0)
@@ -234,8 +236,8 @@ class TestFusedAdam:
     """adam_step(..., loss) updates each weight inside the backward sweep."""
 
     def loss(self, cfg, params, trainable, samples, t):
-        loss = tr._batch_loss(samples, np.arange(len(samples)), tr.CLASSIFY, cfg,
-                              params, ad.seeded_rng(0, "dropout", t))
+        loss = tr._batch_loss(samples, np.arange(len(samples)), cfg, params,
+                              ad.seeded_rng(0, "dropout", t))
         if t == 1:  # later steps leave `extra` unreached, with non-zero moments
             loss = ad.add(loss, ad.sum_(ad.mul(trainable["extra"], 0.5)))
         return loss
@@ -408,7 +410,7 @@ class TestLosses:
 
 
 def pretrain_batch(monkeypatch, seqs):
-    """What _batch_loss feeds the encoder and the loss in pretrain mode:
+    """What _batch_loss feeds the encoder and the loss under the generative head:
     (inputs, counts, targets, target_mask) for one batch of `seqs`."""
     seen = {}
 
@@ -423,7 +425,7 @@ def pretrain_batch(monkeypatch, seqs):
     monkeypatch.setattr(tfm, "forward", forward)
     monkeypatch.setattr(tr, "mse_loss", mse)
     tr._batch_loss([(s.tokens, None) for s in seqs], np.arange(len(seqs)),
-                   tr.PRETRAIN, tiny_model(), {}, None)
+                   tiny_model().with_head(tfm.GENERATIVE), {}, None)
     return seen["inputs"], seen["counts"], seen["targets"], seen["mask"]
 
 
@@ -479,12 +481,11 @@ class TestPretrainPairs:
             inputs[b, : s.n_real - 1] = s.tokens[:-1]
             targets[b, : s.n_real - 1] = s.tokens[1:]
         counts = np.array([s.n_real - 1 for s in seqs])
-        out = tfm.forward(inputs, counts, cfg, params, training=True,
-                          rng=ad.seeded_rng(0, "dropout", 1))
+        out = tfm.forward(inputs, counts, cfg, params, rng=ad.seeded_rng(0, "dropout", 1))
         expect = tr.mse_loss(out, targets, np.arange(50) < counts[:, None])
 
-        loss = tr._batch_loss([(s.tokens, None) for s in seqs], np.arange(4),
-                              tr.PRETRAIN, cfg, params, ad.seeded_rng(0, "dropout", 1))
+        loss = tr._batch_loss([(s.tokens, None) for s in seqs], np.arange(4), cfg, params,
+                              ad.seeded_rng(0, "dropout", 1))
         # equal up to float32 rounding: attention's weights @ v contracts over
         # the batch length (50 there, 13 here), and the matmul kernel may
         # group the products differently for the two lengths
@@ -514,7 +515,7 @@ class TestBackwardGraph:
         rng = ad.seeded_rng(5, "batch")
         samples = [(rng.normal(size=(n, cfg.d_model)).astype(np.float32),
                     (rng.random(cfg.d_class) < 0.5).astype(np.int8)) for n in (2, 7, 4, 5)]
-        loss = tr._batch_loss(samples, np.arange(4), tr.CLASSIFY, cfg, params,
+        loss = tr._batch_loss(samples, np.arange(4), cfg, params,
                               ad.seeded_rng(5, "dropout", 1))
         return params, loss
 
@@ -834,7 +835,7 @@ class TestBackwardReleasesGraph:
             return out
 
         monkeypatch.setattr(ad, "_make", recording_make)
-        loss = tr._batch_loss(samples, np.arange(4), tr.CLASSIFY, cfg, params,
+        loss = tr._batch_loss(samples, np.arange(4), cfg, params,
                               ad.seeded_rng(0, "dropout", 1))
         monkeypatch.setattr(ad, "_make", make)
         assert any(t._backward_fn is not None for t in made)
@@ -894,13 +895,12 @@ class TestPackedRows:
     @pytest.mark.parametrize("head", [tfm.GENERATIVE, tfm.CLASSIFIER])
     def test_training_products_see_only_real_rows(self, monkeypatch, head):
         cfg, params, samples = mixed_batch(1, head)
-        mode = tr.PRETRAIN if head == tfm.GENERATIVE else tr.CLASSIFY
         seen = self.weight_rows(monkeypatch, params)
-        loss = tr._batch_loss(samples, np.arange(4), mode, cfg, params,
+        loss = tr._batch_loss(samples, np.arange(4), cfg, params,
                               ad.seeded_rng(0, "dropout", 1))
         loss.backward()
         # pretraining feeds n - 1 inputs per sequence
-        real = sum(len(t) for t, _ in samples) - (4 if mode == tr.PRETRAIN else 0)
+        real = sum(len(t) for t, _ in samples) - (4 if head == tfm.GENERATIVE else 0)
         assert seen[0] == ("forward", real)
         assert len(seen) == 1 + 6 * cfg.n_encoders + 1
         self.assert_real_rows_only(seen, [4] if head == tfm.CLASSIFIER else None)
@@ -915,20 +915,20 @@ class TestPackedRows:
         assert len(seen) == 3 * (1 + 6 * cfg.n_encoders + 1)
         self.assert_real_rows_only(seen, [3, 1, 1])
 
-    @pytest.mark.parametrize("mode", [tr.PRETRAIN, tr.CLASSIFY])
-    def test_batch_gradient_is_mean_of_single_gradients(self, mode):
-        head = tfm.GENERATIVE if mode == tr.PRETRAIN else tfm.CLASSIFIER
+    @pytest.mark.parametrize("head", [tfm.GENERATIVE, tfm.CLASSIFIER],
+                             ids=[tr.PRETRAIN, tr.CLASSIFY])
+    def test_batch_gradient_is_mean_of_single_gradients(self, head):
         cfg, params, samples = mixed_batch(3, head, dtype=np.float64)
 
         def grads(batch_idx):
             ad.zero_grads(params.values())
-            tr._batch_loss(samples, np.asarray(batch_idx), mode, cfg, params,
+            tr._batch_loss(samples, np.asarray(batch_idx), cfg, params,
                            ad.seeded_rng(0, "dropout", 1)).backward()
             return {n: p.grad.copy() for n, p in params.items()}
 
         batch = grads(range(len(samples)))
         # BCE averages over sequences, the masked MSE over supervised beats
-        counts = np.array([len(t) - 1 if mode == tr.PRETRAIN else 1 for t, _ in samples])
+        counts = np.array([len(t) - 1 if head == tfm.GENERATIVE else 1 for t, _ in samples])
         weights = counts / counts.sum()
         singles = [grads([i]) for i in range(len(samples))]
         for name, g in batch.items():
@@ -972,7 +972,7 @@ class TestManifest:
         seq = synth.random_sequence(rng, 50, 8, n_real=2)
         save_tokens(str(tmp_path / "a.tokens"), seq)
         (tmp_path / "man.tsv").write_text("a.tokens\t1\n")
-        data = tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model())
+        data = tr.load_dataset(tr.load_manifest(str(tmp_path / "man.tsv")), tiny_model())
         assert len(data) == 1
         assert np.array_equal(data[0][0].tokens, seq.tokens)
         assert data[0][1].tolist() == [0, 1, 0]
@@ -983,7 +983,7 @@ class TestManifest:
                     synth.random_sequence(rng, 50, 8, n_real=2))
         (tmp_path / "man.tsv").write_text("a.tokens\t\n")
         with pytest.raises(FormatError):
-            tr.load_dataset(str(tmp_path / "man.tsv"), tiny_model(),
+            tr.load_dataset(tr.load_manifest(str(tmp_path / "man.tsv")), tiny_model(),
                             require_labels=True)
 
 

@@ -236,9 +236,9 @@ class TestEncoderLayer:
         rows, allowed = packed([4])
         plain = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows).data
         noisy = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows,
-                                  training=True, rng=ad.seeded_rng(0, "drop")).data
+                                  rng=ad.seeded_rng(0, "drop")).data
         again = tfm.encoder_layer(x, params, "enc0", allowed, cfg, rows,
-                                  training=True, rng=ad.seeded_rng(0, "drop")).data
+                                  rng=ad.seeded_rng(0, "drop")).data
         assert not np.allclose(plain, noisy)
         assert np.array_equal(noisy, again)
 
