@@ -36,6 +36,9 @@ from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, Empt
                      FormatError, InconsistencyError, NoBeatsError)
 
 
+# lowest data.target_fs accepted: the R-peak detectors' own floor (dsp), which
+# no ECG rate falls below; far below it a token holds a handful of samples
+MIN_TARGET_FS = 100.0
 # highest data.target_fs accepted: ample for ECG, which is sampled at a few
 # kHz at most, and far below rates whose resampled lengths overflow an array
 MAX_TARGET_FS = 1e5
@@ -94,6 +97,9 @@ def build_config(file_values: dict | None = None,
         if not 0 < getattr(cfg, name) < np.inf:
             raise ConfigError(
                 f"data.{name} must be positive and finite, got {getattr(cfg, name)}")
+    if cfg.target_fs < MIN_TARGET_FS:
+        raise ConfigError(
+            f"data.target_fs must be at least {MIN_TARGET_FS:g} Hz, got {cfg.target_fs:g}")
     if cfg.target_fs > MAX_TARGET_FS:
         raise ConfigError(
             f"data.target_fs must be at most {MAX_TARGET_FS:g} Hz, got {cfg.target_fs:g}")

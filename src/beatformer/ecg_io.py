@@ -1,8 +1,9 @@
-"""Recording ingestion: CSV and 16-bit WFDB readers, gain scaling,
-resampling, peak-index rescaling, and label-set filtering."""
+"""Recording ingestion: CSV and 16-bit WFDB (.dat or .mat) readers, gain
+scaling, resampling, peak-index rescaling, and label-set filtering."""
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +151,13 @@ def _parse_gain_token(token: str, where: str) -> float:
 
 
 def _load_csv(path: str) -> EcgRecord:
+    lines = read_lines(path)
     fs = None
     gains = None
     labels = set()
     header = None
-    body = []           # sample rows, parsed together after the loop
-    body_lines = []     # their line numbers, for error messages
-    for lineno, raw in enumerate(read_lines(path), 1):
+    start = len(lines)  # the lines from here on are sample rows
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -174,11 +175,10 @@ def _load_csv(path: str) -> EcgRecord:
             elif key == "labels":
                 labels = {tok.strip() for tok in value.split(";") if tok.strip()}
             continue
-        if header is None:
-            header = [tok.strip() for tok in line.split(",")]
-            continue
-        body.append(line)
-        body_lines.append(lineno)
+        header = [tok.strip() for tok in line.split(",")]
+        start = lineno
+        break
+    body = lines[start:]
 
     if fs is None:
         raise FormatError(f"{path}: missing #fs= metadata line")
@@ -186,53 +186,78 @@ def _load_csv(path: str) -> EcgRecord:
         raise InvalidMetadataError(f"{path}: fs must be finite and > 0, got {fs}")
     if gains is None:
         raise FormatError(f"{path}: missing #gain= metadata line")
-    if header is None or not body:
+    if header is None or not any(map(str.strip, body)):
         raise FormatError(f"{path}: no lead header or no sample rows")
     width = len(header)
-    raw = _parse_rows(path, body, body_lines, width)
+    raw = _parse_rows(path, body, start, width)
     if len(gains) == 1:
         gains = gains * width
     if len(gains) != width:
         raise InconsistencyError(f"{path}: {len(gains)} gains for {width} leads")
-    _check_scaled_range(raw, gains, lambda row, lead: f"{path}:{body_lines[row]}")
+    _check_scaled_range(raw, gains,
+                        lambda row, lead: f"{path}:{_sample_rows(body, start)[row][0]}")
 
     raw /= np.asarray(gains, dtype=np.float64)
     return EcgRecord(raw.T, fs, header, labels,
                      os.path.splitext(os.path.basename(path))[0])
 
 
-def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarray:
-    """[rows, width] float64 from comma-separated sample rows, in one call.
+def _sample_rows(body: list, start: int) -> list:
+    """(file line number, stripped text) of each non-blank line of body, the
+    lines after file line `start`: the rows of what _parse_rows returns."""
+    return [(lineno, text) for lineno, line in enumerate(body, start + 1)
+            if (text := line.strip())]
 
-    When the bulk parse fails, the record is refused; its rows are parsed
+
+def _parse_counts(rows: list) -> np.ndarray:
+    """[rows, width] float64 from comma-separated rows, read in one call as
+    int64 counts; a value that is not one (1.5, 1e3, nan, beyond int64)
+    makes that call raise, and the rows are read as float64 instead."""
+    try:
+        counts = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return np.loadtxt(rows, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    return counts.astype(np.float64)
+
+
+def _parse_rows(path: str, body: list, start: int, width: int) -> np.ndarray:
+    """[rows, width] float64 from the sample lines body, the lines after
+    file line `start`; blank lines are skipped.
+
+    body goes to np.loadtxt whole. That skips empty lines but refuses
+    whitespace-only ones, so a failed parse is retried on the non-blank
+    lines. When that fails too, the record is refused; its rows are parsed
     one at a time only to name the fault: FormatError for the first row
     that is not all numbers, else InconsistencyError for the first row of
     the wrong width, else FormatError quoting the bulk parse. A NaN or
     infinite sample is a FormatError naming its line.
     """
     try:
-        raw = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
-                         ndmin=2)
-    except ValueError as exc:
-        rows = []
-        for line, lineno in zip(body, body_lines):
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
-        for row in rows:
-            if len(row) != width:
-                raise InconsistencyError(
-                    f"{path}: sample row has {len(row)} values for {width} leads")
-        # float() reads forms that loadtxt refuses, such as 1_000
-        raise FormatError(f"{path}: non-numeric sample row ({exc})") from exc
+        raw = _parse_counts(body)
+    except ValueError:
+        numbered = _sample_rows(body, start)
+        try:
+            raw = _parse_counts([line for _, line in numbered])
+        except ValueError as exc:
+            rows = []
+            for lineno, line in numbered:
+                try:
+                    rows.append([float(tok) for tok in line.split(",")])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
+            for row in rows:
+                if len(row) != width:
+                    raise InconsistencyError(
+                        f"{path}: sample row has {len(row)} values for {width} leads")
+            # float() reads forms that loadtxt refuses, such as 1_000
+            raise FormatError(f"{path}: non-numeric sample row ({exc})") from exc
     if raw.shape[1] != width:
         raise InconsistencyError(
             f"{path}: sample row has {raw.shape[1]} values for {width} leads")
     finite = np.isfinite(raw)
     if not finite.all():
-        lineno = body_lines[int(np.argmin(finite.all(axis=1)))]
-        raise FormatError(f"{path}:{lineno}: non-finite sample")
+        row = int(np.argmin(finite.all(axis=1)))
+        raise FormatError(f"{path}:{_sample_rows(body, start)[row][0]}: non-finite sample")
     return raw
 
 
@@ -299,36 +324,64 @@ def _load_wfdb(header_path: str) -> EcgRecord:
 
     gains = []
     lead_names = []
-    dat_names = set()
+    sample_files = set()    # (file name, byte offset) of each lead
     for i, line in enumerate(signal_lines[:num_leads]):
         toks = line.split()
         if len(toks) < 3:
             raise FormatError(f"{header_path}: signal line too short: {line!r}")
-        dat_names.add(toks[0])
-        if toks[1].split("x")[0] != "16":
+        # format 16, or 16+N: the samples start N bytes into the file
+        fmt, plus, offset = toks[1].partition("+")
+        if fmt.split("x")[0] != "16":
             raise FormatError(
                 f"{header_path}: only format 16 sample files are supported, got {toks[1]}")
+        if plus and not (offset.isascii() and offset.isdigit()):
+            raise FormatError(f"{header_path}: bad byte offset in format {toks[1]}")
+        sample_files.add((toks[0], int(offset or 0)))
         gains.append(_parse_gain_token(toks[2], f"{header_path} lead {i}"))
         last = toks[-1]
         lead_names.append(last if len(toks) > 3 and not _is_number(last) else f"ld{i}")
-    if len(dat_names) != 1:
+    if len({name for name, _ in sample_files}) != 1:
         raise FormatError(f"{header_path}: all leads must share one sample file")
+    if len(sample_files) != 1:
+        raise FormatError(f"{header_path}: all leads must share one byte offset")
 
-    dat_path = os.path.join(os.path.dirname(header_path), dat_names.pop())
+    dat_name, offset = sample_files.pop()
+    dat_path = os.path.join(os.path.dirname(header_path), dat_name)
     try:
-        raw = np.fromfile(dat_path, dtype="<i2")
+        if dat_name.lower().endswith(".mat"):
+            _check_mat_prefix(dat_path, offset, num_leads, num_samples)
+        nbytes = os.path.getsize(dat_path) - offset
+        if nbytes != 2 * num_leads * num_samples:
+            raise InconsistencyError(
+                f"{dat_path}: {nbytes} bytes after offset {offset}, header promises "
+                f"{num_leads} x {num_samples} 16-bit samples")
+        raw = np.fromfile(dat_path, dtype="<i2", offset=offset)
     except OSError as exc:
         raise FormatError(f"cannot read sample file {dat_path}: {exc}") from exc
-    if raw.size != num_leads * num_samples:
-        raise InconsistencyError(
-            f"{dat_path}: {raw.size} samples on disk, header promises "
-            f"{num_leads} x {num_samples}")
     raw = raw.reshape(num_samples, num_leads)
     _check_scaled_range(raw, gains,
                         lambda row, lead: f"{dat_path} lead {lead_names[lead]}, sample {row}")
     leads = raw.T.astype(np.float64)
     leads /= np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, lead_names, labels, name)
+
+
+def _check_mat_prefix(path: str, offset: int, num_leads: int, num_samples: int) -> None:
+    """FormatError naming the first field of the MAT v4 matrix header at the
+    start of path that disagrees with the WFDB header: one int16 matrix of
+    num_leads rows and num_samples columns, real, its data at `offset`."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(20)
+    if len(prefix) < 20:
+        raise FormatError(f"{path}: {len(prefix)} bytes, too short for a MAT v4 header")
+    # type 30: little-endian, int16 values, full matrix; the variable's
+    # name (namlen bytes) ends the prefix
+    expected = {"type": 30, "mrows": num_leads, "ncols": num_samples, "imagf": 0,
+                "namlen": offset - 20}
+    for (field_name, want), got in zip(expected.items(), struct.unpack("<5i", prefix)):
+        if got != want:
+            raise FormatError(
+                f"{path}: MAT v4 {field_name} is {got}, the .hea header implies {want}")
 
 
 def _is_number(token: str) -> bool:
@@ -340,14 +393,15 @@ def _is_number(token: str) -> bool:
 
 
 def load_record(path: str) -> EcgRecord:
-    """Load a recording: .csv, or WFDB by its .hea header (or its .dat file)."""
+    """Load a recording: .csv, or WFDB by its .hea header (or its .dat or
+    .mat sample file)."""
     stem, ext = os.path.splitext(path)
     ext = ext.lower()
     if ext == ".csv":
         return _load_csv(path)
     if ext == ".hea":
         return _load_wfdb(path)
-    if ext == ".dat":
+    if ext in (".dat", ".mat"):
         return _load_wfdb(stem + ".hea")
     raise FormatError(f"cannot infer the format of {path} from its extension")
 

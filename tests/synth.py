@@ -65,6 +65,26 @@ def wavelet_csv(path, fs=500.0, duration_s=12.0, bpm=72, labels=None,
     return peaks
 
 
+def write_wfdb(dirpath, name, counts, fs, names, labels=None, mat=False):
+    """A WFDB record of int16 counts [num_leads, n] at gain 1000: a .hea
+    header plus a format-16 .dat file or, with mat=True, the challenge's own
+    layout: a MATLAB v4 .mat file holding the counts as one int16 matrix
+    `val`, whose 24-byte prefix the header skips as format 16+24."""
+    counts = np.asarray(counts, dtype="<i2")
+    num_leads, n = counts.shape
+    sample_file, fmt = (f"{name}.mat", "16+24") if mat else (f"{name}.dat", "16")
+    lines = [f"{name} {num_leads} {fs:g} {n}"]
+    lines += [f"{sample_file} {fmt} 1000(0)/mV 16 0 0 0 0 {lead}" for lead in names]
+    if labels:
+        lines.append(f"#Dx: {','.join(labels)}")
+    (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
+    # type 30 (little-endian int16, full), rows, columns, no imaginary part,
+    # name length; a matrix is stored column by column, so the samples
+    # interleave by lead exactly as in a .dat
+    prefix = struct.pack("<5i", 30, num_leads, n, 0, 4) + b"val\0" if mat else b""
+    (dirpath / sample_file).write_bytes(prefix + counts.T.tobytes())
+
+
 def random_sequence(rng, max_pos, d_model, n_real=None):
     """n_real (default: drawn from 3..max_pos) random real beats."""
     if n_real is None:

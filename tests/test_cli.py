@@ -17,26 +17,23 @@ from beatformer import transformer as tfm
 from beatformer.beat_tokenizer import MAX_POS, build_sequence, fuse_rms, load_tokens, save_tokens
 from beatformer.cli import build_config, main, read_config_file
 from beatformer.dsp import CHUNK, DETECTORS, apply_filter, design_highpass
-from beatformer.ecg_io import load_record, rescale_peaks, resample_record
-from beatformer.errors import ConfigError
+from beatformer.ecg_io import (EcgRecord, _check_scaled_range, _parse_gain_token, load_record,
+                                read_lines, rescale_peaks, resample_record)
+from beatformer.errors import (BeatformerError, ConfigError, FormatError, InconsistencyError,
+                               InvalidMetadataError)
 
 
-def write_wfdb(dirpath, name, leads, fs, names=None, labels=None):
-    """A format-16 WFDB record of [num_leads, n] millivolts at gain 1000."""
+def write_wfdb(dirpath, name, leads, fs, names=None, labels=None, mat=False):
+    """A WFDB record of [num_leads, n] millivolts at gain 1000 (see synth.write_wfdb)."""
     raw = np.round(leads * 1000.0).astype("<i2")
     names = names or [f"L{i}" for i in range(raw.shape[0])]
-    lines = [f"{name} {raw.shape[0]} {fs:g} {raw.shape[1]}"]
-    lines += [f"{name}.dat 16 1000(0)/mV 16 0 0 0 0 {lead}" for lead in names]
-    if labels:
-        lines.append(f"#Dx: {','.join(labels)}")
-    (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
-    (dirpath / f"{name}.dat").write_bytes(raw.T.tobytes())
+    synth.write_wfdb(dirpath, name, raw, fs, names, labels, mat)
 
 
 def write_wfdb_wavelet(dirpath, name, bpm=66, fs=500.0, duration_s=12.0,
-                       labels=None):
+                       labels=None, mat=False):
     x, peaks = synth.wavelet_train(fs, duration_s, bpm)
-    write_wfdb(dirpath, name, x[None], fs, names=["II"], labels=labels)
+    write_wfdb(dirpath, name, x[None], fs, names=["II"], labels=labels, mat=mat)
     return peaks
 
 
@@ -440,6 +437,55 @@ class TestTokenizedSpan:
             assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
 
 
+TWELVE_LEADS = ["I", "II", "III", "aVR", "aVL", "aVF", "V1", "V2", "V3", "V4", "V5", "V6"]
+# the reduced lead sets the challenge scores besides all twelve
+LEAD_SETS = {6: ["I", "II", "III", "aVR", "aVL", "aVF"], 4: ["I", "II", "III", "V2"],
+             3: ["I", "II", "V2"], 2: ["I", "II"]}
+
+
+def twelve_lead_counts(seed):
+    """[12, 6000] int16 counts at gain 1000: a 12-s, 500-Hz wavelet train,
+    its scale and sign drawn per lead."""
+    x, _ = synth.wavelet_train(500.0, 12.0, 70)
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.3, 1.5, size=(12, 1)) * rng.choice([-1.0, 1.0], size=(12, 1))
+    return np.round(scales * x * 1000.0).astype("<i2")
+
+
+class TestChallengeRecords:
+    """The CinC 2021 layout: a .hea header plus a MAT v4 .mat sample file."""
+
+    def test_mat_caches_equal_dat_caches(self, tmp_path):
+        outs = []
+        for mat in (False, True):
+            d = tmp_path / f"records{int(mat)}"
+            d.mkdir()
+            for i in range(3):
+                synth.write_wfdb(d, f"r{i}", twelve_lead_counts(i), 500.0, TWELVE_LEADS,
+                                 labels=["AF"], mat=mat)
+            outs.append(tmp_path / f"out{int(mat)}")
+            assert main(["preprocess", str(d), "--out", str(outs[-1])]) == 0
+        dat, mat = outs
+        for out in outs:
+            assert (out / "skip_report.txt").read_text() == ""
+            assert (out / "manifest.tsv").read_text() == "".join(
+                f"r{i}.tokens\t\n" for i in range(3))
+        for i in range(3):
+            assert (mat / f"r{i}.tokens").read_bytes() == (dat / f"r{i}.tokens").read_bytes()
+
+    @pytest.mark.parametrize("count", sorted(LEAD_SETS))
+    def test_mat_record_under_each_lead_set(self, tmp_path, count):
+        d = tmp_path / "records"
+        d.mkdir()
+        synth.write_wfdb(d, "A0001", twelve_lead_counts(7), 500.0, TWELVE_LEADS, mat=True)
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out),
+                     "--leads", ",".join(LEAD_SETS[count])]) == 0
+        assert (out / "skip_report.txt").read_text() == ""
+        assert (out / "manifest.tsv").read_text() == "A0001.tokens\t\n"
+        assert 10 <= load_tokens(str(out / "A0001.tokens")).n_real <= 16
+
+
 def csv_text():
     """A 12-s, two-lead, 500-Hz CSV recording as text lines."""
     x, _ = synth.wavelet_train(500.0, 12.0, 72)
@@ -620,6 +666,25 @@ def _drop_signal_line(rng, d, name):
     hea.write_text(hea.read_text().splitlines()[0] + "\n")
 
 
+def _bad_offset(rng, d, name):
+    """A format field whose byte offset is malformed, negative or wrong."""
+    hea = d / f"{name}.hea"
+    fmt = "16+" + str(rng.choice(["", "x", "-2", "2", "24"]))
+    hea.write_text(hea.read_text().replace(f"{name}.dat 16 ", f"{name}.dat {fmt} "))
+
+
+def _bad_mat_prefix(rng, d, name):
+    """The record as a .mat file whose MAT v4 header is off by one in one
+    field: type, mrows, ncols, imagf or namlen."""
+    (d / f"{name}.dat").unlink()
+    write_wfdb_wavelet(d, name, mat=True)
+    mat = d / f"{name}.mat"
+    raw = mat.read_bytes()
+    fields_ = list(struct.unpack("<5i", raw[:20]))
+    fields_[int(rng.integers(5))] += 1
+    mat.write_bytes(struct.pack("<5i", *fields_) + raw[20:])
+
+
 WFDB_MUTATIONS = {
     "gain_nan": lambda rng, d, name: set_wfdb_gain(d, name, "nan"),
     "gain_inf": lambda rng, d, name: set_wfdb_gain(d, name, "inf"),
@@ -630,6 +695,8 @@ WFDB_MUTATIONS = {
         lambda rng, fields: " ".join(fields[: int(rng.integers(1, 4))])),
     "no_signal_line": _drop_signal_line,
     "short_dat": _short_dat,
+    "bad_offset": _bad_offset,
+    "bad_mat_prefix": _bad_mat_prefix,
 }
 
 
@@ -689,6 +756,186 @@ class TestMalformedRecordSweep:
         assert why.startswith(f"{path}: non-numeric sample row") and token in why, why
         assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
         assert not (out / "r.tokens").exists()
+
+
+# The CSV reader as it stood before its samples were read as int64 counts,
+# copied verbatim: the reference that the bulk reader matches value for value.
+def _load_csv(path: str) -> EcgRecord:
+    fs = None
+    gains = None
+    labels = set()
+    header = None
+    body = []           # sample rows, parsed together after the loop
+    body_lines = []     # their line numbers, for error messages
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            key = key.strip().lower()
+            if key == "fs":
+                try:
+                    fs = float(value)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad fs {value!r}") from exc
+            elif key == "gain":
+                gains = [_parse_gain_token(tok.strip(), f"{path}:{lineno}")
+                         for tok in value.split(",")]
+            elif key == "labels":
+                labels = {tok.strip() for tok in value.split(";") if tok.strip()}
+            continue
+        if header is None:
+            header = [tok.strip() for tok in line.split(",")]
+            continue
+        body.append(line)
+        body_lines.append(lineno)
+
+    if fs is None:
+        raise FormatError(f"{path}: missing #fs= metadata line")
+    if not 0 < fs < np.inf:
+        raise InvalidMetadataError(f"{path}: fs must be finite and > 0, got {fs}")
+    if gains is None:
+        raise FormatError(f"{path}: missing #gain= metadata line")
+    if header is None or not body:
+        raise FormatError(f"{path}: no lead header or no sample rows")
+    width = len(header)
+    raw = _parse_rows(path, body, body_lines, width)
+    if len(gains) == 1:
+        gains = gains * width
+    if len(gains) != width:
+        raise InconsistencyError(f"{path}: {len(gains)} gains for {width} leads")
+    _check_scaled_range(raw, gains, lambda row, lead: f"{path}:{body_lines[row]}")
+
+    raw /= np.asarray(gains, dtype=np.float64)
+    return EcgRecord(raw.T, fs, header, labels,
+                     os.path.splitext(os.path.basename(path))[0])
+
+
+def _parse_rows(path: str, body: list, body_lines: list, width: int) -> np.ndarray:
+    """[rows, width] float64 from comma-separated sample rows, in one call.
+
+    When the bulk parse fails, the record is refused; its rows are parsed
+    one at a time only to name the fault: FormatError for the first row
+    that is not all numbers, else InconsistencyError for the first row of
+    the wrong width, else FormatError quoting the bulk parse. A NaN or
+    infinite sample is a FormatError naming its line.
+    """
+    try:
+        raw = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
+                         ndmin=2)
+    except ValueError as exc:
+        rows = []
+        for line, lineno in zip(body, body_lines):
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric sample row") from exc
+        for row in rows:
+            if len(row) != width:
+                raise InconsistencyError(
+                    f"{path}: sample row has {len(row)} values for {width} leads")
+        # float() reads forms that loadtxt refuses, such as 1_000
+        raise FormatError(f"{path}: non-numeric sample row ({exc})") from exc
+    if raw.shape[1] != width:
+        raise InconsistencyError(
+            f"{path}: sample row has {raw.shape[1]} values for {width} leads")
+    finite = np.isfinite(raw)
+    if not finite.all():
+        lineno = body_lines[int(np.argmin(finite.all(axis=1)))]
+        raise FormatError(f"{path}:{lineno}: non-finite sample")
+    return raw
+
+
+CSV_FORMS = ("signed", "blank", "crlf", "decimal", "above_2_53", "above_2_63")
+
+
+def seeded_csv(path, seed, forms):
+    """A seeded CSV recording of negative and positive counts; forms adds to
+    its body: `+5` and ` 7 ` fields, blank and whitespace-only lines, CRLF
+    line ends, decimal samples, integers above 2**53 or above 2**63."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 5))
+    counts = rng.integers(-40000, 40000, size=(int(rng.integers(20, 300)), width))
+    cells = counts.astype(str).astype(object)
+
+    def put(count, make):
+        for _ in range(count):
+            r, c = (int(rng.integers(n)) for n in cells.shape)
+            cells[r, c] = make(int(counts[r, c]))
+
+    if "signed" in forms:
+        put(10, lambda v: f"+{abs(v)}")
+        put(10, lambda v: f" {v}\t ")
+    if "decimal" in forms:
+        put(3, lambda v: str(rng.choice([f"{v}.5", f"{v / 7!r}", f"{v}e-1", "1e3"])))
+    if "above_2_53" in forms:
+        put(5, lambda v: str(int(np.sign(v) or 1) * (2**53 + int(rng.integers(1, 2**62)))))
+    if "above_2_63" in forms:
+        put(3, lambda v: str(int(np.sign(v) or 1) * (2**63 + int(rng.integers(0, 2**62)))))
+    body = [",".join(row) for row in cells]
+    if "blank" in forms:
+        for _ in range(6):
+            body.insert(int(rng.integers(1, len(body))), str(rng.choice(["", " ", "\t", " \t  "])))
+    gains = ",".join(f"{g:g}" for g in rng.choice([200.0, 1000.0, 4.88, -500.0], size=width))
+    names = ", ".join(["I", "II", "V1", "V5"][:width])
+    lines = ["# seeded", f"#fs={rng.choice([257, 360, 500])}", "", f"#gain={gains}",
+             "#labels=AF; 164889003", names] + body
+    sep = "\r\n" if "crlf" in forms else "\n"
+    path.write_bytes((sep.join(lines) + sep).encode())
+    return str(path)
+
+
+class TestCsvReaderMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("forms", [()] + [(form,) for form in CSV_FORMS] + [CSV_FORMS])
+    def test_same_record(self, tmp_path, seed, forms):
+        path = seeded_csv(tmp_path / "r.csv", seed, forms)
+        new, ref = load_record(path), _load_csv(path)
+        assert new.leads.tobytes() == ref.leads.tobytes()
+        assert new.leads.strides == ref.leads.strides
+        assert (new.fs, new.labels, new.lead_names, new.source_id) == \
+            (ref.fs, ref.labels, ref.lead_names, ref.source_id)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(CSV_MUTATIONS))
+    def test_same_error(self, tmp_path, seed, kind):
+        path = tmp_path / "r.csv"
+        write_lines(path, CSV_MUTATIONS[kind](np.random.default_rng(seed), csv_text()))
+        with pytest.raises(BeatformerError) as ref:
+            _load_csv(str(path))
+        with pytest.raises(BeatformerError) as new:
+            load_record(str(path))
+        assert type(new.value) is type(ref.value)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("lineno, line", [(4, "#labels=AF"), (300, "# note"),
+                                              (6004, "#fs=250")])
+    def test_hash_line_after_the_lead_header_is_a_sample_row(self, tmp_path, lineno, line):
+        """Metadata lines come before the lead header: the reference read
+        this one as metadata, and a #fs= below the samples set the rate."""
+        d = tmp_path / "records"
+        d.mkdir()
+        lines = csv_text()
+        write_lines(d / "good.csv", lines)
+        lines.insert(lineno - 1, line)
+        write_lines(d / "r.csv", lines)
+        ref = _load_csv(str(d / "r.csv"))
+        assert ref.num_samples == 6000 and ref.fs == (250.0 if "fs" in line else 500.0)
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        assert (out / "skip_report.txt").read_text() == \
+            f"{d / 'r.csv'}\t{d / 'r.csv'}:{lineno}: non-numeric sample row\n"
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+
+    def test_negative_zero_count_loads_as_positive_zero(self, tmp_path):
+        path = tmp_path / "z.csv"
+        write_lines(path, ["#fs=500", "#gain=1000", "I", "-0", "-0.0"])
+        assert np.signbit(_load_csv(str(path)).leads[0]).tolist() == [True, True]
+        write_lines(path, ["#fs=500", "#gain=1000", "I", "-0", "5"])
+        leads = load_record(str(path)).leads
+        assert leads.tolist() == [[0.0, 0.005]] and not np.signbit(leads).any()
+        assert np.signbit(_load_csv(str(path)).leads[0, 0])
 
 
 def small_cfg_text(**extra):
@@ -1144,6 +1391,9 @@ class TestBadInputIsAnErrorLine:
         ("pretrain", [], "optim.d_model=0", "optim.d_model must be >= 1, got 0"),
         ("pretrain", [], "optim.d_model=-4", "optim.d_model must be >= 1, got -4"),
         ("pretrain", [], "optim.epsilon=1e300", "epsilon must be positive and finite"),
+        ("preprocess", [], "data.target_fs=1", "data.target_fs must be at least 100 Hz"),
+        ("preprocess", [], "data.target_fs=20", "data.target_fs must be at least 100 Hz"),
+        ("preprocess", [], "data.target_fs=99.9", "data.target_fs must be at least 100 Hz"),
         ("preprocess", [], "data.target_fs=1e20", "data.target_fs must be at most 100000 Hz"),
         ("preprocess", [], "data.target_fs=1e300", "data.target_fs must be at most 100000 Hz"),
     ])

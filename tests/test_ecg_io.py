@@ -1,8 +1,11 @@
+import re
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import synth
 from beatformer import ecg_io
 from beatformer.ecg_io import EcgRecord, LabelMap
 from beatformer.errors import (
@@ -190,6 +193,73 @@ class TestWfdbLoader:
         p = write_wfdb(tmp_path, "f8", leads, 500, [1000], fmt="212")
         with pytest.raises(FormatError):
             ecg_io.load_record(p)
+
+    def test_mat_record_equals_dat_record(self, tmp_path):
+        counts = np.random.default_rng(3).integers(-3000, 3000, size=(12, 500))
+        names = [f"L{i}" for i in range(12)]
+        synth.write_wfdb(tmp_path, "m", counts, 500, names, labels=["AF"], mat=True)
+        synth.write_wfdb(tmp_path, "d", counts, 500, names, labels=["AF"])
+        dat = ecg_io.load_record(str(tmp_path / "d.hea"))
+        for path in ("m.hea", "m.mat"):
+            rec = ecg_io.load_record(str(tmp_path / path))
+            assert rec.leads.tobytes() == dat.leads.tobytes()
+            assert (rec.fs, rec.lead_names, rec.labels) == (dat.fs, dat.lead_names, dat.labels)
+
+    def test_byte_offset_skips_a_prefix(self, tmp_path):
+        leads = np.arange(-10, 10).reshape(2, 10)
+        p = write_wfdb(tmp_path, "o", leads, 500, [1000, 1000], fmt="16+6")
+        dat = tmp_path / "o.dat"
+        dat.write_bytes(b"prefix" + dat.read_bytes())
+        assert np.array_equal(ecg_io.load_record(p).leads, leads / 1000.0)
+
+    @pytest.mark.parametrize("fmt", ["16+", "16+x", "16+-24", "16+2.5", "16+\u00b2"])
+    def test_bad_byte_offset(self, tmp_path, fmt):
+        p = write_wfdb(tmp_path, "bo", np.ones((1, 10), dtype=int), 500, [1000], fmt=fmt)
+        with pytest.raises(FormatError, match=re.escape(f"bad byte offset in format {fmt}")):
+            ecg_io.load_record(p)
+
+    def test_byte_offsets_must_agree(self, tmp_path):
+        p = write_wfdb(tmp_path, "ba", np.ones((2, 10), dtype=int), 500, [1000, 1000])
+        hea = tmp_path / "ba.hea"
+        hea.write_text(hea.read_text().replace("ba.dat 16 ", "ba.dat 16+0 ", 1))
+        assert ecg_io.load_record(p).num_samples == 10      # 16+0 is 16
+        hea.write_text(hea.read_text().replace("ba.dat 16+0 ", "ba.dat 16+2 ", 1))
+        with pytest.raises(FormatError, match="all leads must share one byte offset"):
+            ecg_io.load_record(p)
+
+    @pytest.mark.parametrize("offset", [2, 40, 10**6])
+    def test_byte_offset_disagreeing_with_file_size(self, tmp_path, offset):
+        p = write_wfdb(tmp_path, "bs", np.ones((1, 20), dtype=int), 500, [1000],
+                       fmt=f"16+{offset}")
+        with pytest.raises(InconsistencyError,
+                           match=f"bytes after offset {offset}, header promises 1 x 20"):
+            ecg_io.load_record(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("type", 20), ("mrows", 3), ("ncols", 499), ("imagf", 1), ("namlen", 8)])
+    def test_mat_prefix_field_disagreeing_with_header(self, tmp_path, field, value):
+        synth.write_wfdb(tmp_path, "mp", np.ones((2, 500), dtype=int), 500, ["I", "II"],
+                         mat=True)
+        mat = tmp_path / "mp.mat"
+        raw = mat.read_bytes()
+        fields = dict(zip(["type", "mrows", "ncols", "imagf", "namlen"],
+                          struct.unpack("<5i", raw[:20])))
+        fields[field] = value
+        mat.write_bytes(struct.pack("<5i", *fields.values()) + raw[20:])
+        with pytest.raises(FormatError, match=f"mp.mat: MAT v4 {field} is {value}, "):
+            ecg_io.load_record(str(tmp_path / "mp.hea"))
+
+    def test_mat_file_shorter_than_its_header(self, tmp_path):
+        synth.write_wfdb(tmp_path, "ms", np.ones((1, 5), dtype=int), 500, ["I"], mat=True)
+        (tmp_path / "ms.mat").write_bytes(b"\x1e\x00")
+        with pytest.raises(FormatError, match="2 bytes, too short for a MAT v4 header"):
+            ecg_io.load_record(str(tmp_path / "ms.hea"))
+
+    def test_missing_mat_file(self, tmp_path):
+        synth.write_wfdb(tmp_path, "mm", np.ones((1, 5), dtype=int), 500, ["I"], mat=True)
+        (tmp_path / "mm.mat").unlink()
+        with pytest.raises(FormatError, match="cannot read sample file"):
+            ecg_io.load_record(str(tmp_path / "mm.hea"))
 
     def test_gain_zero_rejected(self, tmp_path):
         leads = np.ones((1, 10), dtype=int)
