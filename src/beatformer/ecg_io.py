@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,9 +213,16 @@ def _sample_rows(body: list, start: int) -> list:
 def _parse_counts(rows: list) -> np.ndarray:
     """[rows, width] float64 from comma-separated rows, read in one call as
     int64 counts; a value that is not one (1.5, 1e3, nan, beyond int64)
-    makes that call raise, and the rows are read as float64 instead."""
+    makes that call raise, and the rows are read as float64 instead.
+
+    From numpy 1.23 until that deprecation expired, loadtxt parses such a
+    value as a float, truncates it and only warns (a DeprecationWarning,
+    hidden by default); raised as an error, the warning makes loadtxt raise
+    ValueError, so every supported numpy takes the float64 path."""
     try:
-        counts = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return np.loadtxt(rows, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     return counts.astype(np.float64)

@@ -65,16 +65,24 @@ def wavelet_csv(path, fs=500.0, duration_s=12.0, bpm=72, labels=None,
     return peaks
 
 
-def write_wfdb(dirpath, name, counts, fs, names, labels=None, mat=False):
-    """A WFDB record of int16 counts [num_leads, n] at gain 1000: a .hea
-    header plus a format-16 .dat file or, with mat=True, the challenge's own
-    layout: a MATLAB v4 .mat file holding the counts as one int16 matrix
-    `val`, whose 24-byte prefix the header skips as format 16+24."""
+def write_wfdb(dirpath, name, counts, fs, names=None, labels=None, gains=None,
+               fmt=None, mat=False, truncate=0):
+    """A WFDB record of int16 counts [num_leads, n]: a .hea header plus a
+    format-16 .dat file or, with mat=True, the challenge's own layout: a
+    MATLAB v4 .mat file holding the counts as one int16 matrix `val`, whose
+    24-byte prefix the header skips as format 16+24. Leads default to names
+    L0, L1, ... and gain 1000; fmt overrides the header's format field, and
+    truncate drops that many bytes from the end of the sample file. Returns
+    the .hea path."""
     counts = np.asarray(counts, dtype="<i2")
     num_leads, n = counts.shape
-    sample_file, fmt = (f"{name}.mat", "16+24") if mat else (f"{name}.dat", "16")
+    names = names or [f"L{i}" for i in range(num_leads)]
+    gains = [1000.0] * num_leads if gains is None else gains
+    sample_file = f"{name}.mat" if mat else f"{name}.dat"
+    fmt = fmt or ("16+24" if mat else "16")
     lines = [f"{name} {num_leads} {fs:g} {n}"]
-    lines += [f"{sample_file} {fmt} 1000(0)/mV 16 0 0 0 0 {lead}" for lead in names]
+    lines += [f"{sample_file} {fmt} {gain:g}(0)/mV 16 0 0 0 0 {lead}"
+              for gain, lead in zip(gains, names)]
     if labels:
         lines.append(f"#Dx: {','.join(labels)}")
     (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
@@ -82,7 +90,9 @@ def write_wfdb(dirpath, name, counts, fs, names, labels=None, mat=False):
     # name length; a matrix is stored column by column, so the samples
     # interleave by lead exactly as in a .dat
     prefix = struct.pack("<5i", 30, num_leads, n, 0, 4) + b"val\0" if mat else b""
-    (dirpath / sample_file).write_bytes(prefix + counts.T.tobytes())
+    data = prefix + counts.T.tobytes()
+    (dirpath / sample_file).write_bytes(data[:len(data) - truncate])
+    return str(dirpath / f"{name}.hea")
 
 
 def random_sequence(rng, max_pos, d_model, n_real=None):

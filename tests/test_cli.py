@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,9 +26,7 @@ from beatformer.errors import (BeatformerError, ConfigError, FormatError, Incons
 
 def write_wfdb(dirpath, name, leads, fs, names=None, labels=None, mat=False):
     """A WFDB record of [num_leads, n] millivolts at gain 1000 (see synth.write_wfdb)."""
-    raw = np.round(leads * 1000.0).astype("<i2")
-    names = names or [f"L{i}" for i in range(raw.shape[0])]
-    synth.write_wfdb(dirpath, name, raw, fs, names, labels, mat)
+    synth.write_wfdb(dirpath, name, np.round(leads * 1000.0), fs, names, labels, mat=mat)
 
 
 def write_wfdb_wavelet(dirpath, name, bpm=66, fs=500.0, duration_s=12.0,
@@ -886,6 +885,30 @@ def seeded_csv(path, seed, forms):
     return str(path)
 
 
+_real_loadtxt = np.loadtxt
+
+
+def loadtxt_truncating_via_float(rows, *, dtype, **kwargs):
+    """np.loadtxt as numpy 1.23 on runs it: an int64 field that is not an
+    integer literal is parsed as a float and truncated, after one
+    DeprecationWarning; when that warning is raised as an error, loadtxt
+    raises ValueError from it."""
+    if dtype is not np.int64:
+        return _real_loadtxt(rows, dtype=dtype, **kwargs)
+    values = _real_loadtxt(rows, dtype=np.float64, **kwargs)
+    try:
+        if not all(-2**63 <= int(tok) < 2**63 for row in rows for tok in row.split(",")):
+            raise ValueError("beyond int64")
+    except ValueError:
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string to int64") from exc
+    with np.errstate(invalid="ignore"):
+        return values.astype(np.int64)
+
+
 class TestCsvReaderMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("forms", [()] + [(form,) for form in CSV_FORMS] + [CSV_FORMS])
@@ -927,6 +950,21 @@ class TestCsvReaderMatchesReference:
         assert (out / "skip_report.txt").read_text() == \
             f"{d / 'r.csv'}\t{d / 'r.csv'}:{lineno}: non-numeric sample row\n"
         assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+
+    @pytest.mark.parametrize("sample", ["1.5", "-0.5", "1e-1", "9223372036854775808"])
+    @pytest.mark.parametrize("truncating", [False, True])
+    def test_non_integer_sample_loads_exactly(self, tmp_path, monkeypatch, sample, truncating):
+        """A sample that is not an int64 count loads as its float value, also
+        under the loadtxt of numpy 1.23 on, which truncates it with only a
+        DeprecationWarning."""
+        if truncating:
+            monkeypatch.setattr(np, "loadtxt", loadtxt_truncating_via_float)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert loadtxt_truncating_via_float(["1.5"], dtype=np.int64).tolist() == 1
+        path = tmp_path / "r.csv"
+        write_lines(path, ["#fs=500", "#gain=1000", "I", "2", sample])
+        assert load_record(str(path)).leads.tolist() == [[0.002, float(sample) / 1000]]
 
     def test_negative_zero_count_loads_as_positive_zero(self, tmp_path):
         path = tmp_path / "z.csv"

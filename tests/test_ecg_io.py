@@ -21,25 +21,6 @@ def write_csv(path, body):
     return str(path)
 
 
-def write_wfdb(dirpath, name, leads, fs, gains, labels=None, fmt="16",
-               lead_names=None, truncate=0):
-    """leads: [L, N] raw integer samples."""
-    leads = np.asarray(leads)
-    n_leads, n_samples = leads.shape
-    lines = [f"{name} {n_leads} {fs:g} {n_samples}"]
-    for i in range(n_leads):
-        nm = lead_names[i] if lead_names else f"L{i}"
-        lines.append(f"{name}.dat {fmt} {gains[i]:g}(0)/mV 16 0 0 0 0 {nm}")
-    if labels:
-        lines.append(f"#Dx: {','.join(labels)}")
-    (dirpath / f"{name}.hea").write_text("\n".join(lines) + "\n")
-    raw = leads.T.astype("<i2").tobytes()
-    if truncate:
-        raw = raw[:-truncate]
-    (dirpath / f"{name}.dat").write_bytes(raw)
-    return str(dirpath / f"{name}.hea")
-
-
 class TestCsvLoader:
     def test_gain_scaling_example(self, tmp_path):
         p = write_csv(tmp_path / "r.csv",
@@ -139,7 +120,7 @@ class TestWfdbLoader:
     def test_twelve_lead_shape_contract(self, tmp_path):
         rng = np.random.default_rng(0)
         leads = rng.integers(-3000, 3000, size=(12, 5000))
-        p = write_wfdb(tmp_path, "rec12", leads, 500, [1000.0] * 12)
+        p = synth.write_wfdb(tmp_path, "rec12", leads, 500)
         rec = ecg_io.load_record(p)
         assert rec.leads.shape == (12, 5000)
         assert rec.fs == 500.0
@@ -149,7 +130,7 @@ class TestWfdbLoader:
         rng = np.random.default_rng(1)
         leads = rng.integers(-32768, 32767, size=(3, 400))
         gains = [1000.0, 200.0, 4880.0]
-        p = write_wfdb(tmp_path, "rt", leads, 257, gains)
+        p = synth.write_wfdb(tmp_path, "rt", leads, 257, gains=gains)
         rec = ecg_io.load_record(p)
         back = np.round(rec.leads * np.asarray(gains)[:, None])
         assert np.array_equal(back, leads.astype(np.float64))
@@ -157,15 +138,14 @@ class TestWfdbLoader:
     def test_power_of_two_gain_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         leads = rng.integers(-32768, 32767, size=(1, 300))
-        p = write_wfdb(tmp_path, "p2", leads, 500, [512.0])
+        p = synth.write_wfdb(tmp_path, "p2", leads, 500, gains=[512.0])
         rec = ecg_io.load_record(p)
         assert np.array_equal(rec.leads * 512.0, leads.astype(np.float64))
 
     def test_lead_names_and_labels(self, tmp_path):
         leads = np.zeros((2, 10), dtype=int)
-        p = write_wfdb(tmp_path, "nm", leads, 500, [1000, 1000],
-                       labels=["164889003", "59118001"],
-                       lead_names=["I", "II"])
+        p = synth.write_wfdb(tmp_path, "nm", leads, 500, ["I", "II"],
+                             labels=["164889003", "59118001"])
         rec = ecg_io.load_record(p)
         assert rec.lead_names == ["I", "II"]
         assert rec.labels == {"164889003", "59118001"}
@@ -173,32 +153,31 @@ class TestWfdbLoader:
 
     def test_numeric_last_token_is_not_a_lead_name(self, tmp_path):
         leads = np.zeros((2, 10), dtype=int)
-        p = write_wfdb(tmp_path, "nn", leads, 500, [1000, 1000], lead_names=["II", "5"])
+        p = synth.write_wfdb(tmp_path, "nn", leads, 500, ["II", "5"])
         assert ecg_io.load_record(p).lead_names == ["II", "ld1"]
 
     def test_dat_path_accepted(self, tmp_path):
         leads = np.ones((1, 10), dtype=int) * 500
-        write_wfdb(tmp_path, "viadat", leads, 500, [500])
+        synth.write_wfdb(tmp_path, "viadat", leads, 500, gains=[500])
         rec = ecg_io.load_record(str(tmp_path / "viadat.dat"))
         assert rec.leads.tolist() == [[1.0] * 10]
 
     def test_truncated_dat_rejected(self, tmp_path):
         leads = np.ones((2, 100), dtype=int)
-        p = write_wfdb(tmp_path, "tr", leads, 500, [1000, 1000], truncate=2)
+        p = synth.write_wfdb(tmp_path, "tr", leads, 500, truncate=2)
         with pytest.raises(InconsistencyError):
             ecg_io.load_record(p)
 
     def test_unsupported_sample_format(self, tmp_path):
         leads = np.ones((1, 10), dtype=int)
-        p = write_wfdb(tmp_path, "f8", leads, 500, [1000], fmt="212")
+        p = synth.write_wfdb(tmp_path, "f8", leads, 500, fmt="212")
         with pytest.raises(FormatError):
             ecg_io.load_record(p)
 
     def test_mat_record_equals_dat_record(self, tmp_path):
         counts = np.random.default_rng(3).integers(-3000, 3000, size=(12, 500))
-        names = [f"L{i}" for i in range(12)]
-        synth.write_wfdb(tmp_path, "m", counts, 500, names, labels=["AF"], mat=True)
-        synth.write_wfdb(tmp_path, "d", counts, 500, names, labels=["AF"])
+        synth.write_wfdb(tmp_path, "m", counts, 500, labels=["AF"], mat=True)
+        synth.write_wfdb(tmp_path, "d", counts, 500, labels=["AF"])
         dat = ecg_io.load_record(str(tmp_path / "d.hea"))
         for path in ("m.hea", "m.mat"):
             rec = ecg_io.load_record(str(tmp_path / path))
@@ -207,19 +186,19 @@ class TestWfdbLoader:
 
     def test_byte_offset_skips_a_prefix(self, tmp_path):
         leads = np.arange(-10, 10).reshape(2, 10)
-        p = write_wfdb(tmp_path, "o", leads, 500, [1000, 1000], fmt="16+6")
+        p = synth.write_wfdb(tmp_path, "o", leads, 500, fmt="16+6")
         dat = tmp_path / "o.dat"
         dat.write_bytes(b"prefix" + dat.read_bytes())
         assert np.array_equal(ecg_io.load_record(p).leads, leads / 1000.0)
 
     @pytest.mark.parametrize("fmt", ["16+", "16+x", "16+-24", "16+2.5", "16+\u00b2"])
     def test_bad_byte_offset(self, tmp_path, fmt):
-        p = write_wfdb(tmp_path, "bo", np.ones((1, 10), dtype=int), 500, [1000], fmt=fmt)
+        p = synth.write_wfdb(tmp_path, "bo", np.ones((1, 10), dtype=int), 500, fmt=fmt)
         with pytest.raises(FormatError, match=re.escape(f"bad byte offset in format {fmt}")):
             ecg_io.load_record(p)
 
     def test_byte_offsets_must_agree(self, tmp_path):
-        p = write_wfdb(tmp_path, "ba", np.ones((2, 10), dtype=int), 500, [1000, 1000])
+        p = synth.write_wfdb(tmp_path, "ba", np.ones((2, 10), dtype=int), 500)
         hea = tmp_path / "ba.hea"
         hea.write_text(hea.read_text().replace("ba.dat 16 ", "ba.dat 16+0 ", 1))
         assert ecg_io.load_record(p).num_samples == 10      # 16+0 is 16
@@ -229,8 +208,8 @@ class TestWfdbLoader:
 
     @pytest.mark.parametrize("offset", [2, 40, 10**6])
     def test_byte_offset_disagreeing_with_file_size(self, tmp_path, offset):
-        p = write_wfdb(tmp_path, "bs", np.ones((1, 20), dtype=int), 500, [1000],
-                       fmt=f"16+{offset}")
+        p = synth.write_wfdb(tmp_path, "bs", np.ones((1, 20), dtype=int), 500,
+                             fmt=f"16+{offset}")
         with pytest.raises(InconsistencyError,
                            match=f"bytes after offset {offset}, header promises 1 x 20"):
             ecg_io.load_record(p)
@@ -263,19 +242,19 @@ class TestWfdbLoader:
 
     def test_gain_zero_rejected(self, tmp_path):
         leads = np.ones((1, 10), dtype=int)
-        p = write_wfdb(tmp_path, "g0", leads, 500, [0])
+        p = synth.write_wfdb(tmp_path, "g0", leads, 500, gains=[0])
         with pytest.raises(InvalidMetadataError):
             ecg_io.load_record(p)
 
     @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
     def test_non_finite_gain(self, tmp_path, gain):
-        p = write_wfdb(tmp_path, "ng", np.ones((2, 10), dtype=int), 500, [1000, gain])
+        p = synth.write_wfdb(tmp_path, "ng", np.ones((2, 10), dtype=int), 500, gains=[1000, gain])
         with pytest.raises(InvalidMetadataError, match="lead 1: ADC gain must be finite"):
             ecg_io.load_record(p)
 
     @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
     def test_non_finite_fs(self, tmp_path, fs):
-        p = write_wfdb(tmp_path, "nf", np.ones((1, 10), dtype=int), fs, [1000])
+        p = synth.write_wfdb(tmp_path, "nf", np.ones((1, 10), dtype=int), fs)
         with pytest.raises(InvalidMetadataError,
                            match=f"nf.hea: fs must be finite and > 0, got {fs}"):
             ecg_io.load_record(p)
@@ -288,7 +267,7 @@ class TestWfdbLoader:
     def test_fs_with_counter_suffix(self, tmp_path):
         # some headers write fs as "500/0"
         leads = np.ones((1, 10), dtype=int)
-        p = write_wfdb(tmp_path, "cs", leads, 500, [1000])
+        p = synth.write_wfdb(tmp_path, "cs", leads, 500)
         text = (tmp_path / "cs.hea").read_text().replace(" 500 ", " 500/0 ")
         (tmp_path / "cs.hea").write_text(text)
         assert ecg_io.load_record(p).fs == 500.0
@@ -307,7 +286,7 @@ class TestGainScalingInPlace:
 
     def test_wfdb_matches_out_of_place_quotient(self, tmp_path):
         leads = np.random.default_rng(6).integers(-32768, 32767, size=(3, 700))
-        p = write_wfdb(tmp_path, "ip", leads, 257, self.GAINS)
+        p = synth.write_wfdb(tmp_path, "ip", leads, 257, gains=self.GAINS)
         raw = np.fromfile(tmp_path / "ip.dat", dtype="<i2").reshape(700, 3)
         gains = self.GAINS
         interleaved = raw.T.astype(np.float64)
@@ -331,7 +310,7 @@ class TestGainScalingInPlace:
         # 20 min of 2 leads at 360 Hz: the int16 samples and one float64
         # copy, not a second whole-record quotient
         leads = np.random.default_rng(8).integers(-2048, 2048, size=(2, 432000))
-        p = write_wfdb(tmp_path, "long", leads, 360, [200.0, 200.0])
+        p = synth.write_wfdb(tmp_path, "long", leads, 360, gains=[200.0, 200.0])
         raw_nbytes = leads.size * 2
         tracemalloc.start()
         try:
