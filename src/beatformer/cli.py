@@ -20,7 +20,7 @@ import numpy as np
 from . import training
 from . import transformer as tf
 from .beat_tokenizer import build_sequence, fuse_rms, load_tokens, save_tokens, token_span_end
-from .dsp import CHUNK, DETECTORS, apply_filter, design_highpass
+from .dsp import CHUNK, DETECTORS, MIN_FS, apply_filter, design_highpass
 from .ecg_io import (
     LabelMap,
     filter_labels,
@@ -36,9 +36,6 @@ from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, Empt
                      FormatError, InconsistencyError, NoBeatsError)
 
 
-# lowest data.target_fs accepted: the R-peak detectors' own floor (dsp), which
-# no ECG rate falls below; far below it a token holds a handful of samples
-MIN_TARGET_FS = 100.0
 # highest data.target_fs accepted: ample for ECG, which is sampled at a few
 # kHz at most, and far below rates whose resampled lengths overflow an array
 MAX_TARGET_FS = 1e5
@@ -93,13 +90,17 @@ def build_config(file_values: dict | None = None,
         raise ConfigError(f"data.seed must be >= 0, got {cfg.seed}")
     if cfg.workers < 1:
         raise ConfigError(f"data.workers must be >= 1, got {cfg.workers}")
+    for name in ("label_map", "manifest", "out_dir"):
+        if "\0" in (getattr(cfg, name) or ""):
+            raise ConfigError(f"data.{name} holds a NUL byte: {getattr(cfg, name)!r}")
     for name in ("target_fs", "highpass_hz"):
         if not 0 < getattr(cfg, name) < np.inf:
             raise ConfigError(
                 f"data.{name} must be positive and finite, got {getattr(cfg, name)}")
-    if cfg.target_fs < MIN_TARGET_FS:
+    # the detectors' floor: far below it a token holds a handful of samples
+    if cfg.target_fs < MIN_FS:
         raise ConfigError(
-            f"data.target_fs must be at least {MIN_TARGET_FS:g} Hz, got {cfg.target_fs:g}")
+            f"data.target_fs must be at least {MIN_FS:g} Hz, got {cfg.target_fs:g}")
     if cfg.target_fs > MAX_TARGET_FS:
         raise ConfigError(
             f"data.target_fs must be at most {MAX_TARGET_FS:g} Hz, got {cfg.target_fs:g}")
@@ -238,8 +239,13 @@ def cmd_train(args) -> int:
     mode = training.PRETRAIN if args.command == "pretrain" else training.CLASSIFY
     if mode == training.CLASSIFY and cfg.label_map:
         _label_map_for(cfg.label_map, cfg.model.d_class)
+    entries = training.load_manifest(_require_manifest(cfg))
+    if mode == training.PRETRAIN:  # next-beat pre-training never reads labels
+        entries = [(cache, None) for cache, _ in entries]
+    dataset = training.load_dataset(entries, cfg.model,
+                                    require_labels=(mode == training.CLASSIFY))
     summary = training.train(
-        _require_manifest(cfg), cfg.model, cfg.optim, mode,
+        dataset, cfg.model, cfg.optim, mode,
         cfg.seed, cfg.out_dir, resume=args.resume,
         init_checkpoint=args.init_checkpoint, freeze_trunk=args.freeze_trunk,
         max_steps=args.max_steps)

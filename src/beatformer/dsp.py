@@ -16,6 +16,7 @@ import numpy as np
 from .errors import FilterDesignError, InvalidMetadataError
 
 REFRACTORY_S = 0.200         # minimum spacing of two R-peaks
+MIN_FS = 100.0               # lowest rate either detector accepts, Hz; no ECG rate is lower
 
 # two-moving-average detector
 TA_BAND = (8.0, 20.0)        # band-pass, Hz
@@ -42,46 +43,33 @@ class IirFilter:
         if self.b.shape != (3,) or self.a.shape != (3,):
             raise ValueError("biquad needs exactly 3 b and 3 a coefficients")
         if self.a[0] != 1.0:
-            if self.a[0] == 0.0:
-                raise ValueError("a[0] must be nonzero")
-            self.b = self.b / self.a[0]
-            self.a = self.a / self.a[0]
+            raise ValueError(f"a[0] must be 1, got {self.a[0]}")
 
 
-def _prewarped(cutoff: float, fs: float) -> float:
+def _butterworth(cutoff: float, fs: float, highpass: bool) -> IirFilter:
+    """Second-order Butterworth at the prewarped cutoff; the high-pass and
+    the low-pass share the poles and differ in the numerator."""
     if not 0.0 < cutoff < fs / 2.0:
         raise FilterDesignError(
             f"cutoff {cutoff} Hz must lie strictly between 0 and fs/2 = {fs / 2.0} Hz")
-    return float(np.tan(np.pi * cutoff / fs))
-
-
-def _check_stable(a: np.ndarray):
-    poles = np.roots(a)
-    if np.any(np.abs(poles) >= 1.0):
+    k = float(np.tan(np.pi * cutoff / fs))
+    kk = k * k
+    norm = 1.0 + np.sqrt(2.0) * k + kk
+    b = np.array([1.0, -2.0, 1.0] if highpass else [kk, 2.0 * kk, kk]) / norm
+    a = np.array([1.0, 2.0 * (kk - 1.0) / norm, (1.0 - np.sqrt(2.0) * k + kk) / norm])
+    if np.any(np.abs(np.roots(a)) >= 1.0):
         raise FilterDesignError("designed filter has poles on or outside the unit circle")
+    return IirFilter(b, a)
 
 
 def design_highpass(cutoff: float, fs: float) -> IirFilter:
     """Second-order Butterworth high-pass."""
-    k = _prewarped(cutoff, fs)
-    norm = 1.0 + np.sqrt(2.0) * k + k * k
-    b = np.array([1.0, -2.0, 1.0]) / norm
-    a = np.array([1.0, 2.0 * (k * k - 1.0) / norm,
-                  (1.0 - np.sqrt(2.0) * k + k * k) / norm])
-    _check_stable(a)
-    return IirFilter(b, a)
+    return _butterworth(cutoff, fs, highpass=True)
 
 
 def design_lowpass(cutoff: float, fs: float) -> IirFilter:
     """Second-order Butterworth low-pass."""
-    k = _prewarped(cutoff, fs)
-    norm = 1.0 + np.sqrt(2.0) * k + k * k
-    kk = k * k
-    b = np.array([kk, 2.0 * kk, kk]) / norm
-    a = np.array([1.0, 2.0 * (kk - 1.0) / norm,
-                  (1.0 - np.sqrt(2.0) * k + kk) / norm])
-    _check_stable(a)
-    return IirFilter(b, a)
+    return _butterworth(cutoff, fs, highpass=False)
 
 
 BLOCK = 128         # samples per scan block
@@ -286,8 +274,8 @@ def detect_two_average(x, fs: float) -> PeakList:
     exceedance at least one QRS window long become candidate blocks and
     the largest |filtered| sample in each block is the peak.
     """
-    if fs < 100:
-        raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
+    if fs < MIN_FS:
+        raise InvalidMetadataError(f"detector needs fs >= {MIN_FS:g} Hz, got {fs:g} Hz")
     x = np.asarray(x, dtype=np.float64)
     w1 = max(1, int(round(QRS_WINDOW_S * fs)))
     w2 = max(1, int(round(BEAT_WINDOW_S * fs)))
@@ -317,8 +305,8 @@ def detect_pan_tompkins(x, fs: float) -> PeakList:
     local maxima. The first LEARNING_S seconds initialize the signal and
     noise running estimates.
     """
-    if fs < 100:
-        raise InvalidMetadataError(f"detector needs fs >= 100 Hz, got {fs:g} Hz")
+    if fs < MIN_FS:
+        raise InvalidMetadataError(f"detector needs fs >= {MIN_FS:g} Hz, got {fs:g} Hz")
     x = np.asarray(x, dtype=np.float64)
     learn = int(round(LEARNING_S * fs))
     if x.size < learn or x.size == 0:

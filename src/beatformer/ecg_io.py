@@ -92,8 +92,9 @@ class LabelMap:
 
 
 def read_lines(path: str) -> list:
-    """Lines of a UTF-8 text file; undecodable bytes are a FormatError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Lines of a UTF-8 text file, without a leading byte-order mark;
+    undecodable bytes are a FormatError naming it."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.readlines()
         except UnicodeDecodeError as exc:
@@ -354,6 +355,8 @@ def _load_wfdb(header_path: str) -> EcgRecord:
         raise FormatError(f"{header_path}: all leads must share one byte offset")
 
     dat_name, offset = sample_files.pop()
+    if "\0" in dat_name:
+        raise FormatError(f"{header_path}: NUL byte in sample file name {dat_name!r}")
     dat_path = os.path.join(os.path.dirname(header_path), dat_name)
     try:
         if dat_name.lower().endswith(".mat"):

@@ -297,6 +297,8 @@ def load_manifest(path: str) -> list:
         cache = cache.strip()
         if not cache:
             raise FormatError(f"{path}:{lineno}: empty cache path")
+        if "\0" in cache:
+            raise FormatError(f"{path}:{lineno}: NUL byte in cache path {cache!r}")
         try:
             indices = ({int(tok) for tok in idx_field.split(",") if tok.strip()}
                        if idx_field.strip() else None)
@@ -481,7 +483,7 @@ def load_training_checkpoint(path: str, keep=None):
     return mcfg, ocfg, params, state, counters
 
 
-def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
+def train(dataset: list, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
           mode: str, seed: int, out_dir: str,
           resume: str | None = None,
           init_checkpoint: str | None = None,
@@ -490,9 +492,9 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     """Run one training job and leave `model.ckpt` plus `train_log.ndjson`
     in out_dir.
 
-    manifest: path to a manifest file, or a preloaded list of
-    (BeatSequence, multi-hot/None) pairs, each checked as load_dataset
-    checks a cache before out_dir is touched. mode selects the head:
+    dataset: (BeatSequence, multi-hot/None) pairs, as load_dataset returns
+    them, each checked as load_dataset checks a cache before out_dir is
+    touched. mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs, sample count and trained
@@ -518,15 +520,8 @@ def train(manifest, model_config: tf.ModelConfig, optim_config: OptimizerConfig,
     config = model_config.with_head(
         tf.GENERATIVE if mode == PRETRAIN else tf.CLASSIFIER)
 
-    if isinstance(manifest, str):
-        entries = load_manifest(manifest)
-        if mode == PRETRAIN:  # next-beat pre-training never reads labels
-            entries = [(cache, None) for cache, _ in entries]
-        dataset = load_dataset(entries, config, require_labels=(mode == CLASSIFY))
-    else:
-        dataset = list(manifest)
-        for i, (seq, y) in enumerate(dataset):
-            _check_sequence(f"sequence {i}", seq, y is not None, config, mode == CLASSIFY)
+    for i, (seq, y) in enumerate(dataset):
+        _check_sequence(f"sequence {i}", seq, y is not None, config, mode == CLASSIFY)
     if not dataset:
         raise ValueError("training needs a non-empty dataset")
 

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -332,6 +333,46 @@ class TestPreprocess:
         for name in outputs:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
         assert "bad.csv" in (serial / "skip_report.txt").read_text()
+
+
+def add_bom(path):
+    """Prefix the file with a UTF-8 byte-order mark, as spreadsheet exports do."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + text)
+
+
+class TestByteOrderMark:
+    """A leading byte-order mark changes no output of any text input."""
+
+    @pytest.mark.parametrize("kind", ["csv", "hea", "label_map"])
+    def test_preprocess_input(self, record_dir, tmp_path, label_map, kind):
+        # r1.csv carries AF, the label map's first code; r4.hea's record
+        # line names the record
+        marked = {"csv": record_dir / "r1.csv", "hea": record_dir / "r4.hea",
+                  "label_map": label_map}[kind]
+        for run in ("plain", "marked"):
+            if run == "marked":
+                add_bom(marked)
+            assert main(["preprocess", str(record_dir), "--out", str(tmp_path / run),
+                         "--label-map", label_map]) == 0
+        for name in ("manifest.tsv", "skip_report.txt", "r1.tokens", "r2.tokens",
+                     "r4.tokens"):
+            assert (tmp_path / "plain" / name).read_bytes() \
+                == (tmp_path / "marked" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("kind", ["manifest", "config"])
+    def test_training_input(self, token_workspace, kind):
+        ws = token_workspace
+        for run in ("plain", "marked"):
+            if run == "marked":
+                add_bom(ws / ("manifest.tsv" if kind == "manifest" else "model.cfg"))
+            assert main(["train", "--config", str(ws / "model.cfg"), "--manifest",
+                         str(ws / "manifest.tsv"), "--out", str(ws / run),
+                         "--max-steps", "1"]) == 0
+        assert (ws / "plain" / "model.ckpt").read_bytes() \
+            == (ws / "marked" / "model.ckpt").read_bytes()
 
 
 def long_leads(fs, duration_s, num_leads, seed=0, bpm=72):
@@ -684,6 +725,11 @@ def _bad_mat_prefix(rng, d, name):
     mat.write_bytes(struct.pack("<5i", *fields_) + raw[20:])
 
 
+def _nul_in_file_name(rng, d, name):
+    hea = d / f"{name}.hea"
+    hea.write_text(hea.read_text().replace(f"{name}.dat", f"{name}\0.dat"))
+
+
 WFDB_MUTATIONS = {
     "gain_nan": lambda rng, d, name: set_wfdb_gain(d, name, "nan"),
     "gain_inf": lambda rng, d, name: set_wfdb_gain(d, name, "inf"),
@@ -696,6 +742,7 @@ WFDB_MUTATIONS = {
     "short_dat": _short_dat,
     "bad_offset": _bad_offset,
     "bad_mat_prefix": _bad_mat_prefix,
+    "nul_in_file_name": _nul_in_file_name,
 }
 
 
@@ -1446,6 +1493,16 @@ class TestBadInputIsAnErrorLine:
         assert message in error_line(capsys)
         assert not (ws / "o").exists()
 
+    @pytest.mark.parametrize("key", ["label_map", "manifest", "out_dir"])
+    def test_nul_byte_in_config_path(self, token_workspace, capsys, key):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        (ws / "nul.cfg").write_text(small_cfg_text(**{
+            "data.manifest": ws / "manifest.tsv", f"data.{key}": "a\0b"}))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(ws / "nul.cfg"), "--checkpoint", ckpt]) == 1
+        assert f"data.{key} holds a NUL byte" in error_line(capsys)
+
     def test_resume_with_init_checkpoint(self, token_workspace, capsys):
         ws = token_workspace
         ckpt = train_classifier(ws, "clf", epochs=0)
@@ -1645,6 +1702,26 @@ SWEEP_KEYS = ([f"model.{f.name}" for f in fields(tfm.ModelConfig)]
 SWEEP_VALUES = ["0", "-1", "1", "nan", "inf", "-inf", "1e300", "", "x"]
 
 
+def command_ending(argv, out_dir, capsys):
+    """How main(argv) ended: "error" (exit 1, one `error:` line), "skip"
+    (skip lines in out_dir), "ok" (exit 0, nothing on stderr), or what was
+    wrong with the ending."""
+    try:
+        rc = main(argv)
+    except Exception as exc:  # out of main, it would be a traceback
+        return f"traceback: {type(exc).__name__}: {exc}"
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if rc == 1 and len(err) == 1 and err[0].startswith("error: "):
+        return "error"
+    skips = out_dir / "skip_report.txt"
+    if not err and skips.is_file() and skips.read_text():
+        return "skip"
+    if rc == 0 and not err:
+        return "ok"
+    return f"exit {rc} with stderr {captured.err!r}"
+
+
 class TestMalformedConfigSweep:
     """Each config key at each malformed value ends one of three ways: exit 1
     with one `error:` line, skip lines, or exit 0; never a traceback."""
@@ -1662,24 +1739,6 @@ class TestMalformedConfigSweep:
         (tmp_path / "manifest.tsv").write_text("s0.tokens\t0\ns1.tokens\t1\n")
         return tmp_path
 
-    @staticmethod
-    def ending(argv, out_dir, capsys):
-        """How the command ended, or what was wrong with the ending."""
-        try:
-            rc = main(argv)
-        except Exception as exc:  # out of main, it would be a traceback
-            return f"traceback: {type(exc).__name__}: {exc}"
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        if rc == 1 and len(err) == 1 and err[0].startswith("error: "):
-            return "error"
-        skips = out_dir / "skip_report.txt"
-        if not err and skips.is_file() and skips.read_text():
-            return "skip"
-        if rc == 0 and not err:
-            return "ok"
-        return f"exit {rc} with stderr {captured.err!r}"
-
     @pytest.mark.parametrize("key", SWEEP_KEYS)
     def test_each_value_ends_cleanly(self, inputs, capsys, monkeypatch, key):
         bad = {}
@@ -1696,7 +1755,87 @@ class TestMalformedConfigSweep:
                         "--out", "out", "--max-steps", "1"]
             (run / "c.cfg").write_text(small_cfg_text(**lines))
             out_dir = run / lines.get("data.out_dir", "out")
-            end = self.ending(argv + ["--config", str(run / "c.cfg")], out_dir, capsys)
+            end = command_ending(argv + ["--config", str(run / "c.cfg")], out_dir, capsys)
             if end not in ("error", "skip", "ok"):
                 bad[value] = end
         assert not bad, f"{key}: {bad}"
+
+
+def _flip_byte(rng, blob):
+    """One bit flipped in one of the first 64 bytes."""
+    out = bytearray(blob)
+    out[int(rng.integers(min(64, len(blob))))] ^= 1 << int(rng.integers(8))
+    return bytes(out)
+
+
+def _truncate(rng, blob):
+    return blob[: int(rng.integers(len(blob)))]
+
+
+def _insert_bytes(rng, blob):
+    """1-4 random bytes inserted at a random place."""
+    at = int(rng.integers(len(blob) + 1))
+    extra = rng.integers(0, 256, size=int(rng.integers(1, 5)), dtype=np.uint8).tobytes()
+    return blob[:at] + extra + blob[at:]
+
+
+BYTE_MUTATIONS = {"flip": _flip_byte, "truncate": _truncate, "insert": _insert_bytes}
+
+
+class TestMalformedArtifactSweep:
+    """A damaged checkpoint, token cache or manifest, read by `predict` and
+    by `train --resume`: each run exits 0, or exits 1 with one `error:`
+    line; never a traceback."""
+
+    ARTIFACTS = {"checkpoint": "clf/model.ckpt", "cache": "s0.tokens",
+                 "manifest": "manifest.tsv"}
+
+    @pytest.fixture
+    def pristine(self, tmp_path):
+        """One cache, its manifest and a classifier checkpoint one step into
+        a two-step run over them."""
+        d = tmp_path / "pristine"
+        d.mkdir()
+        save_tokens(str(d / "s0.tokens"), synth.random_sequence(ad.seeded_rng(5), 50, 8))
+        (d / "manifest.tsv").write_text("s0.tokens\t0\n")
+        (d / "run.cfg").write_text(small_cfg_text(**{"optim.batch_size": 1}))
+        assert main(["train", "--config", str(d / "run.cfg"), "--manifest",
+                     str(d / "manifest.tsv"), "--out", str(d / "clf"),
+                     "--max-steps", "1"]) == 0
+        return d
+
+    def argvs(self, d):
+        """{command: argv} of predict and train --resume over the files in d."""
+        ckpt, manifest = str(d / self.ARTIFACTS["checkpoint"]), str(d / "manifest.tsv")
+        return {"predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest],
+                "resume": ["train", "--config", str(d / "run.cfg"), "--manifest", manifest,
+                           "--resume", ckpt, "--out", str(d / "resumed")]}
+
+    def endings(self, d, capsys):
+        return {command: command_ending(argv, d / "resumed", capsys)
+                for command, argv in self.argvs(d).items()}
+
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+    def test_each_mutation_ends_cleanly(self, pristine, tmp_path, capsys, artifact):
+        rng = np.random.default_rng(sorted(self.ARTIFACTS).index(artifact))
+        capsys.readouterr()
+        bad = {}
+        for kind, mutate in BYTE_MUTATIONS.items():
+            for i in range(6):
+                d = tmp_path / f"{kind}{i}"
+                shutil.copytree(pristine, d)
+                target = d / self.ARTIFACTS[artifact]
+                target.write_bytes(mutate(rng, target.read_bytes()))
+                ends = self.endings(d, capsys)
+                bad.update({f"{kind}{i} {command}": end for command, end in ends.items()
+                            if end not in ("ok", "error")})
+        assert not bad, bad
+
+    def test_nul_byte_in_cache_path(self, pristine, capsys):
+        capsys.readouterr()
+        assert self.endings(pristine, capsys) == {"predict": "ok", "resume": "ok"}
+        (pristine / "manifest.tsv").write_text("s0\0.tokens\t0\n")
+        for argv in self.argvs(pristine).values():
+            assert main(argv) == 1
+            line = error_line(capsys)
+            assert f"{pristine / 'manifest.tsv'}:1: NUL byte in cache path" in line

@@ -63,8 +63,10 @@ class TestFilterDesign:
         assert np.allclose(ours.a, a, atol=1e-12)
 
     def test_biquad_normalization(self):
-        f = dsp.IirFilter(np.array([2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
-        assert f.a[0] == 1.0 and f.b[0] == 1.0
+        # the designs return a[0] = 1; a filter that is not normalized is refused
+        for a0 in (2.0, 0.0):
+            with pytest.raises(ValueError, match="a\\[0\\] must be 1"):
+                dsp.IirFilter(np.array([2.0, 0.0, 0.0]), np.array([a0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             dsp.IirFilter(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
