@@ -10,9 +10,11 @@ default so gradient checks are meaningful, float32 is the training dtype.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import zlib
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -578,6 +580,61 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
         raise
 
 
+def _read_index(fh, path, keep=None) -> tuple[str, dict]:
+    """The config text and {name: (shape, payload offset)} of each kept
+    entry of the open checkpoint fh, whose payloads are seeked over; a
+    foreign, outdated, damaged, truncated or overlong file raises
+    FormatError. Every payload, kept or not, must fit inside the file, and
+    the last one must end where the file does.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(4) != _CKPT_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
+    # a short read surfaces as struct.error or ValueError
+    try:
+        (version,) = struct.unpack("<I", fh.read(4))
+        if version != _CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version} "
+                              f"(expected {_CKPT_VERSION})")
+        (cfg_len,) = struct.unpack("<I", fh.read(4))
+        cfg = fh.read(cfg_len)
+        if fh.read(32) != hashlib.sha256(cfg).digest():
+            raise FormatError(f"{path}: corrupt checkpoint (config digest mismatch)")
+        (n,) = struct.unpack("<I", fh.read(4))
+        index = {}
+        for _ in range(n):
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            nbytes = 4 * math.prod(shape)  # Python ints: no product wraps around
+            if nbytes > size - fh.tell():
+                raise ValueError(f"file ends inside entry {name}")
+            if keep is None or keep(name):
+                index[name] = (shape, fh.tell())
+            fh.seek(nbytes, os.SEEK_CUR)
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} bytes after the last entry")
+        return cfg.decode("utf-8"), index
+    except (struct.error, ValueError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+
+
+def _read_payload(fh, path, name: str, offset: int, out: np.ndarray) -> np.ndarray:
+    """Fill the float32 array out with entry `name`'s payload at offset,
+    read from the unbuffered file fh, so that no byte comes from an earlier
+    read; a read that ends early is a FormatError, whatever out held before."""
+    fh.seek(offset)
+    view, done = memoryview(out.reshape(-1).view(np.uint8)), 0
+    while done < out.nbytes:
+        n = fh.readinto(view[done:])
+        if not n:
+            raise FormatError(
+                f"{path}: truncated or corrupt checkpoint (file ends inside entry {name})")
+        done += n
+    return out
+
+
 def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
     """Read a checkpoint; a foreign, outdated, damaged, truncated or
     overlong file raises FormatError.
@@ -586,37 +643,64 @@ def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
     payloads are seeked over. Every payload, read or not, must fit inside
     the file, and the last one must end where the file does.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(4) != _CKPT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        # a short read surfaces as struct.error or ValueError
+    with open(path, "rb", buffering=0) as fh:
+        config_text, index = _read_index(fh, path, keep)
+        return config_text, {
+            name: _read_payload(fh, path, name, offset, np.empty(shape, "<f4"))
+            for name, (shape, offset) in index.items()}
+
+
+class CheckpointReader(Mapping):
+    """A checkpoint's entries, each read from the file when it is looked
+    up, as a plain Tensor (no gradient): inference holds one encoder
+    layer's weights at a time instead of the whole model.
+
+    The file is indexed and checked as load_checkpoint checks it when the
+    reader is made, and stays open until close(), so a file renamed over
+    the path later is never read. keep(name) selects the entries, as in
+    load_checkpoint. role(name) names the array an entry is read into:
+    entries of one role share it, so a lookup overwrites what the previous
+    lookup of that role returned. A tensor is
+    therefore valid only until its role is read again. That is safe in an
+    inference forward, which builds no graph and reads each layer's
+    weights before the next layer's; nothing else may use the reader. A
+    read that ends early is a FormatError, never the role's stale values.
+    """
+
+    def __init__(self, path, keep, role):
+        self.path = path
+        self._fh = open(path, "rb", buffering=0)
         try:
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != _CKPT_VERSION:
-                raise FormatError(f"{path}: unsupported checkpoint version {version} "
-                                  f"(expected {_CKPT_VERSION})")
-            (cfg_len,) = struct.unpack("<I", fh.read(4))
-            cfg = fh.read(cfg_len)
-            if fh.read(32) != hashlib.sha256(cfg).digest():
-                raise FormatError(f"{path}: corrupt checkpoint (config digest mismatch)")
-            (n,) = struct.unpack("<I", fh.read(4))
-            entries: dict[str, np.ndarray] = {}
-            for _ in range(n):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode("utf-8")
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-                count = int(np.prod(shape)) if shape else 1
-                if 4 * count > size - fh.tell():
-                    raise ValueError(f"file ends inside entry {name}")
-                if keep is None or keep(name):
-                    entries[name] = np.fromfile(fh, dtype="<f4", count=count).reshape(shape)
-                else:
-                    fh.seek(4 * count, os.SEEK_CUR)
-            if fh.tell() != size:
-                raise FormatError(f"{path}: {size - fh.tell()} bytes after the last entry")
-            config_text = cfg.decode("utf-8")
-        except (struct.error, ValueError) as exc:
-            raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-    return config_text, entries
+            self.config_text, self._index = _read_index(self._fh, path, keep)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.shapes = {name: shape for name, (shape, _) in self._index.items()}
+        self._role = role
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name) -> Tensor:
+        shape, offset = self._index[name]
+        role = self._role(name)
+        arr = self._arrays.get(role)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[role] = np.empty(shape, "<f4")
+        return Tensor(_read_payload(self._fh, self.path, name, offset, arr))
+
+    def __contains__(self, name) -> bool:
+        return name in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -254,25 +254,34 @@ def cmd_train(args) -> int:
 
 
 def _load_for_inference(checkpoint: str, command: str):
-    """Config and parameters of a classifier checkpoint; moments and counters are never read."""
-    mcfg, ocfg, arrays, _, _ = training.load_training_checkpoint(
-        checkpoint, lambda name: not name.startswith(("opt.", "meta.")))
-    if mcfg.head != tf.CLASSIFIER:
-        raise CheckpointMismatchError(
-            f"{command} needs a classifier checkpoint, got head={mcfg.head!r}")
+    """Config and parameters of a classifier checkpoint; moments and counters
+    are never read. The parameters are an open ad.CheckpointReader, which
+    reads each weight as the forward reaches its layer; every header, size
+    and shape is checked here, before any batch runs. The caller closes it.
+    """
+    mcfg, ocfg, params, _, _ = training.load_training_checkpoint(
+        checkpoint, lambda name: not name.startswith(("opt.", "meta.")), stream=True)
     try:
-        params = tf.params_from_arrays(arrays, mcfg)
-    except FormatError as exc:
-        raise FormatError(f"{checkpoint}: {exc}") from exc
+        if mcfg.head != tf.CLASSIFIER:
+            raise CheckpointMismatchError(
+                f"{command} needs a classifier checkpoint, got head={mcfg.head!r}")
+        try:
+            tf.check_shapes(params.shapes, mcfg)
+        except FormatError as exc:
+            raise FormatError(f"{checkpoint}: {exc}") from exc
+    except BaseException:
+        params.close()
+        raise
     return mcfg, ocfg, params
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     mcfg, ocfg, params = _load_for_inference(args.checkpoint, "evaluate")
-    entries = training.load_manifest(_require_manifest(cfg))
-    dataset = training.load_dataset(entries, mcfg, require_labels=True)
-    metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
+    with params:
+        entries = training.load_manifest(_require_manifest(cfg))
+        dataset = training.load_dataset(entries, mcfg, require_labels=True)
+        metrics = training.evaluate(params, mcfg, dataset, threshold=ocfg.threshold)
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -280,13 +289,13 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _config_from_args(args)
     mcfg, ocfg, params = _load_for_inference(args.checkpoint, "predict")
-    entries = training.load_manifest(_require_manifest(cfg))
-    dataset = training.load_dataset(entries, mcfg)
-
-    names = None
-    if cfg.label_map:
-        names = _label_map_for(cfg.label_map, mcfg.d_class).reverse()
-    logits = training.forward_batches(params, mcfg, [s for s, _ in dataset])
+    with params:
+        entries = training.load_manifest(_require_manifest(cfg))
+        dataset = training.load_dataset(entries, mcfg)
+        names = None
+        if cfg.label_map:
+            names = _label_map_for(cfg.label_map, mcfg.d_class).reverse()
+        logits = training.forward_batches(params, mcfg, [s for s, _ in dataset])
     preds = training.threshold_predict(logits, ocfg.threshold)
     lines = []
     for (cache, _), row in zip(entries, preds):

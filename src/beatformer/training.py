@@ -211,14 +211,19 @@ def pad_batch(rows: list) -> tuple:
 BATCH_ROWS = 512
 
 
-def forward_batches(params: dict, config: tf.ModelConfig, sequences: list) -> np.ndarray:
+def forward_batches(params, config: tf.ModelConfig, sequences: list) -> np.ndarray:
     """Classifier logits for a list of BeatSequences, in their order. The
     sequences are batched shortest first, so each batch pads only to lengths
     close to its own; a batch closes before it would pass BATCH_ROWS padded
     rows, and a longer sequence runs alone. The rows come back in input
     order. Plain tensors over the parameter arrays build no backward graph,
-    so no activation outlives its layer."""
-    params = {name: Tensor(p.data) for name, p in params.items()}
+    so no activation outlives its layer.
+
+    params is a dict of parameter tensors, or an ad.CheckpointReader, whose
+    plain tensors are read from the file as each batch's forward reaches
+    their layer: once per batch, so only one layer's weights are held."""
+    if not isinstance(params, ad.CheckpointReader):
+        params = {name: Tensor(p.data) for name, p in params.items()}
     lengths = [s.n_real for s in sequences]
     order = np.argsort(lengths, kind="stable")
     batches = []
@@ -231,10 +236,11 @@ def forward_batches(params: dict, config: tf.ModelConfig, sequences: list) -> np
     return np.concatenate(outs, axis=0)[np.argsort(order)]
 
 
-def evaluate(params: dict, config: tf.ModelConfig, dataset: list,
+def evaluate(params, config: tf.ModelConfig, dataset: list,
              threshold: float = 0.5) -> dict:
     """Classification metrics over (BeatSequence, multi-hot labels) pairs, from
-    forward_batches' logits: a batch closes before it would pass BATCH_ROWS rows.
+    the logits of forward_batches, which takes params as it does: a batch
+    closes before it would pass BATCH_ROWS rows.
 
     Macro-F1 averages only classes that appear in predictions or labels;
     with no such class it is reported as 0.0.
@@ -452,21 +458,38 @@ def _count(path: str, name: str, arr: np.ndarray) -> int:
     return int(value)
 
 
-def load_training_checkpoint(path: str, keep=None):
+def _checkpoint_configs(path: str, header: str) -> tuple:
+    """The (model, optim) configs a checkpoint header holds."""
+    kwargs = parse_config(read_config_text(header, path),
+                          {"model": tf.ModelConfig, "optim": OptimizerConfig})
+    try:
+        return tf.ModelConfig(**kwargs["model"]), OptimizerConfig(**kwargs["optim"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
+
+
+def load_training_checkpoint(path: str, keep=None, stream: bool = False):
     """Returns (model cfg, optim cfg, param arrays, AdamState, counters).
 
     counters maps each meta.* entry read, by its name after "meta.", to its
     count; a counter or opt.step that is not one finite, non-negative
     integer is a FormatError. keep(name) selects the entries read.
+
+    With stream (inference), the kept entries come back in place of the
+    param arrays as an ad.CheckpointReader, one array per encoder-layer
+    role, that reads each as a plain tensor when it is looked up; nothing
+    is read as moments or counters, and the caller closes the reader.
     """
+    if stream:
+        reader = ad.CheckpointReader(path, keep, tf.layer_role)
+        try:
+            mcfg, ocfg = _checkpoint_configs(path, reader.config_text)
+        except BaseException:
+            reader.close()
+            raise
+        return mcfg, ocfg, reader, AdamState(), {}
     header, entries = ad.load_checkpoint(path, keep)
-    kwargs = parse_config(read_config_text(header, path),
-                          {"model": tf.ModelConfig, "optim": OptimizerConfig})
-    try:
-        mcfg = tf.ModelConfig(**kwargs["model"])
-        ocfg = OptimizerConfig(**kwargs["optim"])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
+    mcfg, ocfg = _checkpoint_configs(path, header)
     params, counters = {}, {}
     state = AdamState()
     for name, arr in entries.items():

@@ -218,15 +218,26 @@ def count_parameters(config: ModelConfig) -> int:
     return int(sum(int(np.prod(shape)) for _, shape, _ in param_shapes(config)))
 
 
+def layer_role(name: str) -> str:
+    """A parameter's name within its encoder layer ("enc3.attn.wq.w" ->
+    "attn.wq.w"); a name outside the encoder stack is its own role."""
+    layer, _, role = name.partition(".")
+    return role if layer[:3] == "enc" and layer[3:].isdigit() else name
+
+
+def check_shapes(shapes: dict, config: ModelConfig) -> None:
+    """A FormatError unless shapes (name -> shape) holds every parameter of
+    config at its shape."""
+    for name, shape, _ in param_shapes(config):
+        if name not in shapes:
+            raise FormatError(f"checkpoint is missing parameter {name}")
+        if shapes[name] != shape:
+            raise FormatError(
+                f"parameter {name}: checkpoint shape {shapes[name]} != expected {shape}")
+
+
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> dict[str, Tensor]:
     """float32 parameters for `config`; a missing or mis-shaped array is a FormatError."""
-    params: dict[str, Tensor] = {}
-    for name, shape, _ in param_shapes(config):
-        if name not in arrays:
-            raise FormatError(f"checkpoint is missing parameter {name}")
-        arr = np.asarray(arrays[name], dtype=np.float32)
-        if arr.shape != shape:
-            raise FormatError(
-                f"parameter {name}: checkpoint shape {arr.shape} != expected {shape}")
-        params[name] = Tensor(arr, requires_grad=True)
-    return params
+    check_shapes({name: np.shape(arr) for name, arr in arrays.items()}, config)
+    return {name: Tensor(np.asarray(arrays[name], dtype=np.float32), requires_grad=True)
+            for name, _, _ in param_shapes(config)}

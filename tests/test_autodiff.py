@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import signal
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -795,6 +797,109 @@ class TestCheckpoint:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["m.ckpt", "stalled"]
         text, loaded = ad.load_checkpoint(p)
         assert text == "cfg" and list(loaded) == ["head.b"]
+
+    @pytest.mark.parametrize("keep", [None, lambda name: not name.startswith("opt.")],
+                             ids=["kept", "skipped"])
+    def test_entry_size_is_an_exact_integer(self, tmp_path, keep):
+        # 65535 * 42009217 * 6700417 = 2**64 - 1 elements: an int64 product
+        # wraps to -1, which once seeked 4 bytes back when the entry was skipped
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(raw_checkpoint([("head.b", (2,)),
+                                      ("opt.m.a", (65535, 42009217, 6700417))]) + bytes(16))
+        with pytest.raises(FormatError, match="file ends inside entry opt.m.a"):
+            ad.load_checkpoint(p, keep)
+        with pytest.raises(FormatError, match="file ends inside entry opt.m.a"):
+            ad.CheckpointReader(p, keep, by_layer_role)
+
+
+def raw_checkpoint(entries, cfg=b"d_model=8") -> bytes:
+    """A v2 checkpoint's bytes up to the end of the last entry header:
+    (name, shape) headers with zero-filled payloads, the last one left out."""
+    blob = b"BFCK" + struct.pack("<II", 2, len(cfg)) + cfg + hashlib.sha256(cfg).digest()
+    blob += struct.pack("<I", len(entries))
+    for i, (name, shape) in enumerate(entries):
+        blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
+        blob += struct.pack(f"<{len(shape)}I", *shape)
+        if i + 1 < len(entries):
+            blob += bytes(4 * int(np.prod(shape)))
+    return blob
+
+
+def by_layer_role(name):
+    return name.partition(".")[2] if name.startswith("enc") else name
+
+
+class TestCheckpointReader:
+    def entries(self):
+        rng = np.random.default_rng(0)
+        return {
+            "enc0.w": rng.normal(size=(3, 4)).astype(np.float32),
+            "enc0.b": rng.normal(size=4).astype(np.float32),
+            "enc1.w": rng.normal(size=(3, 4)).astype(np.float32),
+            "enc1.b": rng.normal(size=4).astype(np.float32),
+            "head.w": rng.normal(size=(4, 2)).astype(np.float32),
+            "opt.step": np.array([7.0], dtype=np.float32),
+        }
+
+    def saved(self, tmp_path, name="m.ckpt", entries=None):
+        p = str(tmp_path / name)
+        ad.save_checkpoint(p, self.entries() if entries is None else entries, "d_model=8")
+        return p
+
+    def test_reads_what_load_checkpoint_reads(self, tmp_path):
+        p = self.saved(tmp_path)
+        keep = lambda name: not name.startswith("opt.")  # noqa: E731
+        text, loaded = ad.load_checkpoint(p, keep)
+        with ad.CheckpointReader(p, keep, by_layer_role) as reader:
+            assert reader.config_text == text
+            assert list(reader) == list(loaded) and len(reader) == len(loaded)
+            assert reader.shapes == {name: a.shape for name, a in loaded.items()}
+            assert "enc1.w" in reader and "opt.step" not in reader
+            for name, arr in loaded.items():
+                t = reader[name]
+                assert isinstance(t, Tensor) and not t.requires_grad
+                assert t.data.dtype == np.float32 and np.array_equal(t.data, arr)
+
+    def test_one_array_per_role(self, tmp_path):
+        p = self.saved(tmp_path)
+        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+            w0, b0 = reader["enc0.w"].data, reader["enc0.b"].data
+            assert not np.shares_memory(w0, b0)
+            w1 = reader["enc1.w"].data
+            # the next layer's read overwrites the previous layer's values
+            assert np.shares_memory(w0, w1)
+            assert np.array_equal(w0, self.entries()["enc1.w"])
+            assert np.array_equal(b0, self.entries()["enc0.b"])
+
+    def test_cut_after_the_index_is_an_error_not_stale_values(self, tmp_path):
+        p = self.saved(tmp_path)
+        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+            assert np.array_equal(reader["enc0.w"].data, self.entries()["enc0.w"])
+            # cut the file inside enc1.w, whose role still holds enc0.w
+            with open(p, "r+b") as fh:
+                fh.truncate(fh.read().index(self.entries()["enc1.w"].tobytes()) + 8)
+            with pytest.raises(FormatError, match=f"{p}: .*file ends inside entry enc1.w"):
+                reader["enc1.w"]
+
+    def test_file_replaced_over_the_path_is_never_read(self, tmp_path):
+        p = self.saved(tmp_path)
+        other = {k: v + 1 for k, v in self.entries().items()}
+        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+            os.replace(self.saved(tmp_path, "other.ckpt", other), p)
+            for name, arr in self.entries().items():
+                assert np.array_equal(reader[name].data, arr)
+
+    @pytest.mark.parametrize("keep", [6, 20, 50, 100, -1])
+    def test_bad_file_refused_and_closed(self, tmp_path, keep):
+        p = self.saved(tmp_path)
+        with open(p, "r+b") as fh:
+            fh.truncate(os.path.getsize(p) + keep if keep < 0 else keep)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match=p):
+                ad.CheckpointReader(p, None, by_layer_role)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # saves over argv[1]; the second entry's conversion marks argv[2] and

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -1839,3 +1840,154 @@ class TestMalformedArtifactSweep:
             assert main(argv) == 1
             line = error_line(capsys)
             assert f"{pristine / 'manifest.tsv'}:1: NUL byte in cache path" in line
+
+
+class TestStreamedInference:
+    """`predict` and `evaluate` read each weight from the checkpoint as the
+    forward reaches its layer, once per batch, into one array per role."""
+
+    MCFG = tfm.ModelConfig(d_model=8, n_encoders=3, n_heads=2, dff=16, d_class=3,
+                           head=tfm.CLASSIFIER)
+
+    @staticmethod
+    def write_classifier(path, mcfg, seed):
+        params = tfm.init_params(mcfg, seed=seed)
+        tr.save_training_checkpoint(str(path), params, tr.AdamState.for_params(params),
+                                    mcfg, tr.OptimizerConfig(d_model=mcfg.d_model), 0)
+        return str(path)
+
+    @pytest.fixture
+    def ws(self, tmp_path):
+        """Ten labelled caches of 1..12 beats, a 3-encoder classifier, and
+        a row budget that cuts them into at least 3 batches."""
+        rng = ad.seeded_rng(7)
+        counts = (5, 1, 12, 3, 7, 2, 9, 4, 11, 6)
+        for i, n in enumerate(counts):
+            save_tokens(str(tmp_path / f"s{i}.tokens"),
+                        synth.random_sequence(rng, 50, 8, n_real=n))
+        (tmp_path / "manifest.tsv").write_text(
+            "".join(f"s{i}.tokens\t{i % 3}\n" for i in range(len(counts))))
+        self.write_classifier(tmp_path / "m.ckpt", self.MCFG, seed=0)
+        return tmp_path
+
+    @staticmethod
+    def argv(command, ws, ckpt=None):
+        return [command, "--manifest", str(ws / "manifest.tsv"),
+                "--checkpoint", ckpt or str(ws / "m.ckpt")]
+
+    @staticmethod
+    def in_memory(ckpt, mcfg):
+        """The checkpoint's parameters, all loaded."""
+        return tfm.params_from_arrays(tr.load_training_checkpoint(ckpt)[2], mcfg)
+
+    def test_outputs_bit_identical_to_in_memory_params(self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(tr, "BATCH_ROWS", 24)
+        logits, batches = [], []
+        forward_batches, forward = tr.forward_batches, tfm.forward
+
+        def spy_batches(params, config, sequences):
+            assert isinstance(params, ad.CheckpointReader)
+            out = forward_batches(params, config, sequences)
+            logits.append(out)
+            return out
+
+        def spy_forward(tokens, *args, **kwargs):
+            batches.append(tokens.shape[0])
+            return forward(tokens, *args, **kwargs)
+        monkeypatch.setattr(tr, "forward_batches", spy_batches)
+        monkeypatch.setattr(tfm, "forward", spy_forward)
+        capsys.readouterr()
+        assert main(self.argv("predict", ws)) == 0
+        assert main(self.argv("evaluate", ws)) == 0
+        # predict's 10 lines, then evaluate's JSON
+        metrics = json.loads(capsys.readouterr().out.split("\n", 10)[-1])
+        assert len(batches) >= 6 and sum(batches) == 20  # >= 3 batches per command
+
+        monkeypatch.setattr(tr, "forward_batches", forward_batches)
+        monkeypatch.setattr(tfm, "forward", forward)
+        params = self.in_memory(str(ws / "m.ckpt"), self.MCFG)
+        dataset = tr.load_dataset(tr.load_manifest(str(ws / "manifest.tsv")), self.MCFG,
+                                  require_labels=True)
+        expect = forward_batches(params, self.MCFG, [s for s, _ in dataset])
+        for got in logits:
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+        assert metrics == tr.evaluate(params, self.MCFG, dataset)
+
+    def test_checkpoint_cut_mid_run_is_an_error_line(self, ws, capsys, monkeypatch):
+        ckpt = str(ws / "m.ckpt")
+        start, end = payload_spans(ckpt)["enc1.attn.wq.w"]
+        forward = tfm.forward
+
+        def cut_after_first(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            with open(ckpt, "r+b") as fh:
+                fh.truncate((start + end) // 2)
+            return out
+        monkeypatch.setattr(tr, "BATCH_ROWS", 24)
+        monkeypatch.setattr(tfm, "forward", cut_after_first)
+        capsys.readouterr()
+        assert main(self.argv("predict", ws)) == 1
+        assert f"{ckpt}: truncated or corrupt checkpoint (file ends inside entry " \
+               "enc1.attn.wq.w)" in error_line(capsys)
+
+    def test_peak_memory_below_half_the_weights(self, tmp_path, capsys):
+        mcfg = tfm.ModelConfig(d_model=128, n_encoders=4, n_heads=2, dff=256, d_class=3,
+                               head=tfm.CLASSIFIER)
+        ckpt = self.write_classifier(tmp_path / "m.ckpt", mcfg, seed=0)
+        rng = ad.seeded_rng(8)
+        for i, n in enumerate((3, 5, 2)):
+            save_tokens(str(tmp_path / f"s{i}.tokens"),
+                        synth.random_sequence(rng, 50, 128, n_real=n))
+        (tmp_path / "manifest.tsv").write_text("".join(f"s{i}.tokens\t0\n" for i in range(3)))
+        param_bytes = 4 * tfm.count_parameters(mcfg)
+        tracemalloc.start()
+        try:
+            rc = main(self.argv("predict", tmp_path, ckpt))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(capsys.readouterr().out.splitlines()) == 3
+        assert peak < param_bytes / 2, (peak, param_bytes)
+
+    def test_no_checkpoint_handle_left_open(self, ws, capsys):
+        pre = ws / "pre.ckpt"
+        self.write_classifier(pre, self.MCFG.with_head(tfm.GENERATIVE), seed=0)
+        arrays = tr.load_training_checkpoint(str(ws / "m.ckpt"))[2]
+        del arrays["head.w"]
+        ad.save_checkpoint(str(ws / "partial.ckpt"), arrays, tr.config_text(
+            {"model": self.MCFG, "optim": tr.OptimizerConfig(d_model=8)}))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for command in ("predict", "evaluate"):
+                assert main(self.argv(command, ws)) == 0
+                for bad in (pre, ws / "partial.ckpt"):
+                    assert main(self.argv(command, ws, str(bad))) == 1
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)
+                    and ".ckpt" in str(w.message)]
+
+    def test_checkpoint_replaced_mid_run(self, ws, capsys, monkeypatch):
+        ckpt = str(ws / "m.ckpt")
+        other = self.write_classifier(ws / "other.ckpt", self.MCFG, seed=1)
+        monkeypatch.setattr(tr, "BATCH_ROWS", 24)
+        capsys.readouterr()
+        printed = {}
+        for path in (ckpt, other):
+            assert main(self.argv("predict", ws, path)) == 0
+            printed[path] = capsys.readouterr().out
+        assert printed[ckpt] != printed[other]
+        forward = tfm.forward
+
+        def replace_after_first(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            if os.path.exists(other):
+                os.replace(other, ckpt)
+            return out
+        monkeypatch.setattr(tfm, "forward", replace_after_first)
+        rc = main(self.argv("predict", ws))
+        assert not os.path.exists(other)
+        if rc == 0:
+            assert capsys.readouterr().out == printed[ckpt]
+        else:
+            assert rc == 1 and error_line(capsys)
