@@ -582,11 +582,7 @@ def save_checkpoint(path, entries: dict[str, np.ndarray], config_text: str) -> N
 
 def _read_index(fh, path, keep=None) -> tuple[str, dict]:
     """The config text and {name: (shape, payload offset)} of each kept
-    entry of the open checkpoint fh, whose payloads are seeked over; a
-    foreign, outdated, damaged, truncated or overlong file raises
-    FormatError. Every payload, kept or not, must fit inside the file, and
-    the last one must end where the file does.
-    """
+    entry of the open checkpoint fh, checked as CheckpointReader states."""
     size = os.fstat(fh.fileno()).st_size
     if fh.read(4) != _CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
@@ -601,10 +597,13 @@ def _read_index(fh, path, keep=None) -> tuple[str, dict]:
         if fh.read(32) != hashlib.sha256(cfg).digest():
             raise FormatError(f"{path}: corrupt checkpoint (config digest mismatch)")
         (n,) = struct.unpack("<I", fh.read(4))
-        index = {}
+        index, seen = {}, set()
         for _ in range(n):
             (name_len,) = struct.unpack("<H", fh.read(2))
             name = fh.read(name_len).decode("utf-8")
+            if name in seen:
+                raise FormatError(f"{path}: entry {name} appears twice")
+            seen.add(name)
             (ndim,) = struct.unpack("<B", fh.read(1))
             shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
             nbytes = 4 * math.prod(shape)  # Python ints: no product wraps around
@@ -620,51 +619,36 @@ def _read_index(fh, path, keep=None) -> tuple[str, dict]:
         raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
 
 
-def _read_payload(fh, path, name: str, offset: int, out: np.ndarray) -> np.ndarray:
-    """Fill the float32 array out with entry `name`'s payload at offset,
-    read from the unbuffered file fh, so that no byte comes from an earlier
-    read; a read that ends early is a FormatError, whatever out held before."""
-    fh.seek(offset)
-    view, done = memoryview(out.reshape(-1).view(np.uint8)), 0
-    while done < out.nbytes:
-        n = fh.readinto(view[done:])
-        if not n:
-            raise FormatError(
-                f"{path}: truncated or corrupt checkpoint (file ends inside entry {name})")
-        done += n
-    return out
-
-
 def load_checkpoint(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
-    """Read a checkpoint; a foreign, outdated, damaged, truncated or
-    overlong file raises FormatError.
-
-    keep(name) selects the entries to read (default: all); the others'
-    payloads are seeked over. Every payload, read or not, must fit inside
-    the file, and the last one must end where the file does.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        config_text, index = _read_index(fh, path, keep)
-        return config_text, {
-            name: _read_payload(fh, path, name, offset, np.empty(shape, "<f4"))
-            for name, (shape, offset) in index.items()}
+    """(config text, {name: array}) of a checkpoint's entries that
+    keep(name) selects (default: all), each read into its own array by a
+    CheckpointReader, which states what is checked and raised."""
+    with CheckpointReader(path, keep, role=lambda name: name) as reader:
+        return reader.config_text, {name: reader[name].data for name in reader}
 
 
 class CheckpointReader(Mapping):
     """A checkpoint's entries, each read from the file when it is looked
-    up, as a plain Tensor (no gradient): inference holds one encoder
-    layer's weights at a time instead of the whole model.
+    up, as a plain Tensor (no gradient). It is the one reader of the
+    format: load_checkpoint reads through it.
 
-    The file is indexed and checked as load_checkpoint checks it when the
-    reader is made, and stays open until close(), so a file renamed over
-    the path later is never read. keep(name) selects the entries, as in
-    load_checkpoint. role(name) names the array an entry is read into:
-    entries of one role share it, so a lookup overwrites what the previous
-    lookup of that role returned. A tensor is
-    therefore valid only until its role is read again. That is safe in an
-    inference forward, which builds no graph and reads each layer's
-    weights before the next layer's; nothing else may use the reader. A
-    read that ends early is a FormatError, never the role's stale values.
+    Making the reader opens and indexes the file. A foreign, outdated,
+    damaged, truncated or overlong file, or one naming an entry twice,
+    raises FormatError then: every payload, kept or not, must fit inside
+    the file, and the last one must end where the file does. keep(name)
+    selects the entries (None: all); the others' payloads are seeked
+    over. The file stays open until close(), so a file renamed over the
+    path later is never read.
+
+    role(name) names the array an entry is read into: entries of one role
+    share it, so a lookup overwrites what the previous lookup of that role
+    returned, and a tensor is valid only until its role is read again.
+    With one role per encoder-layer slot, inference holds one layer's
+    weights at a time; that is safe in an inference forward, which builds
+    no graph and reads each layer's weights before the next layer's, and
+    nothing else may use such a reader. Reads go through the unbuffered
+    file, so no byte comes from an earlier read, and a read that ends
+    early is a FormatError, never the role's stale values.
     """
 
     def __init__(self, path, keep, role):
@@ -685,7 +669,15 @@ class CheckpointReader(Mapping):
         arr = self._arrays.get(role)
         if arr is None or arr.shape != shape:
             arr = self._arrays[role] = np.empty(shape, "<f4")
-        return Tensor(_read_payload(self._fh, self.path, name, offset, arr))
+        self._fh.seek(offset)
+        view, done = memoryview(arr.reshape(-1).view(np.uint8)), 0
+        while done < arr.nbytes:
+            n = self._fh.readinto(view[done:])
+            if not n:
+                raise FormatError(f"{self.path}: truncated or corrupt checkpoint "
+                                  f"(file ends inside entry {name})")
+            done += n
+        return Tensor(arr)
 
     def __contains__(self, name) -> bool:
         return name in self._index

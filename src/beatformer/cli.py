@@ -197,13 +197,28 @@ def cmd_preprocess(args) -> int:
     else:
         results = list(map(run, records))
 
+    # records that share a cache name wrote one file in turn, in an order
+    # the workers decide: none of them keeps it
+    producers: dict[str, list[str]] = {}
+    for path, res in zip(records, results):
+        if not isinstance(res, str):
+            producers.setdefault(res[0], []).append(path)
+    for cache_name, paths in producers.items():
+        if len(paths) > 1:
+            os.remove(os.path.join(out_dir, cache_name))
+
     manifest_lines = []
     skip_lines = []
     for path, res in zip(records, results):
         if isinstance(res, str):
             skip_lines.append(f"{path}\t{res}")
+            continue
+        cache_name, indices = res
+        others = [other for other in producers[cache_name] if other != path]
+        if others:
+            skip_lines.append(
+                f"{path}\tcache {cache_name} is also made by {', '.join(others)}")
         else:
-            cache_name, indices = res
             label_field = ",".join(str(i) for i in sorted(indices)) if indices else ""
             manifest_lines.append(f"{cache_name}\t{label_field}")
 

@@ -319,6 +319,7 @@ def _load_wfdb(header_path: str) -> EcgRecord:
         raise FormatError(
             f"{header_path}: record line needs name, leads, fs, samples: {record_line!r}")
     name = fields_[0]
+    _check_plain_name(header_path, "record name", name)
     try:
         num_leads = int(fields_[1])
         fs = float(fields_[2].split("/")[0])
@@ -355,8 +356,7 @@ def _load_wfdb(header_path: str) -> EcgRecord:
         raise FormatError(f"{header_path}: all leads must share one byte offset")
 
     dat_name, offset = sample_files.pop()
-    if "\0" in dat_name:
-        raise FormatError(f"{header_path}: NUL byte in sample file name {dat_name!r}")
+    _check_plain_name(header_path, "sample file name", dat_name)
     dat_path = os.path.join(os.path.dirname(header_path), dat_name)
     try:
         if dat_name.lower().endswith(".mat"):
@@ -375,6 +375,14 @@ def _load_wfdb(header_path: str) -> EcgRecord:
     leads = raw.T.astype(np.float64)
     leads /= np.asarray(gains, dtype=np.float64)[:, None]
     return EcgRecord(leads, fs, lead_names, labels, name)
+
+
+def _check_plain_name(header_path: str, what: str, name: str) -> None:
+    """FormatError unless name is a plain file name in the header's own
+    directory: not empty, `.` or `..`, with no path separator or NUL. The
+    record name becomes the name of its token cache."""
+    if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+        raise FormatError(f"{header_path}: {what} {name!r} is not a plain file name")
 
 
 def _check_mat_prefix(path: str, offset: int, num_leads: int, num_samples: int) -> None:

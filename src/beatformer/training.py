@@ -480,6 +480,9 @@ def load_training_checkpoint(path: str, keep=None, stream: bool = False):
     role, that reads each as a plain tensor when it is looked up; nothing
     is read as moments or counters, and the caller closes the reader.
     """
+    # inference makes its reader here, not in cli: perfbench's tracer times
+    # this function as the training.load_checkpoint span, which traced
+    # predict reports (its ms and mb) and the hooks tests expect
     if stream:
         reader = ad.CheckpointReader(path, keep, tf.layer_role)
         try:

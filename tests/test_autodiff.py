@@ -811,6 +811,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="file ends inside entry opt.m.a"):
             ad.CheckpointReader(p, keep, by_layer_role)
 
+    @pytest.mark.parametrize("keep", [None, lambda name: name != "head.b"],
+                             ids=["kept", "skipped"])
+    def test_duplicate_entry_refused(self, tmp_path, keep):
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(raw_checkpoint([("head.b", (2,)), ("head.w", (1,)), ("head.b", (3,))])
+                      + bytes(12))
+        with pytest.raises(FormatError, match=f"{p}: entry head.b appears twice"):
+            ad.load_checkpoint(p, keep)
+        with pytest.raises(FormatError, match=f"{p}: entry head.b appears twice"):
+            ad.CheckpointReader(p, keep, by_layer_role)
+
 
 def raw_checkpoint(entries, cfg=b"d_model=8") -> bytes:
     """A v2 checkpoint's bytes up to the end of the last entry header:
@@ -859,6 +870,15 @@ class TestCheckpointReader:
                 t = reader[name]
                 assert isinstance(t, Tensor) and not t.requires_grad
                 assert t.data.dtype == np.float32 and np.array_equal(t.data, arr)
+
+    def test_load_checkpoint_gives_each_entry_its_own_array(self, tmp_path):
+        # training updates its parameter and moment arrays in place
+        expected = self.entries()
+        _, loaded = ad.load_checkpoint(self.saved(tmp_path))
+        for name in loaded:
+            loaded[name][...] = -1.0
+            expected[name][...] = -1.0
+            assert all(np.array_equal(loaded[n], expected[n]) for n in expected), name
 
     def test_one_array_per_role(self, tmp_path):
         p = self.saved(tmp_path)

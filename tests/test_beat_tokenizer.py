@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestCacheFormat:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         bt.save_tokens(a, self.make_seq(3))
         bt.save_tokens(b, self.make_seq(3))
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_narrow_width_round_trip(self, tmp_path):
         seq = self.make_seq(d_model=8)
@@ -235,9 +236,9 @@ class TestCacheFormat:
     def test_bad_version(self, tmp_path):
         p = str(tmp_path / "v.tokens")
         bt.save_tokens(p, self.make_seq())
-        blob = bytearray(open(p, "rb").read())
+        blob = bytearray(Path(p).read_bytes())
         blob[4] = 99
-        open(p, "wb").write(bytes(blob))
+        Path(p).write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=re.escape(p)):
             bt.load_tokens(p)
 
@@ -250,8 +251,8 @@ class TestCacheFormat:
     def test_truncated_file(self, tmp_path):
         p = str(tmp_path / "t.tokens")
         bt.save_tokens(p, self.make_seq())
-        blob = open(p, "rb").read()
-        open(p, "wb").write(blob[:-10])
+        blob = Path(p).read_bytes()
+        Path(p).write_bytes(blob[:-10])
         with pytest.raises(FormatError):
             bt.load_tokens(p)
 
@@ -259,9 +260,9 @@ class TestCacheFormat:
         p = str(tmp_path / "m.tokens")
         for n_real in (8, 10):
             bt.save_tokens(p, self.make_seq())  # 9 beats on disk
-            blob = bytearray(open(p, "rb").read())
+            blob = bytearray(Path(p).read_bytes())
             blob[8:12] = struct.pack("<I", n_real)
-            open(p, "wb").write(bytes(blob))
+            Path(p).write_bytes(bytes(blob))
             with pytest.raises(FormatError, match=re.escape(p)):
                 bt.load_tokens(p)
 

@@ -805,6 +805,75 @@ class TestMalformedRecordSweep:
         assert not (out / "r.tokens").exists()
 
 
+def files_under(path):
+    return {str(p) for p in path.rglob("*") if p.is_file()}
+
+
+class TestCacheNames:
+    """A record's cache is `<record name>.tokens` in --out: a WFDB record
+    name or sample-file name that is not a plain file name, and a cache
+    name that two records share, make skip lines."""
+
+    @pytest.mark.parametrize("what,name", [
+        *[("record name", n) for n in ("../escaped", "TMP/abs", "sub/r", ".", "..", "r\0x")],
+        *[("sample file name", n) for n in ("../escaped.dat", "TMP/abs.dat", "sub/r.dat",
+                                            ".", "..", "r\0.dat")]])
+    def test_name_that_is_not_a_plain_file_name(self, tmp_path, capsys, what, name):
+        d = tmp_path / "records"
+        (d / "sub").mkdir(parents=True)
+        write_wfdb_wavelet(d, "good")
+        write_wfdb_wavelet(d, "r")
+        # a sample file is there to be read wherever the name points
+        for place in (tmp_path / "escaped.dat", tmp_path / "abs.dat", d / "sub" / "r.dat"):
+            place.write_bytes((d / "r.dat").read_bytes())
+        name = name.replace("TMP", str(tmp_path))
+        hea = d / "r.hea"
+        lines = hea.read_text().splitlines()
+        if what == "record name":
+            lines[0] = " ".join([name] + lines[0].split()[1:])
+        else:
+            lines[1:] = [line.replace("r.dat", name, 1) for line in lines[1:]]
+        hea.write_text("\n".join(lines) + "\n")
+        before = files_under(tmp_path)
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        assert (out / "skip_report.txt").read_text().splitlines() == [
+            f"{hea}\t{hea}: {what} {name!r} is not a plain file name"]
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+        assert files_under(tmp_path) - before == {
+            str(out / n) for n in ("good.tokens", "manifest.tsv", "skip_report.txt")}
+        assert capsys.readouterr().err == ""
+
+    def test_shared_cache_name_skips_every_record_that_makes_it(self, tmp_path):
+        d = tmp_path / "records"
+        d.mkdir()
+        synth.wavelet_csv(d / "a.csv", bpm=72, labels="AF")
+        write_wfdb_wavelet(d, "a", bpm=66, labels=["SB"])
+        write_wfdb_wavelet(d, "c", bpm=60, labels=["AF"])
+        write_wfdb_wavelet(d, "d", bpm=80, labels=["SB"])
+        hea = d / "d.hea"  # names record c, over its own sample file d.dat
+        hea.write_text("c" + hea.read_text()[1:])
+        synth.wavelet_csv(d / "g.csv", bpm=70, labels="XX")
+        label_map = tmp_path / "labels.txt"
+        label_map.write_text("AF,0\nSB,1\nXX,2\n")
+        (tmp_path / "w.cfg").write_text("data.workers=2\n")
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        argv = ["preprocess", str(d), "--label-map", str(label_map)]
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert main(argv + ["--out", str(parallel), "--config", str(tmp_path / "w.cfg")]) == 0
+        assert sorted(os.listdir(serial)) == ["g.tokens", "manifest.tsv", "skip_report.txt"]
+        assert sorted(os.listdir(parallel)) == sorted(os.listdir(serial))
+        for name in os.listdir(serial):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+        assert (serial / "manifest.tsv").read_text() == "g.tokens\t2\n"
+        a_csv, a_hea, c_hea, d_hea = (str(d / n) for n in ("a.csv", "a.hea", "c.hea", "d.hea"))
+        assert (serial / "skip_report.txt").read_text().splitlines() == [
+            f"{a_csv}\tcache a.tokens is also made by {a_hea}",
+            f"{a_hea}\tcache a.tokens is also made by {a_csv}",
+            f"{c_hea}\tcache c.tokens is also made by {d_hea}",
+            f"{d_hea}\tcache c.tokens is also made by {c_hea}"]
+
+
 # The CSV reader as it stood before its samples were read as int64 counts,
 # copied verbatim: the reference that the bulk reader matches value for value.
 def _load_csv(path: str) -> EcgRecord:
@@ -1317,8 +1386,9 @@ class TestEvaluatePredictInspect:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * param_bytes
-        assert list(loaded) == list(params)
-        assert all(np.array_equal(loaded[n].data, p.data) for n, p in params.items())
+        with loaded:
+            assert list(loaded) == list(params)
+            assert all(np.array_equal(loaded[n].data, p.data) for n, p in params.items())
 
     def test_checkpoint_missing_parameter_is_an_error_line(self, token_workspace,
                                                            capsys):
@@ -1840,6 +1910,20 @@ class TestMalformedArtifactSweep:
             assert main(argv) == 1
             line = error_line(capsys)
             assert f"{pristine / 'manifest.tsv'}:1: NUL byte in cache path" in line
+
+    def test_duplicate_checkpoint_entry(self, pristine, capsys):
+        ckpt = pristine / self.ARTIFACTS["checkpoint"]
+        blob = bytearray(ckpt.read_bytes())
+        start, end = payload_spans(ckpt)["head.b"]
+        entry = blob[start - (2 + len("head.b") + 1 + 4) : end]  # head.b is 1-d
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        (count,) = struct.unpack_from("<I", blob, 12 + cfg_len + 32)
+        struct.pack_into("<I", blob, 12 + cfg_len + 32, count + 1)
+        ckpt.write_bytes(bytes(blob + entry))
+        capsys.readouterr()
+        for argv in self.argvs(pristine).values():
+            assert main(argv) == 1
+            assert f"{ckpt}: entry head.b appears twice" in error_line(capsys)
 
 
 class TestStreamedInference:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1012,7 +1013,7 @@ class TestTrainLoop:
                        tr.PRETRAIN, seed=1, out_dir=str(tmp_path))
         assert res["steps"] == 2 * 3  # 10 samples / batch 4 -> 3 steps/epoch
         lines = [json.loads(l) for l in
-                 open(res["log"], encoding="utf-8")]
+                 Path(res["log"]).read_text(encoding="utf-8").splitlines()]
         assert len(lines) == res["steps"]
         assert lines[0]["step"] == 1 and lines[-1]["epoch"] == 2
         assert lines[0]["lr"] == tr.lr_schedule(1, 8, 8)
@@ -1023,7 +1024,8 @@ class TestTrainLoop:
         res = tr.train(self.pretrain_data(), tiny_model(dropout_rate=0.0),
                        tiny_optim(epochs=30), tr.PRETRAIN, seed=2,
                        out_dir=str(tmp_path))
-        lines = [json.loads(l) for l in open(res["log"], encoding="utf-8")]
+        lines = [json.loads(l) for l in
+                 Path(res["log"]).read_text(encoding="utf-8").splitlines()]
         assert lines[-1]["loss"] < lines[0]["loss"] * 0.5
 
     def test_classify_runs(self, tmp_path):
@@ -1040,8 +1042,8 @@ class TestTrainLoop:
                      tr.PRETRAIN, seed=4, out_dir=str(tmp_path / "a"))
         b = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
                      tr.PRETRAIN, seed=4, out_dir=str(tmp_path / "b"))
-        ca = open(a["checkpoint"], "rb").read()
-        cb = open(b["checkpoint"], "rb").read()
+        ca = Path(a["checkpoint"]).read_bytes()
+        cb = Path(b["checkpoint"]).read_bytes()
         assert ca == cb
 
     def test_different_seed_differs(self, tmp_path):
@@ -1049,11 +1051,11 @@ class TestTrainLoop:
                      tr.PRETRAIN, seed=4, out_dir=str(tmp_path / "a"))
         b = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
                      tr.PRETRAIN, seed=5, out_dir=str(tmp_path / "b"))
-        assert open(a["checkpoint"], "rb").read() != open(b["checkpoint"], "rb").read()
+        assert Path(a["checkpoint"]).read_bytes() != Path(b["checkpoint"]).read_bytes()
 
     def strip_wall(self, path):
         out = []
-        for line in open(path, encoding="utf-8"):
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             d = json.loads(line)
             d.pop("wall_ms")
             out.append(d)
@@ -1068,8 +1070,8 @@ class TestTrainLoop:
         resumed = tr.train(data, tiny_model(), tiny_optim(epochs=3),
                            tr.PRETRAIN, seed=6, out_dir=str(tmp_path / "part"),
                            resume=part["checkpoint"])
-        assert open(full["checkpoint"], "rb").read() \
-            == open(resumed["checkpoint"], "rb").read()
+        assert Path(full["checkpoint"]).read_bytes() \
+            == Path(resumed["checkpoint"]).read_bytes()
         assert self.strip_wall(full["log"]) == self.strip_wall(resumed["log"])
 
     @pytest.mark.parametrize("max_steps", [2, 5])
@@ -1089,8 +1091,8 @@ class TestTrainLoop:
                            out_dir=str(tmp_path / "part"),
                            resume=part["checkpoint"])
         assert resumed["steps"] == full["steps"] == 6
-        assert open(full["checkpoint"], "rb").read() \
-            == open(resumed["checkpoint"], "rb").read()
+        assert Path(full["checkpoint"]).read_bytes() \
+            == Path(resumed["checkpoint"]).read_bytes()
         assert self.strip_wall(full["log"]) == self.strip_wall(resumed["log"])
 
     def test_resume_without_sample_count_runs_as_before(self, tmp_path):
@@ -1125,8 +1127,8 @@ class TestTrainLoop:
                            out_dir=str(tmp_path / "part"), freeze_trunk=True,
                            resume=runs["part"]["checkpoint"])
         assert resumed["steps"] == runs["full"]["steps"] == 6
-        assert open(runs["full"]["checkpoint"], "rb").read() \
-            == open(resumed["checkpoint"], "rb").read()
+        assert Path(runs["full"]["checkpoint"]).read_bytes() \
+            == Path(resumed["checkpoint"]).read_bytes()
         assert self.strip_wall(runs["full"]["log"]) == self.strip_wall(resumed["log"])
         _, _, arrays, state, _ = tr.load_training_checkpoint(resumed["checkpoint"])
         for name, arr in trunk.items():
@@ -1171,13 +1173,13 @@ class TestTrainLoop:
         elif damage == "drop":
             del entries["opt.v.head.b"]
         ad.save_checkpoint(part["checkpoint"], entries, header)
-        log = open(part["log"], encoding="utf-8").read()
+        log = Path(part["log"]).read_text(encoding="utf-8")
         with pytest.raises(CheckpointMismatchError, match="--freeze-trunk") as exc:
             tr.train(data, tiny_model(), optim, tr.CLASSIFY, seed=16,
                      out_dir=str(tmp_path), freeze_trunk=resume_frozen,
                      resume=part["checkpoint"])
         assert re.search(problem, str(exc.value))
-        assert open(part["log"], encoding="utf-8").read() == log
+        assert Path(part["log"]).read_text(encoding="utf-8") == log
 
     def test_resume_rejects_model_mismatch(self, tmp_path):
         data = self.pretrain_data()
@@ -1254,7 +1256,7 @@ class TestTrainLoop:
         res = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(),
                        tr.PRETRAIN, seed=10, out_dir=str(tmp_path), max_steps=0)
         assert res["steps"] == 0 and res["final_loss"] is None
-        assert open(res["log"], encoding="utf-8").read() == ""
+        assert Path(res["log"]).read_text(encoding="utf-8") == ""
         m, _, arrays, state, counters = tr.load_training_checkpoint(res["checkpoint"])
         assert counters["epoch"] == 0 and state.step_num == 0
         fresh = tfm.init_params(m.with_head(tfm.GENERATIVE), seed=10)
@@ -1267,7 +1269,7 @@ class TestTrainLoop:
                         tr.PRETRAIN, seed=12, out_dir=str(tmp_path))
         assert part["steps"] == 3
         _, before = ad.load_checkpoint(part["checkpoint"])
-        log = open(part["log"], encoding="utf-8").read()
+        log = Path(part["log"]).read_text(encoding="utf-8")
         res = tr.train(self.pretrain_data(), tiny_model(), tiny_optim(epochs=3),
                        tr.PRETRAIN, seed=12, out_dir=str(tmp_path),
                        resume=part["checkpoint"], max_steps=max_steps)
@@ -1276,7 +1278,7 @@ class TestTrainLoop:
         _, after = ad.load_checkpoint(res["checkpoint"])
         assert list(after) == list(before)
         assert all(np.array_equal(after[n], before[n]) for n in before)
-        assert open(res["log"], encoding="utf-8").read() == log
+        assert Path(res["log"]).read_text(encoding="utf-8") == log
 
     def test_negative_max_steps_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="max_steps"):
