@@ -32,8 +32,8 @@ from .ecg_io import (
     resampled_length,
     source_samples_needed,
 )
-from .errors import (BeatformerError, CheckpointMismatchError, ConfigError, EmptyInputError,
-                     FormatError, InconsistencyError, NoBeatsError)
+from .errors import (BeatformerError, ConfigError, EmptyInputError, InconsistencyError,
+                     NoBeatsError)
 
 
 # highest data.target_fs accepted: ample for ECG, which is sampled at a few
@@ -180,13 +180,12 @@ def _preprocess_or_error(record_path: str, cfg: PipelineConfig, out_dir: str,
 def cmd_preprocess(args) -> int:
     cfg = _config_from_args(args)
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     records = sorted(
         glob.glob(os.path.join(args.input_dir, "*.csv"))
         + glob.glob(os.path.join(args.input_dir, "*.hea")))
     if not records:
-        print(f"no .csv or .hea records in {args.input_dir}", file=sys.stderr)
-        return 1
+        raise EmptyInputError(f"no .csv or .hea records in {args.input_dir}")
+    os.makedirs(out_dir, exist_ok=True)
 
     lmap = load_label_map(cfg.label_map) if cfg.label_map else None
 
@@ -268,31 +267,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_inference(checkpoint: str, command: str):
-    """Config and parameters of a classifier checkpoint; moments and counters
-    are never read. The parameters are an open ad.CheckpointReader, which
-    reads each weight as the forward reaches its layer; every header, size
-    and shape is checked here, before any batch runs. The caller closes it.
-    """
-    mcfg, ocfg, params, _, _ = training.load_training_checkpoint(
-        checkpoint, lambda name: not name.startswith(("opt.", "meta.")), stream=True)
-    try:
-        if mcfg.head != tf.CLASSIFIER:
-            raise CheckpointMismatchError(
-                f"{command} needs a classifier checkpoint, got head={mcfg.head!r}")
-        try:
-            tf.check_shapes(params.shapes, mcfg)
-        except FormatError as exc:
-            raise FormatError(f"{checkpoint}: {exc}") from exc
-    except BaseException:
-        params.close()
-        raise
-    return mcfg, ocfg, params
-
-
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    mcfg, ocfg, params = _load_for_inference(args.checkpoint, "evaluate")
+    mcfg, ocfg, params, _, _ = training.load_training_checkpoint(args.checkpoint, stream=True)
     with params:
         entries = training.load_manifest(_require_manifest(cfg))
         dataset = training.load_dataset(entries, mcfg, require_labels=True)
@@ -303,7 +280,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _config_from_args(args)
-    mcfg, ocfg, params = _load_for_inference(args.checkpoint, "predict")
+    mcfg, ocfg, params, _, _ = training.load_training_checkpoint(args.checkpoint, stream=True)
     with params:
         entries = training.load_manifest(_require_manifest(cfg))
         dataset = training.load_dataset(entries, mcfg)
@@ -403,7 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BeatformerError, OSError) as exc:
+    except (BeatformerError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,6 +47,15 @@ class OptimizerConfig:
             raise ValueError("warmup_steps must be >= 1")
         if self.d_model < 1:
             raise ValueError(f"optim.d_model must be >= 1, got {self.d_model}")
+        # lr_schedule computes in float64, where neither may overflow
+        try:
+            float(self.d_model)
+        except OverflowError as exc:
+            raise ValueError("optim.d_model is beyond the float64 range") from exc
+        try:
+            self.warmup_steps ** 1.5
+        except OverflowError as exc:
+            raise ValueError("optim.warmup_steps ** 1.5 is beyond the float64 range") from exc
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -74,11 +83,12 @@ def lr_schedule(step_num: int, d_model: int = 1000, warmup_steps: int = 4000) ->
     """1/sqrt(d_model) * min(1/sqrt(step), step / warmup^1.5).
 
     The first branch is computed as 1/sqrt(d_model*step) so that round
-    powers come out exact in floating point.
+    powers come out exact in floating point; the product is taken in
+    float64, so a step past its range gives 0 instead of raising.
     """
     if step_num < 1:
         raise ValueError(f"step_num must be >= 1, got {step_num}")
-    decay = 1.0 / math.sqrt(d_model * step_num)
+    decay = 1.0 / math.sqrt(float(d_model) * step_num)
     warm = step_num / (math.sqrt(d_model) * warmup_steps ** 1.5)
     return min(decay, warm)
 
@@ -475,18 +485,30 @@ def load_training_checkpoint(path: str, keep=None, stream: bool = False):
     count; a counter or opt.step that is not one finite, non-negative
     integer is a FormatError. keep(name) selects the entries read.
 
-    With stream (inference), the kept entries come back in place of the
-    param arrays as an ad.CheckpointReader, one array per encoder-layer
-    role, that reads each as a plain tensor when it is looked up; nothing
-    is read as moments or counters, and the caller closes the reader.
+    stream opens a classifier checkpoint for inference. keep is not used
+    with it: the model parameters (no opt.* or meta.* entry) come
+    back in place of the param arrays as an ad.CheckpointReader, one array
+    per encoder-layer role, that reads each as a plain tensor when it is
+    looked up. A non-classifier head is a CheckpointMismatchError and a
+    missing or mis-shaped parameter a FormatError, both raised with the
+    reader closed; the caller closes the reader it gets.
     """
     # inference makes its reader here, not in cli: perfbench's tracer times
     # this function as the training.load_checkpoint span, which traced
     # predict reports (its ms and mb) and the hooks tests expect
     if stream:
-        reader = ad.CheckpointReader(path, keep, tf.layer_role)
+        reader = ad.CheckpointReader(
+            path, lambda name: not name.startswith(("opt.", "meta.")), tf.layer_role)
         try:
             mcfg, ocfg = _checkpoint_configs(path, reader.config_text)
+            if mcfg.head != tf.CLASSIFIER:
+                raise CheckpointMismatchError(
+                    f"{path}: inference needs a classifier checkpoint, "
+                    f"got head={mcfg.head!r}")
+            try:
+                tf.check_shapes(reader.shapes, mcfg)
+            except FormatError as exc:
+                raise FormatError(f"{path}: {exc}") from exc
         except BaseException:
             reader.close()
             raise

@@ -10,6 +10,7 @@ attention alone sees the padded [batch, seq] layout.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,11 @@ class ModelConfig:
                 raise ValueError(f"ModelConfig.{name} must be positive")
         if self.d_model % self.n_heads:
             raise ValueError(f"n_heads={self.n_heads} does not divide d_model={self.d_model}")
+        # a weight is drawn in float64, and numpy cannot describe a larger array
+        if max(self.d_model, self.dff, self.d_class) * self.d_model > sys.maxsize // 8:
+            raise ValueError(f"a weight of d_model={self.d_model}, dff={self.dff}, "
+                             f"d_class={self.d_class} has more than {sys.maxsize // 8} "
+                             "elements")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.head not in (GENERATIVE, CLASSIFIER):

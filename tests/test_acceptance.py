@@ -7,6 +7,7 @@ verdicts, or `-s` to see the ACCEPTANCE lines as they print.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_overfit_oracles(tmp_path):
     res = tr.train(data, model, optim, tr.CLASSIFY, seed=21,
                    out_dir=str(tmp_path / "clf"), max_steps=500)
     losses = [json.loads(l)["loss"]
-              for l in open(res["log"], encoding="utf-8")]
+              for l in Path(res["log"]).read_text(encoding="utf-8").splitlines()]
     bce_step = next((i + 1 for i, v in enumerate(losses) if v < 0.01), None)
     assert bce_step is not None and bce_step <= 500, \
         f"BCE never dropped below 0.01 in 500 steps (min {min(losses):.4f})"
@@ -281,7 +282,7 @@ def test_overfit_oracles(tmp_path):
     pre = tr.train(pre_data, model, pre_optim, tr.PRETRAIN, seed=22,
                    out_dir=str(tmp_path / "pre"), max_steps=300)
     pre_losses = [json.loads(l)["loss"]
-                  for l in open(pre["log"], encoding="utf-8")]
+                  for l in Path(pre["log"]).read_text(encoding="utf-8").splitlines()]
     mse_step = next((i + 1 for i, v in enumerate(pre_losses) if v < 1e-3), None)
     assert mse_step is not None and mse_step <= 300, \
         f"MSE never dropped below 1e-3 in 300 steps (min {min(pre_losses):.2e})"
@@ -315,7 +316,7 @@ def test_determinism(tmp_path):
     for run in ("t1", "t2"):
         res = tr.train(list(data), model, optim, tr.CLASSIFY, seed=33,
                        out_dir=str(tmp_path / run))
-        ckpts.append(open(res["checkpoint"], "rb").read())
+        ckpts.append(Path(res["checkpoint"]).read_bytes())
     assert ckpts[0] == ckpts[1]
 
     print("\nACCEPTANCE PASS: determinism (preprocess caches and one-epoch "

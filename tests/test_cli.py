@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -204,7 +205,8 @@ class TestPreprocess:
         empty.mkdir()
         rc = main(["preprocess", str(empty), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "no .csv or .hea records" in capsys.readouterr().err
+        assert "no .csv or .hea records" in error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_record_reported_run_continues(self, record_dir,
                                                      tmp_path):
@@ -1381,7 +1383,7 @@ class TestEvaluatePredictInspect:
         param_bytes = sum(p.data.nbytes for p in params.values())
         tracemalloc.start()
         try:
-            _, _, loaded = cli._load_for_inference(ckpt, "predict")
+            _, _, loaded, _, _ = tr.load_training_checkpoint(ckpt, stream=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -2075,3 +2077,125 @@ class TestStreamedInference:
             assert capsys.readouterr().out == printed[ckpt]
         else:
             assert rc == 1 and error_line(capsys)
+
+
+# settings the learning-rate schedule cannot compute in float64
+BEYOND_FLOAT64 = [
+    ("optim.warmup_steps", 10**250, "optim.warmup_steps ** 1.5 is beyond the float64 range"),
+    ("optim.d_model", 10**400, "optim.d_model is beyond the float64 range"),
+]
+
+
+class TestOutOfRangeSize:
+    """Settings whose arithmetic or allocation cannot be carried out end
+    with one `error:` line, before any output is made."""
+
+    @pytest.mark.parametrize("key, value, message", BEYOND_FLOAT64 + [
+        # 2^52 x 8 float64 values is 256 PiB, beyond any 64-bit address space
+        ("model.dff", 2**52, "Unable to allocate"),
+        ("model.dff", 2**62, f"has more than {sys.maxsize // 8} elements"),
+    ], ids=["warmup_steps", "d_model", "dff_2_52", "dff_2_62"])
+    def test_pretrain_setting(self, token_workspace, capsys, key, value, message):
+        ws = token_workspace
+        (ws / "big.cfg").write_text(small_cfg_text(**{key: value}))
+        rc = main(["pretrain", "--config", str(ws / "big.cfg"),
+                   "--manifest", str(ws / "manifest.tsv"), "--out", str(ws / "o")])
+        assert rc == 1
+        assert message in error_line(capsys)
+        assert not (ws / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", BEYOND_FLOAT64,
+                             ids=["warmup_steps", "d_model"])
+    def test_checkpoint_header_setting(self, token_workspace, capsys, key, value, message):
+        ws = token_workspace
+        mcfg = tfm.ModelConfig(d_model=8, n_encoders=1, n_heads=2, dff=16, d_class=3,
+                               head=tfm.CLASSIFIER)
+        header = tr.config_text({"model": mcfg, "optim": tr.OptimizerConfig(d_model=8)})
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in header.splitlines()]
+        ckpt = str(ws / "big.ckpt")
+        ad.save_checkpoint(ckpt, {n: p.data for n, p in tfm.init_params(mcfg).items()},
+                           "\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                       "--checkpoint", ckpt])
+            gc.collect()
+        assert rc == 1
+        assert f"{ckpt}: bad checkpoint config: {message}" in error_line(capsys)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestReaderRefusals:
+    """Each refusal of the record, label-map, cache and manifest readers,
+    through the command that reads the file, as the reader words it."""
+
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("AF,0\n=>AF\n", 2, "malformed equivalence '=>AF'"),
+        ("A=>AF\nA=>PVC\n", 2, "duplicate alias A"),
+        ("AF,x\n", 1, "bad class index 'x'"),
+    ])
+    def test_label_map_line(self, record_dir, tmp_path, capsys, text, lineno, reason):
+        lmap = tmp_path / "labels.txt"
+        lmap.write_text(text)
+        rc = main(["preprocess", str(record_dir), "--out", str(tmp_path / "o"),
+                   "--label-map", str(lmap)])
+        assert rc == 1
+        assert error_line(capsys) == f"error: {lmap}:{lineno}: {reason}"
+
+    @staticmethod
+    def skip_lines(d, tmp_path):
+        """The skip report of preprocess over d plus one good record."""
+        synth.wavelet_csv(d / "good.csv")
+        out = tmp_path / "out"
+        assert main(["preprocess", str(d), "--out", str(out)]) == 0
+        assert (out / "manifest.tsv").read_text() == "good.tokens\t\n"
+        return (out / "skip_report.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("#fs=500", "#fs=abc", "1: bad fs 'abc'"),
+        ("#gain=1000,1000", "#gain=x", "2: unparsable gain 'x'"),
+    ])
+    def test_csv_metadata(self, tmp_path, old, new, reason):
+        d = tmp_path / "records"
+        d.mkdir()
+        write_lines(d / "r.csv", swap_line(csv_text(), old, new))
+        assert self.skip_lines(d, tmp_path) == [f"{d / 'r.csv'}\t{d / 'r.csv'}:{reason}"]
+
+    @pytest.mark.parametrize("case, reason", [
+        ("empty", "empty header"),
+        ("record_line", "bad record line 'r x 500 6000'"),
+        ("signal_line", "signal line too short: 'r.dat 16'"),
+        ("two_files", "all leads must share one sample file"),
+    ])
+    def test_wfdb_header(self, tmp_path, case, reason):
+        d = tmp_path / "records"
+        d.mkdir()
+        write_wfdb(d, "r", np.zeros((2, 6000)), 500.0)
+        hea = d / "r.hea"
+        lines = hea.read_text().splitlines()
+        if case == "empty":
+            lines = []
+        elif case == "record_line":
+            lines[0] = "r x 500 6000"
+        elif case == "signal_line":
+            lines[1] = "r.dat 16"
+        else:
+            lines[2] = lines[2].replace("r.dat", "s.dat")
+        hea.write_text("".join(line + "\n" for line in lines))
+        assert self.skip_lines(d, tmp_path) == [f"{hea}\t{hea}: {reason}"]
+
+    def test_cache_with_short_header(self, tmp_path, capsys):
+        p = tmp_path / "short.tokens"
+        p.write_bytes(b"BFTS" + struct.pack("<I", 2))
+        assert main(["inspect", str(p)]) == 1
+        assert error_line(capsys) == f"error: {p}: truncated header"
+
+    def test_manifest_line_without_cache_path(self, token_workspace, capsys):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        (ws / "manifest.tsv").write_text("s0.tokens\t0\n\t1\n")
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                     "--checkpoint", ckpt]) == 1
+        assert error_line(capsys) == f"error: {ws / 'manifest.tsv'}:2: empty cache path"

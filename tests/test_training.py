@@ -55,6 +55,11 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             tr.lr_schedule(0)
 
+    def test_step_past_the_float64_range_is_zero(self):
+        # d_model * step passes the float64 range at step 18, not at step 1
+        assert tr.lr_schedule(1, d_model=10**307) > 0.0
+        assert tr.lr_schedule(20, d_model=10**307) == 0.0
+
 
 def step_constants(cfg, t):
     """The learning rate and bias corrections adam_step uses at step t."""
