@@ -640,15 +640,18 @@ class CheckpointReader(Mapping):
     over. The file stays open until close(), so a file renamed over the
     path later is never read.
 
-    role(name) names the array an entry is read into: entries of one role
-    share it, so a lookup overwrites what the previous lookup of that role
+    role(name) names the buffer an entry is read into: entries of one role
+    share one flat float32 buffer, sized to the role's largest kept entry,
+    and each lookup returns the exact-size prefix of it in the entry's
+    shape. So a lookup overwrites what the previous lookup of that role
     returned, and a tensor is valid only until its role is read again.
-    With one role per encoder-layer slot, inference holds one layer's
-    weights at a time; that is safe in an inference forward, which builds
-    no graph and reads each layer's weights before the next layer's, and
-    nothing else may use such a reader. Reads go through the unbuffered
-    file, so no byte comes from an earlier read, and a read that ends
-    early is a FormatError, never the role's stale values.
+    With one role per kind of entry (weight, bias, gain, shift),
+    inference holds one weight, one bias, one gain and one shift at a
+    time; that is safe in an inference forward, which builds no graph and
+    uses each weight before it looks up the next of its kind, and nothing
+    else may use such a reader. Reads go through the unbuffered file, so
+    no byte comes from an earlier read, and a read that ends early is a
+    FormatError, never the role's stale values.
     """
 
     def __init__(self, path, keep, role):
@@ -661,23 +664,28 @@ class CheckpointReader(Mapping):
             raise
         self.shapes = {name: shape for name, (shape, _) in self._index.items()}
         self._role = role
-        self._arrays: dict[str, np.ndarray] = {}
+        self._sizes: dict[str, int] = {}
+        for name, shape in self.shapes.items():
+            key = role(name)
+            self._sizes[key] = max(self._sizes.get(key, 0), math.prod(shape))
+        self._buffers: dict[str, np.ndarray] = {}
 
     def __getitem__(self, name) -> Tensor:
         shape, offset = self._index[name]
         role = self._role(name)
-        arr = self._arrays.get(role)
-        if arr is None or arr.shape != shape:
-            arr = self._arrays[role] = np.empty(shape, "<f4")
+        buf = self._buffers.get(role)
+        if buf is None:
+            buf = self._buffers[role] = np.empty(self._sizes[role], "<f4")
+        flat = buf[:math.prod(shape)]
         self._fh.seek(offset)
-        view, done = memoryview(arr.reshape(-1).view(np.uint8)), 0
-        while done < arr.nbytes:
+        view, done = memoryview(flat.view(np.uint8)), 0
+        while done < flat.nbytes:
             n = self._fh.readinto(view[done:])
             if not n:
                 raise FormatError(f"{self.path}: truncated or corrupt checkpoint "
                                   f"(file ends inside entry {name})")
             done += n
-        return Tensor(arr)
+        return Tensor(flat.reshape(shape))
 
     def __contains__(self, name) -> bool:
         return name in self._index

@@ -295,10 +295,11 @@ def cmd_predict(args) -> int:
         codes = [names[int(c)] if names else str(int(c)) for c in positive]
         lines.append(f"{os.path.basename(cache)}\t{','.join(codes)}")
     text = "\n".join(lines)
-    print(text)
+    # the file first: a write that fails leaves stdout empty
     if args.predictions_out:
         with open(args.predictions_out, "w", encoding="utf-8") as fh:
             fh.write(text + ("\n" if text else ""))
+    print(text)
     return 0
 
 

@@ -231,7 +231,9 @@ def forward_batches(params, config: tf.ModelConfig, sequences: list) -> np.ndarr
 
     params is a dict of parameter tensors, or an ad.CheckpointReader, whose
     plain tensors are read from the file as each batch's forward reaches
-    their layer: once per batch, so only one layer's weights are held."""
+    them: once per batch, each into its kind's one buffer (weight, bias,
+    gain, shift), and each valid only until the next of its kind is read.
+    So inference holds one parameter of each kind, not one layer."""
     if not isinstance(params, ad.CheckpointReader):
         params = {name: Tensor(p.data) for name, p in params.items()}
     lengths = [s.n_real for s in sequences]
@@ -487,9 +489,11 @@ def load_training_checkpoint(path: str, keep=None, stream: bool = False):
 
     stream opens a classifier checkpoint for inference. keep is not used
     with it: the model parameters (no opt.* or meta.* entry) come
-    back in place of the param arrays as an ad.CheckpointReader, one array
-    per encoder-layer role, that reads each as a plain tensor when it is
-    looked up. A non-classifier head is a CheckpointMismatchError and a
+    back in place of the param arrays as an ad.CheckpointReader that reads
+    each as a plain tensor when it is looked up, into one buffer per kind
+    of parameter (tf.kind_role), so a tensor is valid only until the next
+    of its kind is looked up: the reader serves forward_batches and nothing
+    else. A non-classifier head is a CheckpointMismatchError and a
     missing or mis-shaped parameter a FormatError, both raised with the
     reader closed; the caller closes the reader it gets.
     """
@@ -498,7 +502,7 @@ def load_training_checkpoint(path: str, keep=None, stream: bool = False):
     # predict reports (its ms and mb) and the hooks tests expect
     if stream:
         reader = ad.CheckpointReader(
-            path, lambda name: not name.startswith(("opt.", "meta.")), tf.layer_role)
+            path, lambda name: not name.startswith(("opt.", "meta.")), tf.kind_role)
         try:
             mcfg, ocfg = _checkpoint_configs(path, reader.config_text)
             if mcfg.head != tf.CLASSIFIER:

@@ -224,11 +224,13 @@ def count_parameters(config: ModelConfig) -> int:
     return int(sum(int(np.prod(shape)) for _, shape, _ in param_shapes(config)))
 
 
-def layer_role(name: str) -> str:
-    """A parameter's name within its encoder layer ("enc3.attn.wq.w" ->
-    "attn.wq.w"); a name outside the encoder stack is its own role."""
-    layer, _, role = name.partition(".")
-    return role if layer[:3] == "enc" and layer[3:].isdigit() else name
+def kind_role(name: str) -> str:
+    """A parameter's kind, the last component of its name ("enc3.attn.wq.w"
+    -> "w", "head.b" -> "b", "enc0.ln1.gamma" -> "gamma"). forward uses
+    each parameter before it looks up the next of its kind: each _linear
+    looks up one w and one b and each layer_norm one gamma and one beta,
+    and uses them before the next lookup."""
+    return name.rpartition(".")[2]
 
 
 def check_shapes(shapes: dict, config: ModelConfig) -> None:

@@ -809,7 +809,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="file ends inside entry opt.m.a"):
             ad.load_checkpoint(p, keep)
         with pytest.raises(FormatError, match="file ends inside entry opt.m.a"):
-            ad.CheckpointReader(p, keep, by_layer_role)
+            ad.CheckpointReader(p, keep, by_kind)
 
     @pytest.mark.parametrize("keep", [None, lambda name: name != "head.b"],
                              ids=["kept", "skipped"])
@@ -820,7 +820,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{p}: entry head.b appears twice"):
             ad.load_checkpoint(p, keep)
         with pytest.raises(FormatError, match=f"{p}: entry head.b appears twice"):
-            ad.CheckpointReader(p, keep, by_layer_role)
+            ad.CheckpointReader(p, keep, by_kind)
 
 
 def raw_checkpoint(entries, cfg=b"d_model=8") -> bytes:
@@ -836,8 +836,8 @@ def raw_checkpoint(entries, cfg=b"d_model=8") -> bytes:
     return blob
 
 
-def by_layer_role(name):
-    return name.partition(".")[2] if name.startswith("enc") else name
+def by_kind(name):
+    return name.rpartition(".")[2]
 
 
 class TestCheckpointReader:
@@ -861,7 +861,7 @@ class TestCheckpointReader:
         p = self.saved(tmp_path)
         keep = lambda name: not name.startswith("opt.")  # noqa: E731
         text, loaded = ad.load_checkpoint(p, keep)
-        with ad.CheckpointReader(p, keep, by_layer_role) as reader:
+        with ad.CheckpointReader(p, keep, by_kind) as reader:
             assert reader.config_text == text
             assert list(reader) == list(loaded) and len(reader) == len(loaded)
             assert reader.shapes == {name: a.shape for name, a in loaded.items()}
@@ -882,7 +882,7 @@ class TestCheckpointReader:
 
     def test_one_array_per_role(self, tmp_path):
         p = self.saved(tmp_path)
-        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+        with ad.CheckpointReader(p, None, by_kind) as reader:
             w0, b0 = reader["enc0.w"].data, reader["enc0.b"].data
             assert not np.shares_memory(w0, b0)
             w1 = reader["enc1.w"].data
@@ -891,9 +891,32 @@ class TestCheckpointReader:
             assert np.array_equal(w0, self.entries()["enc1.w"])
             assert np.array_equal(b0, self.entries()["enc0.b"])
 
+    def test_entries_of_one_role_share_a_buffer_at_their_own_shapes(self, tmp_path):
+        p = self.saved(tmp_path)
+        expected = self.entries()
+        with ad.CheckpointReader(p, None, by_kind) as reader:
+            # head.w (4, 2) is smaller than the role's largest entry, enc0.w (3, 4)
+            for name in ("head.w", "enc0.w", "head.w", "enc1.w"):
+                got = reader[name].data
+                assert got.shape == expected[name].shape and got.dtype == np.float32
+                assert np.array_equal(got, expected[name]), name
+            head = reader["head.w"].data
+            assert np.shares_memory(head, reader["enc0.w"].data)
+            assert not np.shares_memory(head, reader["enc0.b"].data)
+
+    def test_cut_inside_an_entry_smaller_than_its_buffer_is_an_error(self, tmp_path):
+        p = self.saved(tmp_path)
+        with ad.CheckpointReader(p, None, by_kind) as reader:
+            assert np.array_equal(reader["enc1.w"].data, self.entries()["enc1.w"])
+            # the w buffer holds enc1.w's 12 values; head.w needs only 8
+            with open(p, "r+b") as fh:
+                fh.truncate(fh.read().index(self.entries()["head.w"].tobytes()) + 8)
+            with pytest.raises(FormatError, match=f"{p}: .*file ends inside entry head.w"):
+                reader["head.w"]
+
     def test_cut_after_the_index_is_an_error_not_stale_values(self, tmp_path):
         p = self.saved(tmp_path)
-        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+        with ad.CheckpointReader(p, None, by_kind) as reader:
             assert np.array_equal(reader["enc0.w"].data, self.entries()["enc0.w"])
             # cut the file inside enc1.w, whose role still holds enc0.w
             with open(p, "r+b") as fh:
@@ -904,7 +927,7 @@ class TestCheckpointReader:
     def test_file_replaced_over_the_path_is_never_read(self, tmp_path):
         p = self.saved(tmp_path)
         other = {k: v + 1 for k, v in self.entries().items()}
-        with ad.CheckpointReader(p, None, by_layer_role) as reader:
+        with ad.CheckpointReader(p, None, by_kind) as reader:
             os.replace(self.saved(tmp_path, "other.ckpt", other), p)
             for name, arr in self.entries().items():
                 assert np.array_equal(reader[name].data, arr)
@@ -917,7 +940,7 @@ class TestCheckpointReader:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(FormatError, match=p):
-                ad.CheckpointReader(p, None, by_layer_role)
+                ad.CheckpointReader(p, None, by_kind)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 

@@ -1265,6 +1265,16 @@ class TestEvaluatePredictInspect:
                    for i, line in enumerate(lines))
         assert pred_file.read_text().rstrip("\n") == out
 
+    def test_unwritable_predictions_out_prints_nothing(self, token_workspace, tmp_path,
+                                                       capsys):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf")
+        capsys.readouterr()
+        rc = main(["predict", "--manifest", str(ws / "manifest.tsv"),
+                   "--checkpoint", ckpt, "--predictions-out", str(tmp_path)])
+        assert rc == 1
+        assert "Is a directory" in error_line(capsys)
+
     def test_predict_below_threshold_is_empty(self, token_workspace, capsys):
         ws = token_workspace
         # hand-build a checkpoint whose head bias forces probabilities ~0
@@ -1930,7 +1940,9 @@ class TestMalformedArtifactSweep:
 
 class TestStreamedInference:
     """`predict` and `evaluate` read each weight from the checkpoint as the
-    forward reaches its layer, once per batch, into one array per role."""
+    forward reaches it, once per batch, into one buffer per kind of
+    parameter (weight, bias, gain, shift); a tensor so read is valid only
+    until the next of its kind is read."""
 
     MCFG = tfm.ModelConfig(d_model=8, n_encoders=3, n_heads=2, dff=16, d_class=3,
                            head=tfm.CLASSIFIER)
@@ -2016,16 +2028,15 @@ class TestStreamedInference:
         assert f"{ckpt}: truncated or corrupt checkpoint (file ends inside entry " \
                "enc1.attn.wq.w)" in error_line(capsys)
 
-    def test_peak_memory_below_half_the_weights(self, tmp_path, capsys):
-        mcfg = tfm.ModelConfig(d_model=128, n_encoders=4, n_heads=2, dff=256, d_class=3,
-                               head=tfm.CLASSIFIER)
+    def predict_peak(self, tmp_path, capsys, mcfg) -> int:
+        """The tracemalloc peak of one predict over 3 caches of 2-5 beats
+        with a 4-encoder classifier of mcfg's widths."""
         ckpt = self.write_classifier(tmp_path / "m.ckpt", mcfg, seed=0)
         rng = ad.seeded_rng(8)
         for i, n in enumerate((3, 5, 2)):
             save_tokens(str(tmp_path / f"s{i}.tokens"),
-                        synth.random_sequence(rng, 50, 128, n_real=n))
+                        synth.random_sequence(rng, 50, mcfg.d_model, n_real=n))
         (tmp_path / "manifest.tsv").write_text("".join(f"s{i}.tokens\t0\n" for i in range(3)))
-        param_bytes = 4 * tfm.count_parameters(mcfg)
         tracemalloc.start()
         try:
             rc = main(self.argv("predict", tmp_path, ckpt))
@@ -2033,7 +2044,22 @@ class TestStreamedInference:
         finally:
             tracemalloc.stop()
         assert rc == 0 and len(capsys.readouterr().out.splitlines()) == 3
+        return peak
+
+    def test_peak_memory_below_half_the_weights(self, tmp_path, capsys):
+        mcfg = tfm.ModelConfig(d_model=128, n_encoders=4, n_heads=2, dff=256, d_class=3,
+                               head=tfm.CLASSIFIER)
+        param_bytes = 4 * tfm.count_parameters(mcfg)
+        peak = self.predict_peak(tmp_path, capsys, mcfg)
         assert peak < param_bytes / 2, (peak, param_bytes)
+
+    def test_peak_memory_below_one_layers_weights(self, tmp_path, capsys):
+        mcfg = tfm.ModelConfig(d_model=256, n_encoders=4, n_heads=2, dff=512, d_class=3,
+                               head=tfm.CLASSIFIER)
+        layer_bytes = 4 * sum(int(np.prod(shape)) for name, shape, _ in tfm.param_shapes(mcfg)
+                              if name.startswith("enc0."))
+        peak = self.predict_peak(tmp_path, capsys, mcfg)
+        assert peak < layer_bytes, (peak, layer_bytes)
 
     def test_no_checkpoint_handle_left_open(self, ws, capsys):
         pre = ws / "pre.ckpt"
