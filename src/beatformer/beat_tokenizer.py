@@ -8,6 +8,8 @@ real beats, at most 50; padding is left to the batch.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -125,26 +127,37 @@ def save_tokens(path: str, seq: BeatSequence):
 
 
 def load_tokens(path: str) -> BeatSequence:
+    """Read a save_tokens cache. The 16-byte header is checked first, and
+    the file's size against it before any beat is read, so a file of the
+    wrong size is refused without reading it; one that is not a regular
+    file (a pipe, a device) is read to at most one byte past its payload.
+    The payload is read straight into the returned array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: not a token-cache file")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated header")
-    version, n_real, d_model = struct.unpack("<III", blob[4:16])
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}"
-                          + ("; re-run preprocess" if version == 1 else ""))
-    if not 1 <= n_real <= MAX_POS:
-        raise FormatError(f"{path}: header claims {n_real} beats, not 1..{MAX_POS}")
-    if d_model == 0:
-        raise FormatError(f"{path}: header claims beats of width 0")
-    need = 16 + n_real * d_model * 4
-    if len(blob) != need:
-        raise FormatError(f"{path}: {len(blob)} bytes, expected {need}")
-    tokens = np.frombuffer(blob, dtype="<f4", offset=16).reshape(n_real, d_model)
+        head = fh.read(16)
+        if head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not a token-cache file")
+        if len(head) < 16:
+            raise FormatError(f"{path}: truncated header")
+        version, n_real, d_model = struct.unpack("<III", head[4:])
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported cache version {version}"
+                              + ("; re-run preprocess" if version == 1 else ""))
+        if not 1 <= n_real <= MAX_POS:
+            raise FormatError(f"{path}: header claims {n_real} beats, not 1..{MAX_POS}")
+        if d_model == 0:
+            raise FormatError(f"{path}: header claims beats of width 0")
+        need = 16 + n_real * d_model * 4
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size != need:
+            raise FormatError(f"{path}: {st.st_size} bytes, expected {need}")
+        tokens = np.empty((n_real, d_model), dtype="<f4")
+        size = 16 + fh.readinto(tokens.data.cast("B"))
+        if size < need:
+            raise FormatError(f"{path}: {size} bytes, expected {need}")
+        if fh.read(1):
+            raise FormatError(f"{path}: more than {need} bytes, expected {need}")
     finite = np.isfinite(tokens).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}: beat {int(np.argmin(finite))} holds a "
                           f"non-finite value")
-    return BeatSequence(tokens.copy())
+    return BeatSequence(tokens)

@@ -382,7 +382,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BeatformerError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError has no message: name its class instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

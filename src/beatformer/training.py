@@ -229,6 +229,10 @@ def forward_batches(params, config: tf.ModelConfig, sequences: list) -> np.ndarr
     order. Plain tensors over the parameter arrays build no backward graph,
     so no activation outlives its layer.
 
+    A batch reads its sequences' tokens only when it pads them, so over a
+    load_dataset index (CachedSequence) inference holds one batch of beats,
+    whatever the dataset's size.
+
     params is a dict of parameter tensors, or an ad.CheckpointReader, whose
     plain tensors are read from the file as each batch's forward reaches
     them: once per batch, each into its kind's one buffer (weight, bias,
@@ -355,17 +359,42 @@ def _check_sequence(name: str, seq, labelled: bool, config: tf.ModelConfig,
         raise FormatError(f"{name}: record has no labels but labels are required")
 
 
+@dataclass(frozen=True, slots=True)
+class CachedSequence:
+    """A token cache as load_dataset indexes it: its path and the beat count
+    and width its header held when it was checked. tokens reads the file
+    again through load_tokens on each use, so a dataset holds no beats; a
+    cache whose header has changed since is a FormatError naming it."""
+    path: str
+    n_real: int
+    d_model: int
+
+    @property
+    def tokens(self) -> np.ndarray:
+        seq = load_tokens(self.path)
+        if (seq.n_real, seq.d_model) != (self.n_real, self.d_model):
+            raise FormatError(
+                f"{self.path}: changed since it was checked: {seq.n_real} beats of "
+                f"width {seq.d_model}, not {self.n_real} of width {self.d_model}")
+        return seq.tokens
+
+
 def load_dataset(entries: list, config: tf.ModelConfig,
                  require_labels: bool = False) -> list:
-    """List of (BeatSequence, multi-hot or None), one per load_manifest entry.
+    """List of (CachedSequence, multi-hot or None), one per load_manifest
+    entry.
 
-    Each cache passes _check_sequence, and a class index outside
-    config.d_class is a ConfigError; each error names the cache.
+    One pass reads every cache through load_tokens, which refuses a bad
+    header, size or non-finite value; each then passes _check_sequence, and
+    a class index outside config.d_class is a ConfigError; each error names
+    the cache. Only the index is kept: each cache is read again when its
+    batch needs it, so memory does not grow with the dataset's beats.
     """
     out = []
     for cache, indices in entries:
         seq = load_tokens(cache)
         _check_sequence(cache, seq, indices is not None, config, require_labels)
+        seq = CachedSequence(cache, seq.n_real, seq.d_model)
         if indices is None:
             out.append((seq, None))
             continue
@@ -544,9 +573,13 @@ def train(dataset: list, model_config: tf.ModelConfig, optim_config: OptimizerCo
     """Run one training job and leave `model.ckpt` plus `train_log.ndjson`
     in out_dir.
 
-    dataset: (BeatSequence, multi-hot/None) pairs, as load_dataset returns
-    them, each checked as load_dataset checks a cache before out_dir is
-    touched. mode selects the head:
+    dataset: (BeatSequence or CachedSequence, multi-hot/None) pairs, as
+    load_dataset returns them, each checked as load_dataset checks a cache
+    before out_dir is touched. Each step reads the tokens of its batch's
+    sequences alone, so over a load_dataset index a run holds one batch of
+    beats; a cache changed since load_dataset checked it ends the run with
+    its FormatError before that step, and writes no checkpoint as it stops.
+    mode selects the head:
     "pretrain" trains the generative next-beat objective with masked MSE,
     "classify" trains the multi-label logits head with BCE-with-logits.
     resume continues an interrupted run (configs, sample count and trained
@@ -578,8 +611,7 @@ def train(dataset: list, model_config: tf.ModelConfig, optim_config: OptimizerCo
         raise ValueError("training needs a non-empty dataset")
 
     # next-beat pre-training needs a second beat to predict
-    samples = [(seq.tokens, y) for seq, y in dataset
-               if mode == CLASSIFY or seq.n_real >= 2]
+    samples = [(seq, y) for seq, y in dataset if mode == CLASSIFY or seq.n_real >= 2]
     skipped = len(dataset) - len(samples)
     if not samples:
         raise EmptyInputError("no sequence has >= 2 beats; nothing to pre-train on")
@@ -642,7 +674,12 @@ def train(dataset: list, model_config: tf.ModelConfig, optim_config: OptimizerCo
             epoch, k = divmod(step, per_epoch)
             order = ad.seeded_rng(seed, "shuffle", epoch + 1).permutation(len(samples))
             rng = ad.seeded_rng(seed, "dropout", step + 1)
-            loss = _batch_loss(samples, order[k * bs : (k + 1) * bs], config, params, rng)
+            # only this step's caches are read, and their beats dropped once
+            # the loss is built, before the backward sweep
+            batch = [(samples[i][0].tokens, samples[i][1])
+                     for i in order[k * bs : (k + 1) * bs]]
+            loss = _batch_loss(batch, np.arange(len(batch)), config, params, rng)
+            del batch
             last_loss = float(loss.item())
             # adam_step writes the weights during the sweep: check first, and
             # leave the checkpoint of the last finite step

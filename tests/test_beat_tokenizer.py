@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,46 @@ class TestCacheFormat:
                       + bytes(16 * n_real))  # size agrees with the header
         with pytest.raises(FormatError, match="1..50"):
             bt.load_tokens(str(p))
+
+    def test_size_checked_before_the_payload_is_read(self, tmp_path):
+        # a sparse 64-MB file whose header claims one beat of width 1000
+        p = tmp_path / "big.tokens"
+        with open(p, "wb") as fh:
+            fh.write(b"BFTS" + struct.pack("<III", 2, 1, 1000))
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match=re.escape(f"{p}: {64 << 20} bytes, expected 4016")):
+                bt.load_tokens(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cut, message", [
+        (-1, "79 bytes, expected 80"),
+        (0, None),
+        (1, "more than 80 bytes, expected 80"),
+    ], ids=["one_byte_short", "exact", "one_byte_over"])
+    def test_size_of_a_file_that_is_not_regular(self, tmp_path, cut, message):
+        # a pipe has no size to check upfront: it is read to one byte past
+        # the payload
+        p = tmp_path / "a.tokens"
+        seq = self.make_seq(n_real=2, d_model=8)
+        bt.save_tokens(str(p), seq)
+        blob = p.read_bytes()
+        r, w = os.pipe()
+        os.write(w, blob[:cut] if cut < 0 else blob + b"x" * cut)  # fits the pipe's buffer
+        os.close(w)
+        try:
+            if message:
+                with pytest.raises(FormatError, match=message):
+                    bt.load_tokens(f"/dev/fd/{r}")
+            else:
+                assert np.array_equal(bt.load_tokens(f"/dev/fd/{r}").tokens, seq.tokens)
+        finally:
+            os.close(r)
 
     def test_wrong_row_count_rejected_on_save(self, tmp_path):
         # a 51-row sequence cannot be built, so it never reaches a cache

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -13,12 +14,18 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import synth
 from beatformer import autodiff as ad
 from beatformer import cli
 from beatformer import training as tr
 from beatformer import transformer as tfm
-from beatformer.beat_tokenizer import MAX_POS, build_sequence, fuse_rms, load_tokens, save_tokens
+from beatformer.beat_tokenizer import (MAX_POS, BeatSequence, build_sequence, fuse_rms,
+                                       load_tokens, save_tokens)
 from beatformer.cli import build_config, main, read_config_file
 from beatformer.dsp import CHUNK, DETECTORS, apply_filter, design_highpass
 from beatformer.ecg_io import (EcgRecord, _check_scaled_range, _parse_gain_token, load_record,
@@ -1457,6 +1464,25 @@ class TestEvaluatePredictInspect:
         assert main(["inspect", str(p)]) == 1
         assert "width 0" in error_line(capsys)
 
+    @pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"),
+                        reason="needs resource limits and /dev/zero")
+    def test_inspect_endless_device(self):
+        # in a child whose address space is capped, so a reader that reads to
+        # the end runs out there as a MemoryError, not in the host's memory;
+        # one BLAS thread keeps numpy's own reservations far below the cap
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        done = subprocess.run([sys.executable, "-m", "beatformer", "inspect", "/dev/zero"],
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: /dev/zero: not a token-cache file\n"
+
+
 def payload_spans(path):
     """{entry name: (start, end)} byte offsets of each checkpoint payload."""
     with open(path, "rb") as fh:
@@ -2103,6 +2129,107 @@ class TestStreamedInference:
             assert capsys.readouterr().out == printed[ckpt]
         else:
             assert rc == 1 and error_line(capsys)
+
+
+class TestCachesReadPerBatch:
+    """Commands check every cache upfront but keep only its path and
+    header: each is read again when its batch needs it."""
+
+    def test_predict_memory_does_not_grow_with_the_manifest(self, tmp_path, capsys,
+                                                            monkeypatch):
+        mcfg = tfm.ModelConfig(d_model=128, n_encoders=1, n_heads=2, dff=256, max_pos=16,
+                               d_class=3, head=tfm.CLASSIFIER)
+        params = tfm.init_params(mcfg, seed=0)
+        ckpt = str(tmp_path / "m.ckpt")
+        tr.save_training_checkpoint(ckpt, params, tr.AdamState.for_params(params), mcfg,
+                                    tr.OptimizerConfig(d_model=mcfg.d_model), 0)
+        rng = ad.seeded_rng(11)
+        for i in range(32):  # 8 KB of beats each
+            save_tokens(str(tmp_path / f"s{i}.tokens"),
+                        synth.random_sequence(rng, 50, mcfg.d_model, n_real=16))
+        monkeypatch.setattr(tr, "BATCH_ROWS", 128)
+
+        def peak(n):
+            (tmp_path / "man.tsv").write_text("".join(f"s{i % 32}.tokens\t\n"
+                                                      for i in range(n)))
+            tracemalloc.start()
+            try:
+                assert main(["predict", "--manifest", str(tmp_path / "man.tsv"),
+                             "--checkpoint", ckpt]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert len(capsys.readouterr().out.splitlines()) == n
+
+        peak(32)  # first-call allocations do not count
+        # 256 entries hold 2 MB of beats, several times one batch's peak
+        assert peak(256) <= 1.25 * peak(32)
+
+    @staticmethod
+    def rewrite_after_check(monkeypatch, cache, change):
+        """Rewrite cache as soon as load_dataset has checked it."""
+        load_dataset = tr.load_dataset
+
+        def check_then_rewrite(*args, **kwargs):
+            out = load_dataset(*args, **kwargs)
+            tokens = load_tokens(str(cache)).tokens
+            if change == "n_real":
+                tokens = tokens[:-1]
+            else:
+                tokens[1, 2] = np.nan
+            save_tokens(str(cache), BeatSequence(tokens))
+            return out
+        monkeypatch.setattr(tr, "load_dataset", check_then_rewrite)
+
+    @staticmethod
+    def changed_message(cache, change):
+        n = load_tokens(str(cache)).n_real
+        if change == "n_real":
+            return (f"error: {cache}: changed since it was checked: {n - 1} beats of "
+                    f"width 8, not {n} of width 8")
+        return f"error: {cache}: beat 1 holds a non-finite value"
+
+    @pytest.mark.parametrize("change", ["n_real", "nan"])
+    def test_predict_cache_changed_after_the_check(self, token_workspace, capsys,
+                                                   monkeypatch, change):
+        ws = token_workspace
+        ckpt = train_classifier(ws, "clf", epochs=0)
+        cache = ws / "s3.tokens"
+        message = self.changed_message(cache, change)
+        out = ws / "predictions.txt"
+        self.rewrite_after_check(monkeypatch, cache, change)
+        capsys.readouterr()
+        assert main(["predict", "--manifest", str(ws / "manifest.tsv"), "--checkpoint",
+                     ckpt, "--predictions-out", str(out)]) == 1
+        assert error_line(capsys) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["n_real", "nan"])
+    def test_train_cache_changed_after_the_check(self, token_workspace, capsys,
+                                                 monkeypatch, change):
+        # each epoch reads every cache, so the first one meets the change
+        # before it ends and writes a checkpoint
+        ws = token_workspace
+        train_classifier(ws, "o", epochs=1)
+        ckpt = ws / "o" / "model.ckpt"
+        before = ckpt.read_bytes()
+        cache = ws / "s3.tokens"
+        message = self.changed_message(cache, change)
+        self.rewrite_after_check(monkeypatch, cache, change)
+        capsys.readouterr()
+        assert main(["train", "--config", str(ws / "model.cfg"), "--manifest",
+                     str(ws / "manifest.tsv"), "--out", str(ws / "o")]) == 1
+        assert error_line(capsys) == message
+        assert ckpt.read_bytes() == before
+
+
+class TestErrorWithoutMessage:
+    def test_class_name_printed(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "cmd_inspect", out_of_memory)
+        assert main(["inspect", str(tmp_path / "a.tokens")]) == 1
+        assert error_line(capsys) == "error: MemoryError"
 
 
 # settings the learning-rate schedule cannot compute in float64

@@ -983,6 +983,27 @@ class TestManifest:
         assert np.array_equal(data[0][0].tokens, seq.tokens)
         assert data[0][1].tolist() == [0, 1, 0]
 
+    def test_load_dataset_keeps_only_an_index(self, tmp_path):
+        # 200 caches of 1,600 bytes of beats each, listed once and ten times:
+        # the dataset grows by one small index entry per listing, not a cache
+        rng = ad.seeded_rng(9)
+        for i in range(200):
+            save_tokens(str(tmp_path / f"c{i}.tokens"),
+                        synth.random_sequence(rng, 50, 8, n_real=50))
+        peaks = {}
+        for n in (200, 2000):
+            (tmp_path / "man.tsv").write_text(
+                "".join(f"c{i % 200}.tokens\t\n" for i in range(n)))
+            entries = tr.load_manifest(str(tmp_path / "man.tsv"))
+            tracemalloc.start()
+            try:
+                data = tr.load_dataset(entries, tiny_model(max_pos=50))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [s.n_real for s, _ in data] == [50] * n
+        assert (peaks[2000] - peaks[200]) / 1800 < 256
+
     def test_load_dataset_requires_labels_for_classify(self, tmp_path):
         rng = ad.seeded_rng(8)
         save_tokens(str(tmp_path / "a.tokens"),
